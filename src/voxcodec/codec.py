@@ -28,7 +28,7 @@ from .nn import (
     prefixed,
     sparse_conv,
 )
-from .sparse import PointCloudFrame, SparseTensor, pack_keys, stride_down_coords
+from .sparse import PointCloudFrame, SparseTensor, lookup, pack_keys, stride_down_coords
 from .weights import FE_C1, FE_C2, REC_C0, REC_C1, RESIDUAL_LATENT_C
 
 MAGIC = b"DDPC"
@@ -338,11 +338,7 @@ def bce_occupancy(probs: np.ndarray, candidates: np.ndarray, truth: np.ndarray) 
     """Natural-log BCE of candidate occupancy probabilities against the set of
     truly occupied voxels."""
     p = np.clip(np.asarray(probs, dtype=np.float64), 1e-12, 1 - 1e-12)
-    truth_keys = pack_keys(truth)
-    cand_keys = pack_keys(candidates)
-    pos = np.searchsorted(truth_keys, cand_keys)
-    pos = np.minimum(pos, max(truth_keys.size - 1, 0))
-    occ = (truth_keys.size > 0) & (truth_keys[pos] == cand_keys) if truth_keys.size else np.zeros(len(cand_keys), bool)
+    _, occ = lookup(pack_keys(truth), pack_keys(candidates))
     o = occ.astype(np.float64)
     return float(-np.mean(o * np.log(p) + (1 - o) * np.log(1 - p)))
 

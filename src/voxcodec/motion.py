@@ -13,7 +13,7 @@ import numpy as np
 from . import entropy as ent
 from .errors import ContractViolation
 from .knn import knn
-from .nn import ConvSpec, prefixed, relu, rn_block, sparse_conv
+from .nn import ConvSpec, _conv, prefixed, relu, rn_block
 from .sparse import (
     SparseTensor,
     add_on_union,
@@ -24,10 +24,6 @@ from .sparse import (
 )
 
 DIST_EPS = 1e-8  # squared-distance clamp realizing the coincident-point limit
-
-
-def _conv(x, w, name, spec, out_coords=None):
-    return sparse_conv(x, spec, w[name + ".weight"], w[name + ".bias"], out_coords)
 
 
 def flow_embedding(y_t: SparseTensor, y_prev: SparseTensor, w) -> SparseTensor:

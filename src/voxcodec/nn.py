@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ContractViolation
-from .sparse import SparseTensor, pack_keys, stride_down_coords
+from .sparse import SparseTensor, lookup, pack_keys, stride_down_coords
 
 
 @dataclass(frozen=True)
@@ -68,36 +68,78 @@ def build_kernel_map(in_coords, out_coords, spec: ConvSpec) -> KernelMap:
     forward stride-1:  (i, j) iff in[i] == out[j] + offset
     forward stride-2:  (i, j) iff in[i] == 2*out[j] + offset, offset in {0,1}^3
     transposed:        (i, j) iff out[j] == 2*in[i] + offset, offset in {0,1}^3
+
+    Coordinate rows are lexicographically sorted, as in a SparseTensor (the
+    stride-1 output rows may come in any order).  Within one offset the pairs
+    are in increasing output-row order, which is also increasing input-row
+    order.  This is the uncached primitive; :func:`sparse_conv` memoizes its
+    result on the input tensor.
     """
     in_coords = np.asarray(in_coords, dtype=np.int64).reshape(-1, 3)
     out_coords = np.asarray(out_coords, dtype=np.int64).reshape(-1, 3)
-    if not spec.transposed and spec.stride == 2:
-        expect = stride_down_coords(in_coords)
-        if expect.shape != out_coords.shape or not np.array_equal(expect, out_coords):
-            raise ContractViolation("stride-2 output coordinates must be the floor-div set")
-    offsets = spec.offsets()
-    pairs = []
     if spec.transposed:
-        out_keys = pack_keys(out_coords)
-        base = 2 * in_coords
-        src_rows = np.arange(in_coords.shape[0])
-        for off in offsets:
-            keys = pack_keys(base + off)
-            j = np.searchsorted(out_keys, keys)
-            j = np.minimum(j, max(out_keys.size - 1, 0))
-            hit = (out_keys.size > 0) & (out_keys[j] == keys) if out_keys.size else np.zeros(len(keys), bool)
-            pairs.append((src_rows[hit], j[hit]))
+        # each output row has one parent (out >> 1) and one corner (out & 1);
+        # the keys of 2*in and 2*(out >> 1) == out & -2 compare parents
+        pos, hit = lookup(pack_keys(2 * in_coords), pack_keys(out_coords & -2))
+        rows = np.flatnonzero(hit)
+        pairs = _by_corner(out_coords[rows], pos[rows], rows)
+    elif spec.stride == 2:
+        parents, j = np.unique(pack_keys(in_coords & -2), return_inverse=True)
+        if not np.array_equal(parents, pack_keys(2 * out_coords)):
+            raise ContractViolation("stride-2 output coordinates must be the floor-div set")
+        pairs = _by_corner(in_coords, np.arange(in_coords.shape[0]), j.reshape(-1))
     else:
-        in_keys = pack_keys(in_coords)
-        dst_rows = np.arange(out_coords.shape[0])
-        base = out_coords if spec.stride == 1 else 2 * out_coords
-        for off in offsets:
-            keys = pack_keys(base + off)
-            i = np.searchsorted(in_keys, keys)
-            i = np.minimum(i, max(in_keys.size - 1, 0))
-            hit = (in_keys.size > 0) & (in_keys[i] == keys) if in_keys.size else np.zeros(len(keys), bool)
-            pairs.append((i[hit], dst_rows[hit]))
+        pairs = _neighbour_pairs(in_coords, out_coords, spec.offsets())
     return KernelMap(pairs, in_coords.shape[0], out_coords.shape[0])
+
+
+def _by_corner(children, i_rows, j_rows):
+    """Split (i, j) pairs by the {0,1}^3 corner of each child coordinate,
+    in offset order; a stable sort keeps each corner's rows increasing."""
+    corner = (children & 1) @ np.array([4, 2, 1])
+    order = np.argsort(corner, kind="stable")
+    bounds = np.cumsum(np.bincount(corner, minlength=8))[:-1]
+    return list(zip(np.split(i_rows[order], bounds), np.split(j_rows[order], bounds)))
+
+
+def _neighbour_pairs(in_coords, out_coords, offsets):
+    """Stride-1 pairs: the output keys are packed once and shifted per offset."""
+    in_keys = pack_keys(in_coords)
+    # offsets[0] and offsets[-1] are the extreme corners of the kernel, so
+    # packing both raises exactly when some out + offset leaves the 21-bit range
+    first = pack_keys(out_coords + offsets[0])
+    pack_keys(out_coords + offsets[-1])
+    d = (offsets - offsets[0]).astype(np.uint64)
+    steps = (d[:, 0] << np.uint64(42)) | (d[:, 1] << np.uint64(21)) | d[:, 2]
+    dst_rows = np.arange(out_coords.shape[0])
+    # on one coordinate set, offset -o pairs the same rows as o with the
+    # roles swapped, and both stay increasing: look up only half the kernel
+    n = len(offsets)
+    mirror = np.array_equal(offsets[::-1], -offsets) and np.array_equal(in_coords, out_coords)
+    pairs = []
+    for t, step in enumerate(steps):
+        if mirror and t > n // 2:
+            i, j = pairs[n - 1 - t]
+            pairs.append((j, i))
+        else:
+            i, hit = lookup(in_keys, first + step)
+            pairs.append((i[hit], dst_rows[hit]))
+    return pairs
+
+
+def _cached_kernel_map(x: SparseTensor, out_coords, spec: ConvSpec) -> KernelMap:
+    """The kernel map from x onto out_coords, built once per coordinate set.
+
+    The memo lives on x (and every tensor sharing x's coordinates); entries
+    are keyed by kernel geometry and compared on the output coordinates.
+    """
+    entries = x.kernel_maps.setdefault((spec.kernel_size, spec.stride, spec.transposed), [])
+    for coords, kmap in entries:
+        if coords is out_coords or np.array_equal(coords, out_coords):
+            return kmap
+    kmap = build_kernel_map(x.coords, out_coords, spec)
+    entries.append((out_coords if out_coords is x.coords else out_coords.copy(), kmap))
+    return kmap
 
 
 def _out_scale(spec: ConvSpec, in_scale: int) -> int:
@@ -130,18 +172,26 @@ def sparse_conv(
         if spec.transposed:
             raise ContractViolation("transposed convolution requires target coordinates")
         out_coords = x.coords if spec.stride == 1 else stride_down_coords(x.coords)
-    out_coords = np.asarray(out_coords, dtype=np.int32).reshape(-1, 3)
-    if kmap is None:
-        kmap = build_kernel_map(x.coords, out_coords, spec)
+    else:
+        out_coords = np.asarray(out_coords, dtype=np.int32).reshape(-1, 3)
+    same = spec.stride == 1 and (out_coords is x.coords or np.array_equal(out_coords, x.coords))
     dtype = x.feats.dtype
     w = weight.astype(dtype, copy=False)
     out = np.zeros((out_coords.shape[0], spec.out_channels), dtype=dtype)
     if bias is not None:
         out += np.asarray(bias, dtype=dtype)
-    for o, (i_idx, j_idx) in enumerate(kmap.pairs):
-        if i_idx.size:
-            # within one offset each output row appears at most once
-            out[j_idx] += x.feats[i_idx] @ w[o]
+    if kmap is None and same and spec.kernel_size == 1:
+        # a 1x1 kernel on its own coordinates pairs every row with itself
+        out += x.feats @ w[0]
+    else:
+        if kmap is None:
+            kmap = _cached_kernel_map(x, out_coords, spec)
+        for o, (i_idx, j_idx) in enumerate(kmap.pairs):
+            if i_idx.size:
+                # within one offset each output row appears at most once
+                out[j_idx] += x.feats[i_idx] @ w[o]
+    if same:
+        return SparseTensor(x.coords, out, x.scale, _coords_of=x)
     return SparseTensor(out_coords, out, _out_scale(spec, x.scale), _trusted=True)
 
 

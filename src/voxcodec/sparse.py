@@ -37,6 +37,19 @@ def pack_keys(coords: np.ndarray) -> np.ndarray:
     return (b[:, 0] << np.uint64(42)) | (b[:, 1] << np.uint64(21)) | b[:, 2]
 
 
+def lookup(sorted_keys: np.ndarray, keys: np.ndarray):
+    """Find ``keys`` in a strictly increasing key array.
+
+    Returns ``(pos, hit)``: ``hit[q]`` says whether ``keys[q]`` is present and,
+    where it is, ``sorted_keys[pos[q]] == keys[q]``.
+    """
+    pos = np.searchsorted(sorted_keys, keys)
+    if sorted_keys.size == 0:
+        return pos, np.zeros(pos.shape, dtype=bool)
+    pos = np.minimum(pos, sorted_keys.size - 1)
+    return pos, sorted_keys[pos] == keys
+
+
 def unpack_keys(keys: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pack_keys`; returns int32 (N, 3) coordinates."""
     k = np.asarray(keys, dtype=np.uint64)
@@ -51,12 +64,18 @@ class SparseTensor:
     """Sorted voxel coordinate list plus a per-voxel feature matrix.
 
     Immutable after construction; all operations return new tensors.
+    ``kernel_maps`` is a memo of kernel maps built on these coordinates
+    (filled by :mod:`voxcodec.nn`); tensors made from another tensor's
+    coordinates (``_coords_of``) share its packed keys and this memo.
     """
 
-    __slots__ = ("coords", "feats", "scale", "_keys")
+    __slots__ = ("coords", "feats", "scale", "_keys", "kernel_maps")
 
-    def __init__(self, coords, feats, scale=0, _trusted=False):
-        coords = np.ascontiguousarray(coords, dtype=np.int32).reshape(-1, 3)
+    def __init__(self, coords, feats, scale=0, _trusted=False, _coords_of=None):
+        if _coords_of is not None:
+            coords = _coords_of.coords
+        else:
+            coords = np.ascontiguousarray(coords, dtype=np.int32).reshape(-1, 3)
         feats = np.ascontiguousarray(feats)
         if feats.ndim == 1:
             feats = feats.reshape(-1, 1)
@@ -70,13 +89,17 @@ class SparseTensor:
             raise ContractViolation("feature width must be >= 1")
         if scale < 0:
             raise ContractViolation("scale must be >= 0")
-        keys = pack_keys(coords)
-        if not _trusted and keys.size > 1 and not np.all(keys[1:] > keys[:-1]):
-            raise ContractViolation("coordinates must be strictly increasing lexicographically")
+        if _coords_of is not None:
+            keys, memo = _coords_of._keys, _coords_of.kernel_maps
+        else:
+            keys, memo = pack_keys(coords), {}
+            if not _trusted and keys.size > 1 and not np.all(keys[1:] > keys[:-1]):
+                raise ContractViolation("coordinates must be strictly increasing lexicographically")
         self.coords = coords
         self.feats = feats
         self.scale = int(scale)
         self._keys = keys
+        self.kernel_maps = memo
         for a in (self.coords, self.feats, self._keys):
             a.flags.writeable = False
 
@@ -116,7 +139,7 @@ class SparseTensor:
 
     def with_feats(self, feats) -> "SparseTensor":
         """Same coordinates and scale, new feature matrix."""
-        return SparseTensor(self.coords, feats, self.scale, _trusted=True)
+        return SparseTensor(self.coords, feats, self.scale, _coords_of=self)
 
     def __repr__(self):
         return f"SparseTensor(n={self.n}, channels={self.channels}, scale={self.scale})"

@@ -1,11 +1,15 @@
 """Independent brute-force oracles used to derive expected test values.
 
 These deliberately avoid the library's own fast paths: dense zero-padded
-convolution on a full grid, O(N*Q) nearest-neighbour scans, per-element
-probability sums, and a dense-grid set union.
+convolution on a full grid, one sorted search per kernel offset, O(N*Q)
+nearest-neighbour scans, per-element probability sums, and a dense-grid set
+union.
 """
 
 import numpy as np
+
+from voxcodec.errors import ContractViolation
+from voxcodec.sparse import pack_keys, stride_down_coords
 
 
 def dense_conv_oracle(coords, feats, weight, bias, spec, out_coords):
@@ -41,6 +45,36 @@ def dense_conv_oracle(coords, feats, weight, bias, spec, out_coords):
                 acc += grid[tuple(pos)] @ weight[o]
         out[j] = acc
     return out
+
+
+def kernel_map_oracle(in_coords, out_coords, spec):
+    """Per-offset (input_row, output_row) pairs, one searchsorted pass per
+    kernel offset over the fully shifted and repacked coordinates."""
+    in_coords = np.asarray(in_coords, dtype=np.int64).reshape(-1, 3)
+    out_coords = np.asarray(out_coords, dtype=np.int64).reshape(-1, 3)
+    if not spec.transposed and spec.stride == 2:
+        expect = stride_down_coords(in_coords)
+        if expect.shape != out_coords.shape or not np.array_equal(expect, out_coords):
+            raise ContractViolation("stride-2 output coordinates must be the floor-div set")
+    pairs = []
+    if spec.transposed:
+        out_keys = pack_keys(out_coords)
+        src_rows = np.arange(in_coords.shape[0])
+        for off in spec.offsets():
+            keys = pack_keys(2 * in_coords + off)
+            j = np.minimum(np.searchsorted(out_keys, keys), max(out_keys.size - 1, 0))
+            hit = out_keys[j] == keys if out_keys.size else np.zeros(len(keys), bool)
+            pairs.append((src_rows[hit], j[hit]))
+    else:
+        in_keys = pack_keys(in_coords)
+        dst_rows = np.arange(out_coords.shape[0])
+        base = out_coords if spec.stride == 1 else 2 * out_coords
+        for off in spec.offsets():
+            keys = pack_keys(base + off)
+            i = np.minimum(np.searchsorted(in_keys, keys), max(in_keys.size - 1, 0))
+            hit = in_keys[i] == keys if in_keys.size else np.zeros(len(keys), bool)
+            pairs.append((i[hit], dst_rows[hit]))
+    return pairs
 
 
 def brute_force_knn(queries, ref_coords, k):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dense_conv_oracle
+from oracles import dense_conv_oracle, kernel_map_oracle
+from voxcodec import nn
+from voxcodec.codec import _children
 from voxcodec.errors import ContractViolation
 from voxcodec.nn import (
     ConvSpec,
@@ -13,7 +17,7 @@ from voxcodec.nn import (
     rn_block,
     sparse_conv,
 )
-from voxcodec.sparse import SparseTensor, stride_down_coords
+from voxcodec.sparse import SparseTensor, pack_keys, stride_down_coords, unpack_keys
 
 
 def make(coords, feats, scale=0):
@@ -24,6 +28,33 @@ def random_tensor(rng, n, span, channels, scale=0):
     coords = list({tuple(rng.integers(0, span, 3)) for _ in range(n)})
     feats = rng.normal(size=(len(coords), channels)).astype(np.float32)
     return SparseTensor.build(np.array(coords), feats, scale)
+
+
+def coord_set(rng, n, span, lo):
+    """Up to n distinct lex-sorted coordinates in [lo, lo + span)^3."""
+    return unpack_keys(np.unique(pack_keys(rng.integers(lo, lo + span, size=(n, 3)))))
+
+
+def assert_same_pairs(kmap, expect):
+    assert len(kmap.pairs) == len(expect)
+    for (i, j), (ei, ej) in zip(kmap.pairs, expect):
+        assert i.dtype == ei.dtype and j.dtype == ej.dtype
+        assert np.array_equal(i, ei) and np.array_equal(j, ej)
+
+
+def irn_weights(rng, o, zero=False):
+    q, h = o // 4, o // 2
+    specs = {
+        "b0c1": ConvSpec(o, q, 1), "b0c2": ConvSpec(q, q, 3),
+        "b1c1": ConvSpec(o, q, 3), "b1c2": ConvSpec(q, q, 3),
+        "b2c1": ConvSpec(o, h, 1),
+    }
+    w = {}
+    for name, spec in specs.items():
+        fn = np.zeros if zero else (lambda s: rng.normal(size=s).astype(np.float32))
+        w[name + ".weight"] = np.zeros(spec.weight_shape, np.float32) if zero else fn(spec.weight_shape)
+        w[name + ".bias"] = np.zeros(spec.out_channels, np.float32)
+    return w, specs
 
 
 class TestKernelMap:
@@ -57,6 +88,122 @@ class TestKernelMap:
         with pytest.raises(ContractViolation):
             build_kernel_map(np.array([[0, 0, 0]]), np.array([[1, 1, 1]]),
                              ConvSpec(1, 1, 2, stride=2))
+
+    @pytest.mark.parametrize("edge", [(1 << 20) - 1, -(1 << 20)])
+    def test_neighbour_outside_21_bits_rejected(self, edge):
+        coords = np.array([[0, edge, 0]])
+        build_kernel_map(coords, coords, ConvSpec(1, 1, 1))  # the voxel itself is in range
+        for build in (build_kernel_map, kernel_map_oracle):
+            with pytest.raises(ContractViolation):
+                build(coords, coords, ConvSpec(1, 1, 3))
+
+    @pytest.mark.parametrize("spec", [
+        ConvSpec(1, 1, 1), ConvSpec(1, 1, 3), ConvSpec(1, 1, 2, stride=2),
+        ConvSpec(1, 1, 2, stride=2, transposed=True),
+    ])
+    def test_empty_sets(self, spec):
+        empty = np.empty((0, 3), np.int32)
+        some = coord_set(np.random.default_rng(0), 20, 6, 0)
+        outs = [empty] if spec.stride == 2 and not spec.transposed else [empty, some]
+        for out in outs:
+            assert_same_pairs(build_kernel_map(empty, out, spec),
+                              kernel_map_oracle(empty, out, spec))
+        if spec.stride == 1 or spec.transposed:
+            assert_same_pairs(build_kernel_map(some, empty, spec),
+                              kernel_map_oracle(some, empty, spec))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 60), st.sampled_from(
+        ["k1", "k3", "k3-other-out", "stride2", "children", "superset", "targets"]))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_per_offset_oracle(self, seed, n, geometry):
+        rng = np.random.default_rng(seed)
+        span, lo = int(rng.integers(1, 10)), int(rng.integers(-16, 16))
+        coords = coord_set(rng, n, span, lo)
+        extra = coord_set(rng, int(rng.integers(0, 60)), 2 * span + 2, 2 * lo - 1)
+        spec, out = {
+            "k1": (ConvSpec(1, 1, 1), coords),
+            "k3": (ConvSpec(1, 1, 3), coords),
+            "k3-other-out": (ConvSpec(1, 1, 3), extra),
+            "stride2": (ConvSpec(1, 1, 2, stride=2), stride_down_coords(coords)),
+            "children": (ConvSpec(1, 1, 2, stride=2, transposed=True), _children(coords)),
+            "superset": (ConvSpec(1, 1, 2, stride=2, transposed=True),
+                         unpack_keys(np.union1d(pack_keys(_children(coords)), pack_keys(extra)))),
+            "targets": (ConvSpec(1, 1, 2, stride=2, transposed=True), extra),
+        }[geometry]
+        assert_same_pairs(build_kernel_map(coords, out, spec), kernel_map_oracle(coords, out, spec))
+
+
+class TestKernelMapMemo:
+    def _count_builds(self, monkeypatch):
+        built = []
+        original = nn.build_kernel_map
+
+        def counting(in_coords, out_coords, spec):
+            built.append(spec.kernel_size)
+            return original(in_coords, out_coords, spec)
+
+        monkeypatch.setattr(nn, "build_kernel_map", counting)
+        return built
+
+    def test_irn_then_classify_builds_one_map(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        x = random_tensor(rng, 40, 6, 8)
+        w, _ = irn_weights(rng, 8)
+        cls = {"weight": rng.normal(size=(1, 8, 1)).astype(np.float32),
+               "bias": np.zeros(1, np.float32)}
+        built = self._count_builds(monkeypatch)
+        classify_occupancy(irn_block(x, w), cls)
+        assert built == [3]
+
+    def test_with_feats_reuses_parent_maps(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = random_tensor(rng, 30, 6, 2)
+        spec = ConvSpec(2, 2, 3)
+        w = rng.normal(size=spec.weight_shape).astype(np.float32)
+        built = self._count_builds(monkeypatch)
+        sparse_conv(x, spec, w, None)
+        y = x.with_feats(rng.normal(size=x.feats.shape).astype(np.float32))
+        assert y.kernel_maps is x.kernel_maps
+        sparse_conv(y, spec, w, None)
+        assert built == [3]
+
+    def test_memo_tells_output_sets_apart(self):
+        rng = np.random.default_rng(13)
+        x = random_tensor(rng, 40, 6, 2, scale=1)
+        for spec, outs in [
+            (ConvSpec(2, 3, 3), [x.coords, x.coords[1::2], x.coords]),
+            (ConvSpec(2, 3, 2, stride=2, transposed=True),
+             [_children(x.coords), _children(x.coords)[::3], _children(x.coords)]),
+        ]:
+            w = rng.normal(size=spec.weight_shape).astype(np.float32)
+            for out in outs:
+                got = sparse_conv(x, spec, w, None, out)
+                expect = sparse_conv(x, spec, w, None, out,
+                                     kmap=build_kernel_map(x.coords, out, spec))
+                assert got.feats.tobytes() == expect.feats.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel,stride,transposed", [
+        (1, 1, False), (3, 1, False), (2, 2, False), (2, 2, True),
+    ])
+    def test_memo_bytes_equal_explicit_map(self, dtype, kernel, stride, transposed):
+        rng = np.random.default_rng(kernel * 10 + stride + transposed)
+        x = random_tensor(rng, 50, 8, 3, scale=1)
+        x = x.with_feats(x.feats.astype(dtype))
+        spec = ConvSpec(3, 4, kernel, stride, transposed)
+        w = rng.normal(size=spec.weight_shape)
+        b = rng.normal(size=4)
+        if transposed:
+            out = _children(x.coords)[::2]
+        elif stride == 2:
+            out = stride_down_coords(x.coords)
+        else:
+            out = x.coords
+        expect = sparse_conv(x, spec, w, b, out, kmap=build_kernel_map(x.coords, out, spec))
+        for _ in range(2):  # the first call fills the memo, the second reads it
+            got = sparse_conv(x, spec, w, b, out)
+            assert got.feats.dtype == dtype
+            assert got.feats.tobytes() == expect.feats.tobytes()
 
 
 class TestSparseConv:
@@ -145,24 +292,10 @@ class TestActivationsAndBlocks:
         t = random_tensor(rng, 15, 8, 4)
         assert np.array_equal(relu(t).feats, np.maximum(t.feats, 0))
 
-    def _irn_weights(self, rng, o, zero=False):
-        q, h = o // 4, o // 2
-        specs = {
-            "b0c1": ConvSpec(o, q, 1), "b0c2": ConvSpec(q, q, 3),
-            "b1c1": ConvSpec(o, q, 3), "b1c2": ConvSpec(q, q, 3),
-            "b2c1": ConvSpec(o, h, 1),
-        }
-        w = {}
-        for name, spec in specs.items():
-            fn = np.zeros if zero else (lambda s: rng.normal(size=s).astype(np.float32))
-            w[name + ".weight"] = np.zeros(spec.weight_shape, np.float32) if zero else fn(spec.weight_shape)
-            w[name + ".bias"] = np.zeros(spec.out_channels, np.float32)
-        return w, specs
-
     def test_irn_zero_weights_identity(self):
         rng = np.random.default_rng(1)
         x = random_tensor(rng, 12, 8, 8)
-        w, _ = self._irn_weights(rng, 8, zero=True)
+        w, _ = irn_weights(rng, 8, zero=True)
         y = irn_block(x, w)
         assert np.array_equal(y.feats, x.feats)
         assert np.array_equal(y.coords, x.coords)
@@ -170,7 +303,7 @@ class TestActivationsAndBlocks:
     def test_irn_matches_dense_composite(self):
         rng = np.random.default_rng(2)
         x = random_tensor(rng, 10, 6, 8)
-        w, specs = self._irn_weights(rng, 8)
+        w, specs = irn_weights(rng, 8)
         y = irn_block(x, w)
         assert np.array_equal(y.coords, x.coords)
         parts = []

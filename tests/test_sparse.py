@@ -10,6 +10,7 @@ from voxcodec.sparse import (
     SparseTensor,
     add_on_union,
     concatenate,
+    lookup,
     pack_keys,
     stride_down_coords,
     unpack_keys,
@@ -37,6 +38,23 @@ class TestSparseTensor:
     def test_key_roundtrip_signed(self):
         coords = np.array([[-5, 0, 3], [0, -1, 2], [7, 7, 7]])
         assert np.array_equal(unpack_keys(pack_keys(coords)), coords)
+
+    def test_lookup_hits_and_misses(self):
+        sorted_keys = np.array([2, 5, 9], dtype=np.uint64)
+        pos, hit = lookup(sorted_keys, np.array([9, 1, 5, 10, 6], dtype=np.uint64))
+        assert hit.tolist() == [True, False, True, False, False]
+        assert pos[hit].tolist() == [2, 1]
+        pos, hit = lookup(np.empty(0, np.uint64), np.array([3], dtype=np.uint64))
+        assert hit.tolist() == [False]
+
+    def test_with_feats_shares_coordinates(self):
+        t = make([[0, 0, 0], [1, 2, 3]], [[1.0], [2.0]])
+        u = t.with_feats(np.array([[3.0], [4.0]]))
+        assert u.coords is t.coords and u.keys() is t.keys()
+        assert u.kernel_maps is t.kernel_maps
+        assert u.feats[:, 0].tolist() == [3.0, 4.0]
+        with pytest.raises(ValueError):
+            u.feats[0, 0] = 0.0
 
     def test_immutable(self):
         t = make([[0, 0, 0]], [[1.0]])
