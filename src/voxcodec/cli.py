@@ -18,7 +18,7 @@ import numpy as np
 
 from . import codec, gradcheck, metrics, octree, synthetic
 from . import entropy as ent
-from .errors import VoxCodecError
+from .errors import MissingReference, VoxCodecError
 from .nn import ConvSpec, sparse_conv
 from .motion import adaptive_interpolate
 from .ply import load_ply, write_frame
@@ -32,11 +32,15 @@ EXIT_NO_REFERENCE = 4
 EXIT_COUNT_MISMATCH = 5
 EXIT_FEW_POINTS = 6
 
-_CONFIG_KEYS = {"alpha", "lambda", "plan", "gop"}
+DEFAULT_ALPHA = 3.0
+
+# config key -> (argument it sets, parser)
+_CONFIG_KEYS = {"alpha": ("alpha", float), "lambda": ("lam", int), "gop": ("gop", int)}
 
 
 def _load_config(path):
-    """Plain key=value config; unknown keys are rejected."""
+    """Plain key=value config; unknown keys and unparsable values are rejected.
+    Returns {argument name: value}."""
     values = {}
     for ln, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -47,7 +51,11 @@ def _load_config(path):
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise VoxCodecError(f"config line {ln}: unknown key '{key}'")
-        values[key] = val
+        dest, parse = _CONFIG_KEYS[key]
+        try:
+            values[dest] = parse(val)
+        except ValueError:
+            raise VoxCodecError(f"config line {ln}: bad value for '{key}'") from None
     return values
 
 
@@ -67,14 +75,8 @@ def _resolve_weights(args):
 
 
 def _apply_config(args):
-    if getattr(args, "config", None):
-        cfg = _load_config(args.config)
-        if "alpha" in cfg:
-            args.alpha = float(cfg["alpha"])
-        if "lambda" in cfg:
-            args.lam = int(cfg["lambda"])
-        if "gop" in cfg:
-            args.gop = int(cfg["gop"])
+    if args.config:
+        vars(args).update(_load_config(args.config))
     if args.lam not in codec.LAMBDA_TAGS:
         raise VoxCodecError(f"lambda must be one of {codec.LAMBDA_TAGS}")
 
@@ -108,7 +110,6 @@ def cmd_encode(args) -> int:
         "precision_bits": args.precision,
         "gop": gop,
         "latent_carry": bool(args.latent_carry),
-        "transmit_c3": bool(args.transmit_c3),
         "frames": [],
     }
     prev_latent = None
@@ -118,12 +119,11 @@ def cmd_encode(args) -> int:
         intra = (i % gop == 0) or prev_latent is None
         if intra:
             bs, result = codec.encode_intra(
-                frame, models, store, lam=args.lam,
-                transmit_c3=args.transmit_c3, latent_carry=args.latent_carry)
+                frame, models, store, lam=args.lam, latent_carry=args.latent_carry)
         else:
             bs, result = codec.encode_inter(
                 frame, prev_latent, models, store, alpha=args.alpha, lam=args.lam,
-                transmit_c3=args.transmit_c3, latent_carry=args.latent_carry)
+                latent_carry=args.latent_carry)
         prev_latent = result.reference_latent
         name = f"frame{i:04d}.ddpc"
         (outdir / name).write_bytes(codec.serialize(bs))
@@ -143,30 +143,41 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
+def _read_manifest(path, entry_key):
+    """Load a manifest whose "frames" entries each hold ``entry_key``."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise VoxCodecError(f"bad manifest: {exc}") from None
+    frames = manifest.get("frames") if isinstance(manifest, dict) else None
+    if not isinstance(frames, list) or not all(
+            isinstance(e, dict) and entry_key in e for e in frames):
+        raise VoxCodecError(f"bad manifest: needs a \"frames\" list of entries with \"{entry_key}\"")
+    return manifest
+
+
 def cmd_decode(args) -> int:
     store, models = _resolve_weights(args)
-    manifest_path = Path(args.manifest)
+    manifest = _read_manifest(args.manifest, "file")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: bad manifest: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        alpha = float(manifest.get("alpha", DEFAULT_ALPHA))
+    except (TypeError, ValueError):
+        raise VoxCodecError("bad manifest: \"alpha\" is not a number") from None
+    carry = bool(manifest.get("latent_carry", False))
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     prev_latent = None
-    alpha = float(manifest.get("alpha", args.alpha))
-    carry = bool(manifest.get("latent_carry", False))
     for i, entry in enumerate(manifest["frames"]):
-        data = (manifest_path.parent / entry["file"]).read_bytes()
+        name = str(entry["file"])
         try:
-            bs = codec.parse(data)
+            bs = codec.parse((Path(args.manifest).parent / name).read_bytes())
             result = codec.decode(bs, prev_latent, models, store, alpha=alpha,
                                   latent_carry=carry)
-        except VoxCodecError as exc:
+        except (OSError, VoxCodecError) as exc:
             print(f"error: frame {i}: {exc}", file=sys.stderr)
-            return EXIT_NO_REFERENCE if "previous decoded latent" in str(exc) else EXIT_BAD_INPUT
+            return EXIT_NO_REFERENCE if isinstance(exc, MissingReference) else EXIT_BAD_INPUT
         prev_latent = result.reference_latent
-        out = outdir / (Path(entry["file"]).stem + ".ply")
+        out = outdir / (Path(name).stem + ".ply")
         write_frame(out, result.decoded)
         print(f"frame {i:4d} -> {out.name} points={result.decoded.n}")
     return EXIT_OK
@@ -191,13 +202,18 @@ def cmd_eval(args) -> int:
         print(f"error: {len(originals)} originals vs {len(decoded_paths)} decoded frames",
               file=sys.stderr)
         return EXIT_COUNT_MISMATCH
-    manifest = json.loads((Path(args.decoded).parent / "manifest.json").read_text()) \
-        if args.bitstream_dir is None else \
-        json.loads((Path(args.bitstream_dir) / "manifest.json").read_text())
+    bitstream_dir = Path(args.decoded).parent if args.bitstream_dir is None \
+        else Path(args.bitstream_dir)
+    frames = _read_manifest(bitstream_dir / "manifest.json", "bpp")["frames"]
+    if len(frames) < len(originals):
+        raise VoxCodecError(f"manifest lists {len(frames)} frames for {len(originals)} originals")
     rows = []
-    for i, (orig, dec_path) in enumerate(zip(originals, decoded_paths)):
+    for i, (orig, dec_path, entry) in enumerate(zip(originals, decoded_paths, frames)):
         dec = load_ply(dec_path, args.precision)
-        bpp = manifest["frames"][i]["bpp"]
+        try:
+            bpp = float(entry["bpp"])
+        except (TypeError, ValueError):
+            raise VoxCodecError(f"bad manifest: frame {i} bpp is not a number") from None
         d1 = metrics.d1_psnr(orig, dec, peak=args.peak)
         d2 = metrics.d2_psnr(orig, dec, peak=args.peak)
         rows.append(f"{args.sequence},{i},{args.lam},{_fmt(bpp)},{_fmt(d1)},{_fmt(d2)}")
@@ -227,6 +243,10 @@ def cmd_rdcsv(args) -> int:
     try:
         a = _read_curve(args.curve_a)
         b = _read_curve(args.curve_b)
+    except (OSError, ValueError) as exc:
+        print(f"error: malformed RD CSV: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    try:
         bd_d1 = metrics.bd_rate([(p[0], p[1]) for p in a], [(p[0], p[1]) for p in b])
         bd_d2 = metrics.bd_rate([(p[0], p[2]) for p in a], [(p[0], p[2]) for p in b])
     except VoxCodecError as exc:
@@ -357,40 +377,36 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="voxcodec", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, weights=True):
-        if weights:
-            p.add_argument("--weights", help="DPCW weight file (or DDPC_WEIGHTS env)")
+    def sequence(p):
+        """Options naming a rate point and its input frames (encode and eval)."""
         p.add_argument("--lambda", dest="lam", type=int, default=3,
                        choices=codec.LAMBDA_TAGS, help="rate-point tag")
-        p.add_argument("--alpha", type=float, default=3.0,
-                       help="interpolation isolation penalty")
         p.add_argument("--precision", type=int, default=7, help="coordinate bits")
-        p.add_argument("--gop", type=int, default=0,
-                       help="frames per intra period (0 = whole sequence)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--transmit-c3", action="store_true",
-                       help="also transmit the scale-3 coordinate set")
-        p.add_argument("--latent-carry", action="store_true",
-                       help="reuse the decoded latent instead of re-extracting")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--synthetic", help="rigid:N,frames,translation")
 
     p = sub.add_parser("encode", help="encode a PLY sequence (or synthetic)")
-    common(p)
-    p.add_argument("--synthetic", help="rigid:N,frames,translation")
+    p.add_argument("--weights", help="DPCW weight file (or DDPC_WEIGHTS env)")
+    sequence(p)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                   help="interpolation isolation penalty")
+    p.add_argument("--gop", type=int, default=0,
+                   help="frames per intra period (0 = whole sequence)")
+    p.add_argument("--latent-carry", action="store_true",
+                   help="reuse the decoded latent instead of re-extracting")
     p.add_argument("--output", required=True, help="output directory")
     p.add_argument("inputs", nargs="*", help="input PLY frames in order")
     p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a manifest to PLY frames")
-    common(p)
+    p.add_argument("--weights", help="DPCW weight file (or DDPC_WEIGHTS env)")
     p.add_argument("--manifest", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("eval", help="compute bpp/D1/D2 against originals")
-    common(p, weights=False)
-    p.add_argument("--synthetic", help="rigid:N,frames,translation")
+    sequence(p)
     p.add_argument("--decoded", required=True, help="directory of decoded PLYs")
     p.add_argument("--bitstream-dir", default=None,
                    help="directory holding manifest.json (default: decoded/..)")

@@ -19,7 +19,7 @@ import numpy as np
 from . import entropy as ent
 from . import motion as mo
 from . import octree as oc
-from .errors import ContractViolation, DecodeError
+from .errors import ContractViolation, DecodeError, MissingReference
 from .nn import (
     ConvSpec,
     adaptive_prune,
@@ -39,7 +39,11 @@ FRAME_P = 1
 SUB_COORDS = 1
 SUB_MOTION = 2
 SUB_RESIDUAL = 3
-SUB_COORDS_C3 = 4
+# the substream ids each frame type carries, exactly once each
+FRAME_SUBSTREAMS = {
+    FRAME_I: [SUB_COORDS, SUB_RESIDUAL],
+    FRAME_P: [SUB_COORDS, SUB_MOTION, SUB_RESIDUAL],
+}
 
 LAMBDA_TAGS = (3, 4, 5, 7, 10)
 
@@ -61,9 +65,6 @@ class FrameBitstream:
             if s == sid:
                 return d
         raise DecodeError(f"container lacks substream {sid}")
-
-    def has(self, sid: int) -> bool:
-        return any(s == sid for s, _ in self.substreams)
 
 
 def serialize(bs: FrameBitstream) -> bytes:
@@ -171,7 +172,7 @@ def compress_residual(r: SparseTensor, model: ent.EntropyModel, w):
     """Encode the scale-2 residual; returns (bytes, reconstruction, symbols).
 
     The latent coordinate set is the floor-div of the residual's coordinates
-    and is derived, not transmitted.
+    and is derived, not coded.
     """
     latent = _residual_encode(r, w)
     symbols = ent.quantize(latent.feats)
@@ -254,28 +255,22 @@ def _finish_frame(y_prime, bs, models, w, latent_carry=False,
                        motion_symbols, residual_symbols)
 
 
-def encode_intra(frame: PointCloudFrame, models, w, lam=3,
-                 transmit_c3=False, latent_carry=False):
+def encode_intra(frame: PointCloudFrame, models, w, lam=3, latent_carry=False):
     """Encode a frame without prediction: octree(C2) plus the latent of the
     frame's own features through the residual path."""
     y = feature_extract(frame, w)
     n0, n1 = _frame_counts(frame)
     coords_sub = _coords_substream(y.coords, frame.precision_bits)
     res_bytes, r_hat, symbols = compress_residual(y, models["residual"], w)
-    subs = [(SUB_COORDS, coords_sub)]
-    if transmit_c3:
-        subs.append((SUB_COORDS_C3,
-                     oc.serialize_stream(oc.octree_encode(stride_down_coords(y.coords),
-                                                          frame.precision_bits - 3))))
-    subs.append((SUB_RESIDUAL, res_bytes))
-    bs = FrameBitstream(FRAME_I, frame.precision_bits, lam, n0, n1, subs)
+    bs = FrameBitstream(FRAME_I, frame.precision_bits, lam, n0, n1,
+                        [(SUB_COORDS, coords_sub), (SUB_RESIDUAL, res_bytes)])
     result = _finish_frame(r_hat, bs, models, w, latent_carry,
                            residual_symbols=symbols, octree_bytes=len(coords_sub))
     return bs, result
 
 
 def encode_inter(frame: PointCloudFrame, prev_latent: SparseTensor, models, w,
-                 alpha=3.0, lam=3, transmit_c3=False, latent_carry=False):
+                 alpha=3.0, lam=3, latent_carry=False):
     """Encode a frame against the previous decoded latent."""
     if prev_latent is None or prev_latent.n == 0:
         raise ContractViolation("inter frame requires a non-empty previous latent")
@@ -290,14 +285,9 @@ def encode_inter(frame: PointCloudFrame, prev_latent: SparseTensor, models, w,
     res_bytes, r_hat, residual_symbols = compress_residual(r, models["residual"], w)
     y_prime = y.with_feats(predicted.feats + r_hat.feats)
     coords_sub = _coords_substream(y.coords, frame.precision_bits)
-    subs = [(SUB_COORDS, coords_sub)]
-    if transmit_c3:
-        subs.append((SUB_COORDS_C3,
-                     oc.serialize_stream(oc.octree_encode(stride_down_coords(y.coords),
-                                                          frame.precision_bits - 3))))
-    subs.append((SUB_MOTION, motion_bytes))
-    subs.append((SUB_RESIDUAL, res_bytes))
-    bs = FrameBitstream(FRAME_P, frame.precision_bits, lam, n0, n1, subs)
+    bs = FrameBitstream(FRAME_P, frame.precision_bits, lam, n0, n1,
+                        [(SUB_COORDS, coords_sub), (SUB_MOTION, motion_bytes),
+                         (SUB_RESIDUAL, res_bytes)])
     result = _finish_frame(y_prime, bs, models, w, latent_carry,
                            motion_symbols=motion_symbols,
                            residual_symbols=residual_symbols,
@@ -308,11 +298,14 @@ def encode_inter(frame: PointCloudFrame, prev_latent: SparseTensor, models, w,
 def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=False):
     """Decode one frame; returns (FrameResult) whose reference_latent feeds the
     next P frame."""
+    ids = sorted(sid for sid, _ in bs.substreams)
+    if ids != FRAME_SUBSTREAMS.get(bs.frame_type):
+        raise DecodeError(f"frame type {bs.frame_type} carries substreams {ids}")
+    if bs.frame_type == FRAME_P and (prev_latent is None or prev_latent.n == 0):
+        raise MissingReference("P frame without a previous decoded latent")
     c2 = oc.octree_decode(oc.parse_stream(bs.get(SUB_COORDS)))
     c3 = stride_down_coords(c2)
     if bs.frame_type == FRAME_P:
-        if prev_latent is None or prev_latent.n == 0:
-            raise DecodeError("P frame without a previous decoded latent")
         _, mc3, mc4 = mo.motion_coord_sets(c2, prev_latent.coords)
         msym = ent.range_decode(bs.get(SUB_MOTION), models["motion"], mc4.shape[0])
         e_hat = mo.decode_motion_latent(msym, mc4, mc3, 3, w)
@@ -323,8 +316,6 @@ def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=F
         y_prime = r_hat.with_feats(predicted.feats + r_hat.feats)
         motion_symbols = msym
     else:
-        if bs.has(SUB_MOTION):
-            raise DecodeError("I frame carries a motion substream")
         rsym = ent.range_decode(bs.get(SUB_RESIDUAL), models["residual"], c3.shape[0])
         y_prime = _residual_decode(rsym, c3, c2, w)
         motion_symbols = None

@@ -144,13 +144,12 @@ def range_decode(data: bytes, model: EntropyModel, count: int) -> np.ndarray:
         offset = int(model.offsets[c])
         nsym = cdf.size - 2
         for i in range(count):
-            t = dec.decode_target(TOTAL)
-            slot = int(np.searchsorted(cdf, t, side="right")) - 1
-            dec.consume(int(cdf[slot]), int(cdf[slot + 1] - cdf[slot]))
+            slot = dec.decode_symbol(cdf, TOTAL)
             if slot < nsym:
                 out[i, c] = slot + offset
             else:
                 out[i, c] = _unzigzag(dec.decode_raw_u32())
+    dec.finish()
     return out
 
 

@@ -13,6 +13,10 @@ class DecodeError(VoxCodecError):
     """A bitstream or substream could not be decoded."""
 
 
+class MissingReference(DecodeError):
+    """A P frame arrived without the previous decoded latent it predicts from."""
+
+
 class PlyParseError(VoxCodecError):
     """A PLY file is malformed.  Carries the offending line or byte offset."""
 

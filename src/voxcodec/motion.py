@@ -3,7 +3,7 @@ motion-embedding compression, and adaptively weighted interpolation.
 
 All coordinate sets on the motion path derive deterministically from the
 union of the current scale-2 coordinate set and the reference latent's
-coordinates, so no motion coordinates are ever transmitted.
+coordinates, so no motion coordinates are ever coded.
 """
 
 from __future__ import annotations

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DecodeError
-from .rangecoder import encode_bytes_adaptive
+from .rangecoder import AdaptiveByteDecoder, encode_bytes_adaptive
 from .sparse import lex_order
 
 FLAG_RANGE_CODED = 0x01
+MAX_DEPTH = 21
 
 
 @dataclass
@@ -57,8 +58,8 @@ def octree_encode(coords: np.ndarray, depth: int, range_coded: bool = True) -> O
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     if coords.shape[0] == 0:
         raise ContractViolation("cannot octree-encode an empty set")
-    if not 1 <= depth <= 21:
-        raise ContractViolation(f"depth {depth} outside [1, 21]")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ContractViolation(f"depth {depth} outside [1, {MAX_DEPTH}]")
     if coords.min() < 0 or coords.max() >= (1 << depth):
         raise ContractViolation(f"coordinates outside the depth-{depth} cube")
     codes = np.unique(_morton(coords, depth))
@@ -84,11 +85,9 @@ def octree_decode(stream: OctreeStream) -> np.ndarray:
     depth, count = stream.depth, stream.count
     if count < 1:
         raise DecodeError("octree stream declares zero points")
-    if stream.range_coded:
-        # byte count per level is only known progressively; decode lazily
-        reader = _AdaptiveReader(stream.payload)
-    else:
-        reader = _RawReader(stream.payload)
+    # the byte count of each level is known only once the previous level
+    # is decoded, so both readers hand out bytes level by level
+    reader = (AdaptiveByteDecoder if stream.range_coded else _RawReader)(stream.payload)
     nodes = np.zeros(1, dtype=np.uint64)
     for _ in range(depth):
         bits = np.frombuffer(reader.read(nodes.size), dtype=np.uint8)
@@ -99,6 +98,8 @@ def octree_decode(stream: OctreeStream) -> np.ndarray:
             has = (bits & (0x80 >> b)) != 0
             children.append((nodes[has] << np.uint64(3)) | np.uint64(b))
         nodes = np.sort(np.concatenate(children))
+        if nodes.size > count:
+            raise DecodeError(f"octree level holds {nodes.size} nodes, header says {count} points")
     reader.finish()
     if nodes.size != count:
         raise DecodeError(f"decoded {nodes.size} points, header says {count}")
@@ -123,28 +124,6 @@ class _RawReader:
             raise DecodeError("trailing bytes after octree occupancy stream")
 
 
-class _AdaptiveReader:
-    def __init__(self, data: bytes):
-        from .rangecoder import AdaptiveByteModel, RangeDecoder
-
-        self.model = AdaptiveByteModel()
-        self.dec = RangeDecoder(data)
-
-    def read(self, n: int) -> bytes:
-        out = bytearray()
-        for _ in range(n):
-            cum = self.model.cumulative()
-            t = self.dec.decode_target(self.model.total)
-            b = int(np.searchsorted(cum, t, side="right")) - 1
-            self.dec.consume(int(cum[b]), int(self.model.freq[b]))
-            self.model.update(b)
-            out.append(b)
-        return bytes(out)
-
-    def finish(self):
-        pass
-
-
 def serialize_stream(stream: OctreeStream) -> bytes:
     flags = FLAG_RANGE_CODED if stream.range_coded else 0
     return struct.pack("<BBI", stream.depth, flags, stream.count) + stream.payload
@@ -154,4 +133,6 @@ def parse_stream(data: bytes) -> OctreeStream:
     if len(data) < 6:
         raise DecodeError("octree substream shorter than its header")
     depth, flags, count = struct.unpack_from("<BBI", data, 0)
+    if not 1 <= depth <= MAX_DEPTH:
+        raise DecodeError(f"octree depth {depth} outside [1, {MAX_DEPTH}]")
     return OctreeStream(depth, count, data[6:], bool(flags & FLAG_RANGE_CODED))

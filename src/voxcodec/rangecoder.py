@@ -8,9 +8,10 @@ decoding is deterministic and platform independent.
 Cumulative frequency totals must not exceed 2^16.  The flush writes exactly
 two bytes: the shortest prefix of a value inside the final interval (the
 post-normalization range is always >= 2^16, so a multiple of 2^16 exists in
-it).  The decoder mirrors the encoder's renormalization byte for byte and is
-allowed to run exactly two bytes past the physical stream end (the flush it
-never sees in full); any further read means the stream was truncated.
+it).  The decoder mirrors the encoder's renormalization byte for byte, so on
+a valid stream it runs exactly two bytes past the physical stream end (the
+flush it never sees in full): any further read means the stream was
+truncated, and ending short of them means trailing bytes.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ _BOTTOM = 1 << 16
 _MASK = (1 << 32) - 1
 MAX_TOTAL = 1 << 16
 _VIRTUAL_ALLOWANCE = 2
+# raw bytes are coded as uniform symbols of width 256 out of 2^16
+_RAW_BYTE_CDF = np.arange(0, (1 << 16) + 1, 1 << 8, dtype=np.int64)
 
 
 class RangeEncoder:
@@ -98,26 +101,32 @@ class RangeDecoder:
             raise DecodeError("range-coded stream is truncated")
         return 0
 
-    def decode_target(self, total: int) -> int:
-        """Cumulative-frequency position of the pending symbol in [0, total)."""
-        self._r = self._range // total
-        t = (self._code - self._low) // self._r
-        return min(int(t), total - 1)
-
-    def consume(self, cum: int, freq: int) -> None:
-        """Commit the symbol located by decode_target."""
-        self._low += cum * self._r
-        self._range = freq * self._r
+    def decode_symbol(self, cdf, total: int) -> int:
+        """Decode and commit one symbol; returns the index s with
+        cdf[s] <= target < cdf[s + 1] for a table with cdf[0] = 0 and
+        cdf[-1] = total."""
+        r = self._range // total
+        t = self._code - self._low
+        if t < 0:
+            raise DecodeError("range-coded stream is corrupt")
+        s = int(np.searchsorted(cdf, min(t // r, total - 1), side="right")) - 1
+        lo = int(cdf[s])
+        self._low += lo * r
+        self._range = (int(cdf[s + 1]) - lo) * r
         self._normalize()
+        return s
 
     def decode_raw_u32(self) -> int:
         value = 0
         for _ in range(4):
-            t = self.decode_target(1 << 16)
-            b = t >> 8
-            self.consume(b << 8, 1 << 8)
-            value = (value << 8) | b
+            value = (value << 8) | self.decode_symbol(_RAW_BYTE_CDF, 1 << 16)
         return value
+
+    def finish(self) -> None:
+        """Check that the stream ended exactly: a valid stream leaves the
+        decoder two virtual bytes past its end, never short of them."""
+        if self._virtual != _VIRTUAL_ALLOWANCE:
+            raise DecodeError("trailing bytes after range-coded stream")
 
     def _normalize(self):
         low, rng = self._low, self._range
@@ -168,15 +177,22 @@ def encode_bytes_adaptive(data: bytes) -> bytes:
     return enc.finish()
 
 
-def decode_bytes_adaptive(data: bytes, count: int) -> bytes:
-    model = AdaptiveByteModel()
-    dec = RangeDecoder(data)
-    out = bytearray()
-    for _ in range(count):
-        cum = model.cumulative()
-        t = dec.decode_target(model.total)
-        b = int(np.searchsorted(cum, t, side="right")) - 1
-        dec.consume(int(cum[b]), int(model.freq[b]))
-        model.update(b)
-        out.append(b)
-    return bytes(out)
+class AdaptiveByteDecoder:
+    """Incremental inverse of encode_bytes_adaptive: each read(n) returns the
+    next n bytes, so a caller can learn how many to ask for as it decodes."""
+
+    def __init__(self, data: bytes):
+        self._model = AdaptiveByteModel()
+        self._dec = RangeDecoder(data)
+
+    def read(self, n: int) -> bytes:
+        model, dec = self._model, self._dec
+        out = bytearray(n)
+        for i in range(n):
+            b = dec.decode_symbol(model.cumulative(), model.total)
+            model.update(b)
+            out[i] = b
+        return bytes(out)
+
+    def finish(self) -> None:
+        self._dec.finish()

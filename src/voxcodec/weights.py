@@ -120,9 +120,6 @@ class WeightStore:
     def names(self):
         return sorted(self._tensors)
 
-    def sub(self, prefix: str) -> "WeightView":
-        return WeightView(self, prefix)
-
     def expect(self, name: str, shape) -> np.ndarray:
         arr = self[name]
         if arr.shape != tuple(shape):
@@ -148,6 +145,8 @@ class WeightStore:
             data = fh.read()
         if data[:4] != MAGIC:
             raise DecodeError("not a DPCW weight file")
+        if len(data) < 16:
+            raise DecodeError("DPCW file shorter than its 16-byte header")
         version, seed, count = struct.unpack_from("<III", data, 4)
         if version != VERSION:
             raise DecodeError(f"unsupported DPCW version {version}")
@@ -170,17 +169,6 @@ class WeightStore:
         except (struct.error, ValueError) as exc:
             raise DecodeError(f"truncated DPCW file: {exc}") from None
         return cls(tensors, seed)
-
-
-class WeightView:
-    """Prefix-relative view into a WeightStore (duck-typed mapping)."""
-
-    def __init__(self, store, prefix):
-        self._store = store
-        self._prefix = prefix
-
-    def __getitem__(self, name):
-        return self._store[f"{self._prefix}.{name}"]
 
 
 def _peaked_pmf(nsym: int, width: float) -> np.ndarray:

@@ -66,6 +66,13 @@ class TestEncode:
                        "--output", str(tmp_path / "y"), str(bad)])
         assert rc == cli.EXIT_BAD_INPUT
 
+    def test_weight_file_shorter_than_header_exit_2(self, tmp_path):
+        short = tmp_path / "short.dpcw"
+        short.write_bytes(b"DPCW\x01\x00")
+        rc = cli.main(["encode", "--weights", str(short), "--synthetic", "rigid:100,1,0",
+                       "--output", str(tmp_path / "x")])
+        assert rc == cli.EXIT_NO_WEIGHTS
+
     def test_env_var_weights(self, tmp_path, weights_file, monkeypatch):
         monkeypatch.setenv("DDPC_WEIGHTS", str(weights_file))
         rc = cli.main(["encode", "--synthetic", "rigid:100,1,0", "--precision", "6",
@@ -108,6 +115,64 @@ class TestDecode:
                        "--manifest", str(broken / "manifest.json"),
                        "--output", str(tmp_path / "out")])
         assert rc == cli.EXIT_NO_REFERENCE
+
+
+    def test_exit_code_chosen_by_error_type(self, tmp_path, weights_file, encoded,
+                                            monkeypatch):
+        from voxcodec.errors import DecodeError, MissingReference
+
+        def run(exc):
+            def fail(*args, **kwargs):
+                raise exc
+            monkeypatch.setattr(cli.codec, "decode", fail)
+            return cli.main(["decode", "--weights", str(weights_file),
+                             "--manifest", str(encoded / "manifest.json"),
+                             "--output", str(tmp_path / "out")])
+
+        assert run(MissingReference("no reference")) == cli.EXIT_NO_REFERENCE
+        assert run(DecodeError("previous decoded latent")) == cli.EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("manifest", [
+        {}, {"frames": 3}, [1, 2], {"frames": [{"type": "I"}]}, "not json",
+        {"frames": [{"file": "missing.ddpc"}]},
+        {"frames": [{"file": "frame0000.ddpc"}], "alpha": "x"},
+    ])
+    def test_malformed_manifest_exit_3(self, tmp_path, weights_file, encoded, manifest):
+        path = encoded / "broken.json"
+        path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
+        rc = cli.main(["decode", "--weights", str(weights_file), "--manifest", str(path),
+                       "--output", str(tmp_path / "out")])
+        assert rc == cli.EXIT_BAD_INPUT
+
+    def test_alpha_and_latent_carry_come_from_manifest(self, tmp_path, weights_file,
+                                                       store, models):
+        from voxcodec import codec, synthetic
+        from voxcodec.ply import write_frame
+
+        enc, dec = tmp_path / "enc", tmp_path / "dec"
+        assert cli.main(["encode", "--weights", str(weights_file), "--synthetic",
+                         "rigid:300,2,1", "--precision", "6", "--alpha", "5",
+                         "--latent-carry", "--output", str(enc)]) == 0
+        assert cli.main(["decode", "--weights", str(weights_file),
+                         "--manifest", str(enc / "manifest.json"),
+                         "--output", str(dec)]) == 0
+        prev = None
+        for name in ("frame0000", "frame0001"):
+            bs = codec.parse((enc / f"{name}.ddpc").read_bytes())
+            res = codec.decode(bs, prev, models, store, alpha=5.0, latent_carry=True)
+            prev = res.reference_latent
+            write_frame(tmp_path / "api.ply", res.decoded)
+            assert (dec / f"{name}.ply").read_bytes() == (tmp_path / "api.ply").read_bytes()
+
+    @pytest.mark.parametrize("option", [["--alpha", "3"], ["--gop", "1"], ["--latent-carry"],
+                                        ["--lambda", "3"], ["--workers", "1"],
+                                        ["--transmit-c3"]])
+    def test_options_decode_never_read_are_rejected(self, tmp_path, weights_file,
+                                                    encoded, option):
+        rc = cli.main(["decode", "--weights", str(weights_file),
+                       "--manifest", str(encoded / "manifest.json"),
+                       "--output", str(tmp_path / "out")] + option)
+        assert rc == 2
 
 
 class TestEval:
@@ -174,6 +239,32 @@ class TestEval:
         assert rc == cli.EXIT_COUNT_MISMATCH
 
 
+    @pytest.mark.parametrize("manifest", [
+        {}, {"frames": [{"file": "f0.ddpc"}, {"file": "f1.ddpc"}]},
+        {"frames": [{"bpp": 1.0}]}, {"frames": [{"bpp": "x"}, {"bpp": 1.0}]},
+    ])
+    def test_malformed_manifest_exit_3(self, tmp_path, manifest):
+        src = tmp_path / "src"
+        src.mkdir()
+        coords = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9], [2, 4, 6]])
+        write_ply(src / "f0.ply", coords)
+        write_ply(src / "f1.ply", coords)
+        bits = tmp_path / "bits"
+        bits.mkdir()
+        (bits / "manifest.json").write_text(json.dumps(manifest))
+        rc = cli.main(["eval", "--precision", "7", "--decoded", str(src),
+                       "--bitstream-dir", str(bits), "--csv", str(tmp_path / "x.csv"),
+                       str(src / "f0.ply"), str(src / "f1.ply")])
+        assert rc == cli.EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("option", [["--alpha", "3"], ["--gop", "1"], ["--latent-carry"],
+                                        ["--workers", "1"], ["--transmit-c3"]])
+    def test_options_eval_never_reads_are_rejected(self, tmp_path, option):
+        rc = cli.main(["eval", "--synthetic", "rigid:100,1,0", "--decoded", str(tmp_path),
+                       "--csv", str(tmp_path / "x.csv")] + option)
+        assert rc == 2
+
+
 class TestRdcsv:
     def write_curve(self, path, scale):
         rows = [cli.CSV_HEADER]
@@ -214,6 +305,16 @@ class TestRdcsv:
         assert cli.main(["rdcsv", str(a), str(b)]) == cli.EXIT_FEW_POINTS
 
 
+    @pytest.mark.parametrize("row", ["seq,0,3,1.0,60", "seq,0,3,abc,60,61",
+                                     "seq,0,3,1.0,60,61,9"])
+    def test_malformed_row_exit_3(self, tmp_path, row):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self.write_curve(a, 1.0)
+        self.write_curve(b, 1.0)
+        b.write_text(b.read_text() + row + "\n")
+        assert cli.main(["rdcsv", str(a), str(b)]) == cli.EXIT_BAD_INPUT
+
+
 class TestConfig:
     def test_config_file_applies(self, tmp_path, weights_file):
         cfg = tmp_path / "run.cfg"
@@ -236,6 +337,21 @@ class TestConfig:
                        "--synthetic", "rigid:100,1,0", "--precision", "6",
                        "--config", str(cfg), "--output", str(tmp_path / "x")])
         assert rc == cli.EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("text", ["plan = fast\n", "gop = two\n", "alpha = x\n"])
+    def test_unknown_key_or_bad_value_rejected(self, tmp_path, weights_file, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        rc = cli.main(["encode", "--weights", str(weights_file),
+                       "--synthetic", "rigid:100,1,0", "--precision", "6",
+                       "--config", str(cfg), "--output", str(tmp_path / "x")])
+        assert rc == cli.EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("option", [["--workers", "1"], ["--transmit-c3"]])
+    def test_removed_encode_options_rejected(self, tmp_path, weights_file, option):
+        rc = cli.main(["encode", "--weights", str(weights_file), "--synthetic",
+                       "rigid:100,1,0", "--output", str(tmp_path / "x")] + option)
+        assert rc == 2
 
     def test_invalid_lambda_rejected(self, weights_file, tmp_path, capsys):
         rc = cli.main(["encode", "--weights", str(weights_file), "--lambda", "6",

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import dense_conv_oracle
 from voxcodec import codec, synthetic
-from voxcodec.errors import ContractViolation, DecodeError
+from voxcodec.errors import ContractViolation, DecodeError, MissingReference
 from voxcodec.nn import ConvSpec
 from voxcodec.sparse import PointCloudFrame, SparseTensor, stride_down_coords
 
@@ -205,20 +205,21 @@ class TestEndToEnd:
         bs1, _ = codec.encode_inter(f1, enc0.reference_latent, models, store)
         with pytest.raises(DecodeError):
             codec.decode(bs1, None, models, store)
+        with pytest.raises(MissingReference):
+            codec.decode(bs1, SparseTensor.empty(64, 2), models, store)
 
-    def test_i_frame_with_motion_substream_rejected(self, store, models, small_frames):
+    @pytest.mark.parametrize("extra", [
+        pytest.param((codec.SUB_MOTION, b"\x00\x00"), id="motion"),
+        pytest.param((4, b""), id="id4"),
+        pytest.param((codec.SUB_RESIDUAL, b"\x00\x00"), id="duplicate-residual"),
+    ])
+    def test_i_frame_with_motion_substream_rejected(self, store, models, small_frames, extra):
         bs, _ = codec.encode_intra(small_frames[0], models, store)
         tampered = codec.FrameBitstream(
             codec.FRAME_I, bs.precision_bits, bs.lam, bs.n0, bs.n1,
-            bs.substreams + [(codec.SUB_MOTION, b"\x00\x00")])
-        with pytest.raises(DecodeError):
-            codec.decode(tampered, None, models, store)
-
-    def test_transmit_c3_flag_adds_substream(self, store, models, small_frames):
-        bs, _ = codec.encode_intra(small_frames[0], models, store, transmit_c3=True)
-        assert bs.has(codec.SUB_COORDS_C3)
-        dec = codec.decode(codec.parse(codec.serialize(bs)), None, models, store)
-        assert dec.decoded.n == small_frames[0].n
+            bs.substreams + [extra])
+        with pytest.raises(DecodeError, match="substreams"):
+            codec.decode(codec.parse(codec.serialize(tampered)), None, models, store)
 
     def test_latent_carry_variant_closed_loop(self, store, models, small_frames):
         f0, f1 = small_frames

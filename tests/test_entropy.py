@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import log_sum_bits
 from voxcodec import entropy as ent
-from voxcodec.errors import ContractViolation
+from voxcodec.errors import ContractViolation, DecodeError
 
 
 def random_model(rng, channels=3, nsym=15, escape=1e-3):
@@ -145,3 +145,11 @@ class TestRangeCoding:
         syms = rng.integers(-30, 30, size=(n, 2))
         data = ent.range_encode(syms, model)
         assert np.array_equal(ent.range_decode(data, model, n), syms)
+
+    def test_trailing_bytes_rejected(self):
+        rng = np.random.default_rng(10)
+        model = random_model(rng, channels=2, nsym=7)
+        syms = rng.integers(-3, 3, size=(50, 2))
+        data = ent.range_encode(syms, model)
+        with pytest.raises(DecodeError, match="trailing"):
+            ent.range_decode(data + b"\x00", model, 50)

@@ -92,3 +92,37 @@ def test_roundtrip_property(depth, seed, coded):
     coords = np.unique(rng.integers(0, 1 << depth, size=(n, 3)), axis=0)
     stream = oc.octree_encode(coords, depth, range_coded=coded)
     assert np.array_equal(oc.octree_decode(stream), sorted_coords(coords))
+
+
+def test_range_coded_trailing_bytes_rejected():
+    coords = np.unique(np.random.default_rng(3).integers(0, 64, size=(100, 3)), axis=0)
+    stream = oc.octree_encode(coords, 6)
+    padded = oc.OctreeStream(6, stream.count, stream.payload + b"\x00" * 3, True)
+    with pytest.raises(DecodeError, match="trailing"):
+        oc.octree_decode(padded)
+
+
+@pytest.mark.parametrize("depth", [0, 22, 255])
+def test_depth_outside_encoder_range_rejected(depth):
+    # depth 0, count 1 would otherwise decode to the single point (0, 0, 0)
+    with pytest.raises(DecodeError, match="depth"):
+        oc.parse_stream(bytes([depth, 0]) + (1).to_bytes(4, "little"))
+
+
+def test_level_over_count_rejected_before_last_level():
+    # a full first level holds 8 nodes, more than the 2 points declared;
+    # the payload stops there, so only the per-level bound can reject it
+    bad = oc.OctreeStream(9, 2, b"\xff", False)
+    with pytest.raises(DecodeError, match="level holds 8 nodes"):
+        oc.octree_decode(bad)
+
+
+def test_code_below_interval_is_decode_error():
+    # byte 8 of this stream set to zero drives the range decoder's code
+    # below its interval
+    rng = np.random.default_rng(0)
+    coords = np.unique(rng.integers(0, 64, size=(400, 3)), axis=0)
+    data = bytearray(oc.serialize_stream(oc.octree_encode(coords, 6)))
+    data[8] = 0
+    with pytest.raises(DecodeError):
+        oc.octree_decode(oc.parse_stream(bytes(data)))

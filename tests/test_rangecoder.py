@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from voxcodec.errors import DecodeError
 from voxcodec.rangecoder import (
+    AdaptiveByteDecoder,
     AdaptiveByteModel,
     RangeDecoder,
     RangeEncoder,
-    decode_bytes_adaptive,
     encode_bytes_adaptive,
 )
 
@@ -22,13 +22,16 @@ def roundtrip(freqs, symbols):
         enc.encode(int(cum[s]), int(freqs[s]), total)
     data = enc.finish()
     dec = RangeDecoder(data)
-    out = []
-    for _ in symbols:
-        t = dec.decode_target(total)
-        s = int(np.searchsorted(cum, t, side="right")) - 1
-        dec.consume(int(cum[s]), int(freqs[s]))
-        out.append(s)
+    out = [dec.decode_symbol(cum, total) for _ in symbols]
+    dec.finish()
     return data, out
+
+
+def decode_adaptive(data, count):
+    dec = AdaptiveByteDecoder(data)
+    out = dec.read(count)
+    dec.finish()
+    return out
 
 
 def test_empty_stream_is_two_zero_bytes():
@@ -59,6 +62,7 @@ def test_raw_u32():
         enc.encode_raw_u32(v)
     dec = RangeDecoder(enc.finish())
     assert [dec.decode_raw_u32() for _ in values] == values
+    dec.finish()
 
 
 def test_truncation_detected():
@@ -70,9 +74,7 @@ def test_truncation_detected():
     with pytest.raises(DecodeError):
         dec = RangeDecoder(data[: len(data) // 2])
         for _ in symbols:
-            t = dec.decode_target(int(cum[-1]))
-            s = int(np.searchsorted(cum, t, side="right")) - 1
-            dec.consume(int(cum[s]), int(freqs[s]))
+            dec.decode_symbol(cum, int(cum[-1]))
 
 
 @given(st.lists(st.integers(0, 5), max_size=300), st.integers(0, 2**32 - 1))
@@ -88,14 +90,50 @@ def test_adaptive_bytes_roundtrip():
     rng = np.random.default_rng(3)
     payload = bytes(rng.integers(0, 256, size=4000, dtype=np.uint8))
     coded = encode_bytes_adaptive(payload)
-    assert decode_bytes_adaptive(coded, len(payload)) == payload
+    assert decode_adaptive(coded, len(payload)) == payload
 
 
 def test_adaptive_bytes_compress_biased_input():
     payload = bytes([7] * 3000 + [9] * 100)
     coded = encode_bytes_adaptive(payload)
     assert len(coded) < len(payload) // 4
-    assert decode_bytes_adaptive(coded, len(payload)) == payload
+    assert decode_adaptive(coded, len(payload)) == payload
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256, 1000])
+def test_adaptive_bytes_chunked_reads_match_one_read(chunk):
+    rng = np.random.default_rng(4)
+    payload = bytes(rng.integers(0, 40, size=3000, dtype=np.uint8))
+    coded = encode_bytes_adaptive(payload)
+    dec = AdaptiveByteDecoder(coded)
+    parts = [dec.read(min(chunk, len(payload) - i)) for i in range(0, len(payload), chunk)]
+    dec.finish()
+    assert b"".join(parts) == payload
+
+
+@given(st.binary(max_size=200))
+@settings(max_examples=60, deadline=None)
+def test_adaptive_bytes_exact_end(payload):
+    # a valid stream ends exactly at its last byte, so a zero byte appended
+    # (which decodes the same symbols) is left unread and rejected
+    coded = encode_bytes_adaptive(payload)
+    assert decode_adaptive(coded, len(payload)) == payload
+    with pytest.raises(DecodeError):
+        decode_adaptive(coded + b"\x00", len(payload))
+
+
+def test_code_below_interval_raises_decode_error():
+    # zeroing the third byte of this stream puts the code below the
+    # interval's low end, where the target would be negative
+    cum = np.array([0, 1000, 1 << 16])
+    enc = RangeEncoder()
+    for sym in (1, 0, 1, 0, 1, 0, 0):
+        enc.encode(int(cum[sym]), int(cum[sym + 1] - cum[sym]), 1 << 16)
+    assert enc.finish() == bytes.fromhex("03f73688")
+    dec = RangeDecoder(bytes.fromhex("03f70088"))
+    with pytest.raises(DecodeError, match="corrupt"):
+        for _ in range(7):
+            dec.decode_symbol(cum, 1 << 16)
 
 
 def test_adaptive_model_halving_keeps_positive_freqs():
