@@ -246,12 +246,15 @@ def cmd_rdcsv(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: malformed RD CSV: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if min(len(a), len(b)) < 4:
+        print("error: each curve needs at least 4 rate-distortion points", file=sys.stderr)
+        return EXIT_FEW_POINTS
     try:
         bd_d1 = metrics.bd_rate([(p[0], p[1]) for p in a], [(p[0], p[1]) for p in b])
         bd_d2 = metrics.bd_rate([(p[0], p[2]) for p in a], [(p[0], p[2]) for p in b])
     except VoxCodecError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FEW_POINTS
+        return EXIT_BAD_INPUT
     print(f"bd_rate_d1_percent={bd_d1:.4f}")
     print(f"bd_rate_d2_percent={bd_d2:.4f}")
     if args.svg:

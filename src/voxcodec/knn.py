@@ -1,8 +1,14 @@
-"""Exact k-nearest-neighbour search over a uniform spatial hash grid.
+"""Exact k-nearest-neighbour search over sorted cell keys.
 
-The grid (cell size 2 lattice units, ring expansion) is an accelerator only:
-results are exact squared Euclidean distances, with ties broken by
-lexicographic coordinate order.  Brute force is the test oracle.
+The reference is bucketed into cubic cells of side 2**level lattice units,
+counted from its min corner, and the cells are sorted by packed key.  Each
+block of queries probes its 3x3x3 cell neighbourhoods with one sorted lookup.
+A query is done when its k-th squared distance is strictly below the squared
+distance from it to the outside of the probed cube, or when the cube covers
+every occupied cell; the rest go round again with the cell side doubled.
+Results are exact squared Euclidean distances, with ties broken by reference
+index (lexicographic coordinate order for a lex-sorted reference).  Brute
+force is the test oracle.
 """
 
 from __future__ import annotations
@@ -10,123 +16,119 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .sparse import SparseTensor
+from .sparse import SparseTensor, lookup, pack_keys
 
-CELL = 2.0
-_SMALL = 64  # below this many occupied cells a direct scan is cheaper
+PROBE_BLOCK = 256  # queries whose 27 neighbour cells are looked up at once
+PAIR_BLOCK = 2048  # candidate (query, reference) pairs ranked at once
+FIRST_LEVEL = 1  # the first round's cells are 2 lattice units wide
+# Cell 0 sits just above the bottom of the 21-bit key range, so the probes of
+# a query clamped to the occupied cells +-1 pack for any 21-bit reference.
+_CELL0 = 2 - (1 << 20)
+# packed key steps from the low corner of a 3x3x3 neighbourhood to its cells
+_D = np.stack(np.meshgrid(*[np.arange(3, dtype=np.uint64)] * 3, indexing="ij"), -1).reshape(-1, 3)
+_STEPS = (_D[:, 0] << np.uint64(42)) | (_D[:, 1] << np.uint64(21)) | _D[:, 2]
 
 
 class GridIndex:
-    """Uniform-grid spatial hash over integer reference coordinates."""
+    """Reference points bucketed by cell, one sorted key array per cell size."""
 
     def __init__(self, coords: np.ndarray):
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
         if coords.shape[0] == 0:
             raise ContractViolation("reference point set is empty")
         self.coords = coords.astype(np.float64)
-        cells = coords >> 1
-        self._cell_lo = cells.min(axis=0)
-        self._cell_hi = cells.max(axis=0)
-        order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
-        sorted_cells = cells[order]
-        change = np.empty(len(order), dtype=bool)
-        change[0] = True
-        np.not_equal(sorted_cells[1:], sorted_cells[:-1]).any(axis=1, out=change[1:])
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], len(order))
-        self._cells = {}
-        for s, e in zip(starts, ends):
-            self._cells[tuple(sorted_cells[s])] = order[s:e]
+        self.lo = coords.min(axis=0)
+        self._rel = coords - self.lo
+        self._levels = {}
+        self.cells(FIRST_LEVEL)
 
-    def query(self, point, k: int):
-        """Indices and squared distances of the min(k, N) nearest points.
-
-        Results are ordered by (distance, index); since the reference is
-        lex-sorted, index order equals lexicographic coordinate order.
-        """
-        q = np.asarray(point, dtype=np.float64)
-        if len(self._cells) <= _SMALL:
-            return self._take_best(np.arange(self.coords.shape[0]), q, k)
-        c0 = np.floor(q / CELL).astype(np.int64)
-        lo, hi = self._cell_lo, self._cell_hi
-        # rings below the Chebyshev distance to the occupied bounding box are
-        # empty; rings beyond its far corner cover nothing new
-        r_start = int(max(0, np.maximum(lo - c0, c0 - hi).max()))
-        r_end = int(np.maximum(hi - c0, c0 - lo).max())
-        cand: list[np.ndarray] = []
-        total = 0
-        for r in range(r_start, r_end + 1):
-            for cell in _ring_cells(c0, r, lo, hi):
-                idx = self._cells.get(cell)
-                if idx is not None:
-                    cand.append(idx)
-                    total += idx.size
-            if total >= k:
-                allc = np.concatenate(cand)
-                d2 = ((self.coords[allc] - q) ** 2).sum(axis=1)
-                kth = np.partition(d2, k - 1)[k - 1]
-                # any point in ring r+1 or beyond lies strictly farther than
-                # CELL*r from the query
-                if kth <= (CELL * r) ** 2:
-                    break
-        allc = np.concatenate(cand) if cand else np.empty(0, dtype=np.int64)
-        return self._take_best(allc, q, k)
-
-    def _take_best(self, indices, q, k):
-        d2 = ((self.coords[indices] - q) ** 2).sum(axis=1)
-        m = min(k, indices.size)
-        take = np.lexsort((indices, d2))[:m]
-        return indices[take], d2[take]
+    def cells(self, level: int):
+        """(keys, starts, ends, order, top) for cells of side 2**level: the
+        sorted distinct cell keys, each cell's run in ``order`` (reference
+        rows sorted by cell), and the highest occupied cell per axis."""
+        if level not in self._levels:
+            cell = self._rel >> level
+            keys = pack_keys(cell + _CELL0)
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            ends = np.r_[starts[1:], keys.size]
+            self._levels[level] = (keys[starts], starts, ends, order, cell.max(axis=0))
+        return self._levels[level]
 
 
-def _ring_cells(c0, r, lo, hi):
-    """Cells at Chebyshev distance exactly r from c0, clipped to [lo, hi]."""
-    x0, y0, z0 = int(c0[0]), int(c0[1]), int(c0[2])
+def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
+    """Rank the reference points in each query's 3x3x3 cell neighbourhood.
 
-    def clip(axis, a, b):
-        return range(max(a, int(lo[axis] - c0[axis])), min(b, int(hi[axis] - c0[axis])) + 1)
-
-    if r == 0:
-        if all(lo[i] <= c0[i] <= hi[i] for i in range(3)):
-            yield (x0, y0, z0)
-        return
-    for dx in (-r, r):
-        if lo[0] - x0 <= dx <= hi[0] - x0:
-            for dy in clip(1, -r, r):
-                for dz in clip(2, -r, r):
-                    yield (x0 + dx, y0 + dy, z0 + dz)
-    for dy in (-r, r):
-        if lo[1] - y0 <= dy <= hi[1] - y0:
-            for dx in clip(0, -r + 1, r - 1):
-                for dz in clip(2, -r, r):
-                    yield (x0 + dx, y0 + dy, z0 + dz)
-    for dz in (-r, r):
-        if lo[2] - z0 <= dz <= hi[2] - z0:
-            for dx in clip(0, -r + 1, r - 1):
-                for dy in clip(1, -r + 1, r - 1):
-                    yield (x0 + dx, y0 + dy, z0 + dz)
+    Returns (done, idx, d2): rows of idx/d2 are the m best candidates by
+    (d2, index), final where ``done`` is set.
+    """
+    keys, starts, ends, order, top = index.cells(level)
+    side = 1 << level
+    cell = np.clip(np.floor((q - index.lo) / side), -1, top + 1).astype(np.int64)
+    low = pack_keys(cell + (_CELL0 - 1))
+    pack_keys(cell + (_CELL0 + 1))  # raises where the high corner leaves the key range
+    pos, hit = lookup(keys, (low[:, None] + _STEPS).reshape(-1))
+    count = np.where(hit, ends[pos] - starts[pos], 0)
+    per_query = count.reshape(-1, 27).sum(axis=1)
+    # any point outside the probed cube is at least r away on some axis
+    lo_b = index.lo + (cell - 1) * side
+    hi_b = index.lo + (cell + 2) * side
+    r = np.maximum(np.minimum(q - lo_b, hi_b - q).min(axis=1), 0.0)
+    covers = ((cell <= 1) & (cell + 1 >= top)).all(axis=1)
+    done = np.zeros(q.shape[0], dtype=bool)
+    idx = np.empty((q.shape[0], m), dtype=np.int64)
+    d2 = np.empty((q.shape[0], m))
+    cum = np.cumsum(per_query)
+    a = 0
+    while a < q.shape[0]:
+        # the next queries whose candidates fit in one pair block (at least one)
+        b = max(a + 1, int(np.searchsorted(cum, cum[a] - per_query[a] + PAIR_BLOCK, "right")))
+        n, cnt = count[27 * a : 27 * b], per_query[a:b]
+        qid = np.repeat(np.arange(a, b), cnt)
+        rid = order[np.repeat(starts[pos[27 * a : 27 * b]] - (np.cumsum(n) - n), n) + np.arange(qid.size)]
+        dist = ((index.coords[rid] - q[qid]) ** 2).sum(axis=1)
+        ranked = np.lexsort((rid, dist, qid))
+        rank = np.arange(qid.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        enough = cnt >= m
+        take = ranked[(rank < m) & np.repeat(enough, cnt)]
+        rows = a + np.flatnonzero(enough)
+        idx[rows] = rid[take].reshape(-1, m)
+        d2[rows] = dist[take].reshape(-1, m)
+        # strict: a point on the cube's far face is r away and may win the tie on index
+        done[rows] = (d2[rows, -1] < r[rows] ** 2) | covers[rows]
+        a = b
+    return done, idx, d2
 
 
 def knn(queries, reference, k: int):
     """k nearest reference points for each query position.
 
     Args:
-        queries: (Q, 3) real positions.
+        queries: (Q, 3) finite real positions.
         reference: SparseTensor or (N, 3) integer coordinate array, lex-sorted.
         k: neighbours requested; clamped to N.
 
     Returns:
-        (indices, sqdist) arrays of shape (Q, min(k, N)).
+        (indices, sqdist) arrays of shape (Q, min(k, N)), each row ordered by
+        (distance, index).
     """
     if k < 1:
         raise ContractViolation("k must be >= 1")
     coords = reference.coords if isinstance(reference, SparseTensor) else reference
     index = GridIndex(coords)
-    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    m = min(k, coords.shape[0])
+    q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(q).all():
+        raise ContractViolation("query positions must be finite")
+    m = min(k, index.coords.shape[0])
     idx = np.empty((q.shape[0], m), dtype=np.int64)
     d2 = np.empty((q.shape[0], m), dtype=np.float64)
-    for i in range(q.shape[0]):
-        ii, dd = index.query(q[i], k)
-        idx[i], d2[i] = ii, dd
+    for s in range(0, q.shape[0], PROBE_BLOCK):
+        block = np.arange(s, min(s + PROBE_BLOCK, q.shape[0]))
+        level = FIRST_LEVEL
+        while block.size:
+            done, bi, bd = _probe(index, q[block], level, m)
+            idx[block[done]], d2[block[done]] = bi[done], bd[done]
+            block = block[~done]
+            level += 1
     return idx, d2

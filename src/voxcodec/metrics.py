@@ -56,34 +56,25 @@ def d1_psnr(a, b, peak: int = DEFAULT_PEAK) -> float:
 
 
 def estimate_normals(coords: np.ndarray, k: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point unit normals by neighbourhood PCA.
+    """Per-point unit normals by neighbourhood PCA, one batched eigh.
 
-    Returns (normals, valid): rows with fewer than 3 neighbourhood points get
-    valid=False and fall back to point-to-point errors.
+    Returns (normals, valid): in a cloud of fewer than 3 points no row has a
+    plane; all get valid=False and fall back to point-to-point errors.
     """
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
     kk = min(k, n)
     idx, _ = knn(coords, coords.astype(np.int64), kk)
-    normals = np.zeros((n, 3))
-    valid = np.zeros(n, dtype=bool)
-    for i in range(n):
-        nb = coords[idx[i]]
-        if nb.shape[0] < 3:
-            continue
-        centered = nb - nb.mean(axis=0)
-        cov = centered.T @ centered
-        evals, evecs = np.linalg.eigh(cov)
-        nrm = evecs[:, 0]
-        norm_len = np.linalg.norm(nrm)
-        if norm_len == 0:
-            continue
-        nrm = nrm / norm_len
-        if nrm[0] < 0 or (nrm[0] == 0 and (nrm[1] < 0 or (nrm[1] == 0 and nrm[2] < 0))):
-            nrm = -nrm
-        normals[i] = nrm
-        valid[i] = True
-    return normals, valid
+    if kk < 3:
+        return np.zeros((n, 3)), np.zeros(n, dtype=bool)
+    nb = coords[idx]
+    nb -= nb.mean(axis=1, keepdims=True)
+    _, evecs = np.linalg.eigh(np.matmul(nb.transpose(0, 2, 1), nb))
+    nrm = evecs[:, :, 0]
+    nrm = nrm / np.sqrt(np.vecdot(nrm, nrm))[:, None]
+    x, y, z = nrm.T
+    flip = (x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0))))
+    return np.where(flip[:, None], -nrm, nrm), np.ones(n, dtype=bool)
 
 
 def _plane_errors(queries, reference, normals, valid):
@@ -148,8 +139,8 @@ def _curve_arrays(curve):
     q = np.asarray(quals, dtype=np.float64)
     if r.size < 4:
         raise ContractViolation("each curve needs at least 4 rate-distortion points")
-    if np.any(r <= 0) or not np.all(np.isfinite(q)):
-        raise ContractViolation("curve has non-positive rates or non-finite quality")
+    if not (np.isfinite(r).all() and np.isfinite(q).all()) or np.any(r <= 0):
+        raise ContractViolation("curve has non-positive or non-finite rates or quality")
     order = np.argsort(q)
     q, r = q[order], r[order]
     if np.any(np.diff(q) <= 0):

@@ -7,6 +7,8 @@ emits binary_little_endian with int32 coordinates.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import PlyParseError, VoxCodecError
@@ -47,14 +49,18 @@ def _parse_header(fh):
             if len(tokens) < 2 or tokens[1] not in ("ascii", "binary_little_endian"):
                 raise PlyParseError(f"unsupported format {tokens[1:]}", line=line_no)
             fmt = tokens[1]
+        elif tokens[0] in ("element", "property") and len(tokens) < 3:
+            raise PlyParseError(f"malformed {tokens[0]} line", line=line_no)
         elif tokens[0] == "element":
             if tokens[1] == "vertex":
                 if seen_element:
                     raise PlyParseError("vertex element must come first", line=line_no)
                 try:
                     vertex_count = int(tokens[2])
-                except (IndexError, ValueError):
+                except ValueError:
                     raise PlyParseError("bad vertex count", line=line_no) from None
+                if vertex_count < 0:
+                    raise PlyParseError("negative vertex count", line=line_no)
                 in_vertex = True
             else:
                 in_vertex = False
@@ -64,6 +70,8 @@ def _parse_header(fh):
                 raise PlyParseError("list properties in vertex element unsupported", line=line_no)
             if tokens[1] not in _PLY_TYPES:
                 raise PlyParseError(f"unknown property type '{tokens[1]}'", line=line_no)
+            if tokens[2] in [p[0] for p in properties]:
+                raise PlyParseError(f"duplicate property '{tokens[2]}'", line=line_no)
             properties.append((tokens[2], _PLY_TYPES[tokens[1]]))
         elif tokens[0] == "end_header":
             break
@@ -82,7 +90,11 @@ def read_ply(path) -> np.ndarray:
     with open(path, "rb") as fh:
         fmt, count, props, offset, line_no = _parse_header(fh)
         names = [p[0] for p in props]
+        size = os.fstat(fh.fileno()).st_size - offset
         if fmt == "ascii":
+            # a row takes at least one character and one separator per field
+            if count * 2 * len(props) > size + 1:
+                raise PlyParseError(f"vertex count {count} exceeds the file size", line=line_no)
             cols = [names.index(a) for a in ("x", "y", "z")]
             out = np.empty((count, 3), dtype=np.float64)
             for i in range(count):
@@ -100,12 +112,12 @@ def read_ply(path) -> np.ndarray:
                     raise PlyParseError("non-numeric vertex field", line=line_no) from None
             return out
         dtype = np.dtype([(n, "<" + t) for n, t in props])
-        raw = fh.read(count * dtype.itemsize)
-        if len(raw) < count * dtype.itemsize:
+        if size < count * dtype.itemsize:
             raise PlyParseError(
-                f"vertex payload truncated ({len(raw)} of {count * dtype.itemsize} bytes)",
-                offset=offset + len(raw),
+                f"vertex payload truncated ({size} of {count * dtype.itemsize} bytes)",
+                offset=offset + size,
             )
+        raw = fh.read(count * dtype.itemsize)
         rec = np.frombuffer(raw, dtype=dtype, count=count)
         return np.stack(
             [rec["x"].astype(np.float64), rec["y"].astype(np.float64), rec["z"].astype(np.float64)],
@@ -119,11 +131,13 @@ def quantize_positions(xyz: np.ndarray, precision_bits: int) -> np.ndarray:
     Positions are floored after scaling: if the source spans more than the
     target precision (nominal source bits B = ceil(log2(max+1)) > P), each
     coordinate is divided by 2**(B - P) first; otherwise coordinates are
-    floored in place.  Negative coordinates are rejected.
+    floored in place.  Non-finite and negative coordinates are rejected.
     """
     xyz = np.asarray(xyz, dtype=np.float64)
     if xyz.size == 0:
         raise VoxCodecError("empty vertex list")
+    if not np.isfinite(xyz).all():
+        raise VoxCodecError("non-finite coordinates are unsupported")
     if xyz.min() < 0:
         raise VoxCodecError("negative coordinates are unsupported")
     top = xyz.max()

@@ -91,6 +91,32 @@ def brute_force_knn(queries, ref_coords, k):
     return idx, d2
 
 
+def normals_oracle(coords, idx):
+    """Per-point PCA normals over the neighbourhoods ``idx`` (one eigh per
+    point), sign-normalized to the +x hemisphere, ties toward +y then +z."""
+    coords = np.asarray(coords, dtype=np.float64)
+    n = coords.shape[0]
+    normals = np.zeros((n, 3))
+    valid = np.zeros(n, dtype=bool)
+    for i in range(n):
+        nb = coords[idx[i]]
+        if nb.shape[0] < 3:
+            continue
+        centered = nb - nb.mean(axis=0)
+        cov = centered.T @ centered
+        evals, evecs = np.linalg.eigh(cov)
+        nrm = evecs[:, 0]
+        norm_len = np.linalg.norm(nrm)
+        if norm_len == 0:
+            continue
+        nrm = nrm / norm_len
+        if nrm[0] < 0 or (nrm[0] == 0 and (nrm[1] < 0 or (nrm[1] == 0 and nrm[2] < 0))):
+            nrm = -nrm
+        normals[i] = nrm
+        valid[i] = True
+    return normals, valid
+
+
 def brute_force_nn_mse(a, b):
     """Mean squared nearest-neighbour distance from a to b, chunked."""
     a = np.asarray(a, dtype=np.float64)

@@ -304,6 +304,15 @@ class TestRdcsv:
         b.write_text(cli.CSV_HEADER + "\nseq,0,3,1.0,60,61\n")
         assert cli.main(["rdcsv", str(a), str(b)]) == cli.EXIT_FEW_POINTS
 
+    @pytest.mark.parametrize("row", ["seq,4,3,nan,70,71", "seq,4,3,8.0,inf,inf",
+                                     "seq,4,3,4.0,69,70"])
+    def test_bad_curve_exit_3(self, tmp_path, row):
+        # a NaN rate, the inf PSNR eval writes for identical clouds, a repeated point
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self.write_curve(a, 1.0)
+        self.write_curve(b, 1.0)
+        b.write_text(b.read_text() + row + "\n")
+        assert cli.main(["rdcsv", str(a), str(b)]) == cli.EXIT_BAD_INPUT
 
     @pytest.mark.parametrize("row", ["seq,0,3,1.0,60", "seq,0,3,abc,60,61",
                                      "seq,0,3,1.0,60,61,9"])

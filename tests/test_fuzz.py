@@ -4,7 +4,7 @@ decodes or raises a VoxCodecError, never another exception."""
 import numpy as np
 import pytest
 
-from voxcodec import codec, octree, synthetic
+from voxcodec import codec, octree, ply, synthetic
 from voxcodec import entropy as ent
 from voxcodec.errors import VoxCodecError
 from voxcodec.weights import WeightStore, entropy_models, validate_store
@@ -81,3 +81,24 @@ def test_ddpc_i_and_p_frames(store, models):
         lambda d: codec.decode(codec.parse(d), ref, models, store),
         codec.serialize(bs1), seed=7, count=60)
     assert out_i["rejected"] > 0 and out_p["rejected"] > 0
+
+
+@pytest.mark.parametrize("fmt", ["binary", "ascii"])
+def test_ply_file(tmp_path, fmt):
+    coords = np.unique(np.random.default_rng(8).integers(0, 128, size=(60, 3)), axis=0)
+    path = tmp_path / "cloud.ply"
+    ply.write_ply(path, coords)
+    if fmt == "ascii":
+        header = b"ply\nformat ascii 1.0\nelement vertex %d\n" % len(coords)
+        header += b"property float x\nproperty float y\nproperty int z\nend_header\n"
+        path.write_bytes(header + b"".join(b"%d %d %d\n" % tuple(c) for c in coords))
+    data = path.read_bytes()
+
+    def load(mutant):
+        path.write_bytes(mutant)
+        ply.load_ply(path, 7)
+
+    header_end = data.index(b"end_header\n")
+    out = decodes_or_rejects(load, data, seed=9, count=200, span=header_end)
+    decodes_or_rejects(load, data, seed=10, count=200)
+    assert out["rejected"] > 0

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_knn
 from voxcodec.errors import ContractViolation
@@ -23,6 +27,15 @@ def test_hand_distances():
     idx, d2 = knn([[0.5, 0, 0]], r, 3)
     assert d2[0].tolist() == [0.25, 0.25, 20.25]
     assert idx[0].tolist() == [0, 1, 2]  # tie broken toward the lex-smaller coord
+
+
+def test_tie_just_outside_the_probed_cube():
+    # with 2-unit cells from the min corner, the query's first 3x3x3 cube ends
+    # at y = 4: (1, 4, 1) lies just outside it, exactly as far as (3, 3, 2)
+    # inside, and wins the tie on index
+    r = ref([[-2, -2, -2], [1, 4, 1], [3, 3, 2], [20, 20, 20]])
+    idx, d2 = knn([[1.0, 1.0, 1.0]], r, 1)
+    assert idx.tolist() == [[1]] and d2.tolist() == [[9.0]]
 
 
 def test_k_clamped():
@@ -60,3 +73,59 @@ def test_far_query():
     idx, d2 = knn([[1000.0, 1000.0, 1000.0]], r, 2)
     bi, bd = brute_force_knn([[1000.0, 1000.0, 1000.0]], r.coords, 2)
     assert np.array_equal(idx, bi) and np.allclose(d2, bd)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(0, 400),
+       st.sampled_from(["integer", "half-integer", "real", "far"]),
+       st.sampled_from([1, 3, 4, 16, 500]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_matches_brute_force_exactly(seed, n, nq, kind, k):
+    rng = np.random.default_rng(seed)
+    span, lo = int(rng.integers(1, 70)), int(rng.integers(-60, 20))
+    coords = np.unique(rng.integers(lo, lo + span, size=(n, 3)), axis=0)
+    q = {
+        # lattice and half-lattice queries sit at equal distance from many points
+        "integer": rng.integers(lo - 9, lo + span + 9, size=(nq, 3)).astype(np.float64),
+        "half-integer": rng.integers(2 * lo - 18, 2 * (lo + span) + 18, size=(nq, 3)) / 2.0,
+        "real": rng.uniform(lo - 9, lo + span + 9, size=(nq, 3)),
+        "far": rng.choice([-1e12, 1e12, -3e5, 0.5, float(lo)], size=(nq, 3)),
+    }[kind]
+    q = np.vstack([q, q[: nq // 3]])  # duplicated queries
+    gi, gd = knn(q, coords, k)
+    bi, bd = brute_force_knn(q, coords, k)
+    assert gi.shape == (len(q), min(k, len(coords)))
+    assert np.array_equal(gi, bi) and gd.tobytes() == bd.tobytes()
+
+
+def test_single_reference_point():
+    idx, d2 = knn([[0.5, 0, 0], [-1e12, 3, 3]], np.array([[2, 3, 4]]), 4)
+    assert idx.tolist() == [[0], [0]]
+    assert d2[0, 0] == 1.5**2 + 9 + 16
+
+
+def test_no_queries():
+    idx, d2 = knn(np.empty((0, 3)), ref([[0, 0, 0], [1, 1, 1]]), 5)
+    assert idx.shape == d2.shape == (0, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_rejected(bad):
+    grid = [(x, y, z) for x in range(0, 12, 2) for y in range(0, 12, 2) for z in range(0, 12, 2)]
+    with pytest.raises(ContractViolation):
+        knn([[1.0, 1.0, 1.0], [bad, 1.0, 1.0]], ref(grid), 3)
+
+
+def test_scratch_memory_does_not_grow_with_queries():
+    # probes and candidate pairs go in fixed-size blocks: beyond its results,
+    # knn allocates the same bounded scratch for 5k and for 20k queries
+    rng = np.random.default_rng(0)
+    coords = np.unique(rng.integers(0, 24, size=(8000, 3)), axis=0)
+    for nq in (5000, 20000):
+        q = rng.uniform(-2, 26, size=(nq, 3))
+        tracemalloc.start()
+        try:
+            idx, d2 = knn(q, coords, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - idx.nbytes - d2.nbytes < 2_000_000

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_nn_mse
+from oracles import brute_force_knn, brute_force_nn_mse, normals_oracle
 from voxcodec import metrics
 from voxcodec.errors import ContractViolation
 from voxcodec.sparse import PointCloudFrame
@@ -103,6 +103,25 @@ class TestNormals:
         assert np.allclose(normals[valid], [1, 0, 0])
 
 
+    @pytest.mark.parametrize("shape", ["two-points", "line", "plane", "box", "sphere"])
+    def test_matches_per_point_oracle(self, shape):
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=(600, 3))
+        coords = {
+            "two-points": np.array([[0, 0, 0], [3, 1, 2]]),
+            "line": np.array([(x, 2, 3) for x in range(30)]),
+            "plane": np.array([(x, y, 3) for x in range(9) for y in range(7)]),
+            "box": np.unique(rng.integers(0, 12, size=(500, 3)), axis=0),
+            "sphere": np.unique(np.floor(v / np.linalg.norm(v, axis=1)[:, None] * 20),
+                                axis=0).astype(np.int64),
+        }[shape]
+        normals, valid = metrics.estimate_normals(coords)
+        idx, _ = brute_force_knn(coords, coords, min(16, len(coords)))
+        expect, expect_valid = normals_oracle(coords, idx)
+        assert normals.tobytes() == expect.tobytes()
+        assert np.array_equal(valid, expect_valid)
+
+
 class TestBpp:
     def test_simple(self):
         assert metrics.bpp(1000, 500) == 2.0
@@ -139,6 +158,12 @@ class TestBDRate:
     def test_too_few_points(self):
         with pytest.raises(ContractViolation):
             metrics.bd_rate(self.curve()[:3], self.curve())
+
+    @pytest.mark.parametrize("point", [(np.nan, 65.0), (np.inf, 65.0), (0.0, 65.0),
+                                       (1.5, np.nan), (1.5, np.inf)])
+    def test_non_finite_or_non_positive_point_rejected(self, point):
+        with pytest.raises(ContractViolation):
+            metrics.bd_rate(self.curve(), self.curve()[:4] + [point])
 
     def test_no_overlap(self):
         high = [(r, q + 100) for r, q in self.curve()]

@@ -112,3 +112,31 @@ def test_empty_vertex_list(tmp_path):
 def test_negative_coordinates_rejected():
     with pytest.raises(VoxCodecError):
         quantize_positions(np.array([[-1.0, 0, 0]]), 4)
+
+
+XYZ = "property int x\nproperty int y\nproperty int z\n"
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+@pytest.mark.parametrize("header", [
+    "element\n" + XYZ,
+    "element vertex 1\nproperty\n" + XYZ,
+    "element vertex 1\nproperty int32\n" + XYZ,
+    "element vertex -1\n" + XYZ,
+    "element vertex 99999999999\n" + XYZ,
+    "element vertex 1\nproperty int x\n" + XYZ,
+], ids=["bare-element", "bare-property", "unnamed-property", "negative-count",
+        "count-beyond-file", "duplicate-property"])
+def test_malformed_header_rejected(tmp_path, fmt, header):
+    p = tmp_path / "bad.ply"
+    p.write_bytes(f"ply\nformat {fmt} 1.0\n{header}end_header\n".encode() + b"1 2 3\n")
+    with pytest.raises(PlyParseError):
+        read_ply(p)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_coordinates_rejected(tmp_path, value):
+    p = tmp_path / "nan.ply"
+    write_ascii(p, [(1, 2, 3), (value, 0, 0)])
+    with pytest.raises(VoxCodecError):
+        load_ply(p, 7)
