@@ -20,16 +20,8 @@ from . import entropy as ent
 from . import motion as mo
 from . import octree as oc
 from .errors import ContractViolation, DecodeError, MissingReference
-from .nn import (
-    ConvSpec,
-    adaptive_prune,
-    classify_occupancy,
-    irn_block,
-    prefixed,
-    sparse_conv,
-)
+from .nn import _conv, adaptive_prune, classify_occupancy, irn_block, prefixed
 from .sparse import PointCloudFrame, SparseTensor, lookup, pack_keys, stride_down_coords
-from .weights import FE_C1, FE_C2, REC_C0, REC_C1, RESIDUAL_LATENT_C
 
 MAGIC = b"DDPC"
 VERSION = 1
@@ -133,39 +125,25 @@ class FrameResult:
     residual_symbols: np.ndarray | None = None
 
 
-def feature_extract(frame: PointCloudFrame, w) -> SparseTensor:
-    """Two downsample blocks: stride-2 conv then three IRN blocks each."""
-    if frame.n == 0:
-        raise ContractViolation("cannot extract features from an empty frame")
-    x = frame.points
-    x = sparse_conv(x, ConvSpec(1, FE_C1, 2, stride=2),
-                    w["fe.down1.conv.weight"], w["fe.down1.conv.bias"])
+def _block(x, w, prefix, up_to=None) -> SparseTensor:
+    """A PCGCv2 scale block: a stride-2 conv, transposed onto ``up_to`` when
+    that is given, then three IRN blocks."""
+    x = _conv(x, w, f"{prefix}.conv", up_to, transposed=up_to is not None)
     for i in (1, 2, 3):
-        x = irn_block(x, prefixed(w, f"fe.down1.irn{i}"))
-    x = sparse_conv(x, ConvSpec(FE_C1, FE_C2, 2, stride=2),
-                    w["fe.down2.conv.weight"], w["fe.down2.conv.bias"])
-    for i in (1, 2, 3):
-        x = irn_block(x, prefixed(w, f"fe.down2.irn{i}"))
+        x = irn_block(x, prefixed(w, f"{prefix}.irn{i}"))
     return x
 
 
-def _residual_encode(r: SparseTensor, w) -> SparseTensor:
-    x = sparse_conv(r, ConvSpec(FE_C2, FE_C2, 2, stride=2),
-                    w["res.enc.down.conv.weight"], w["res.enc.down.conv.bias"])
-    for i in (1, 2, 3):
-        x = irn_block(x, prefixed(w, f"res.enc.down.irn{i}"))
-    return sparse_conv(x, ConvSpec(FE_C2, RESIDUAL_LATENT_C, 3),
-                       w["res.enc.head.weight"], w["res.enc.head.bias"])
+def feature_extract(frame: PointCloudFrame, w) -> SparseTensor:
+    """Two downsample blocks: scale 0 to scale 2."""
+    if frame.n == 0:
+        raise ContractViolation("cannot extract features from an empty frame")
+    return _block(_block(frame.points, w, "fe.down1"), w, "fe.down2")
 
 
 def _residual_decode(symbols: np.ndarray, latent_coords, c2_coords, w) -> SparseTensor:
     lat = SparseTensor(latent_coords, symbols.astype(np.float32), scale=3, _trusted=True)
-    x = sparse_conv(lat, ConvSpec(RESIDUAL_LATENT_C, FE_C2, 2, stride=2, transposed=True),
-                    w["res.dec.up.conv.weight"], w["res.dec.up.conv.bias"],
-                    out_coords=c2_coords)
-    for i in (1, 2, 3):
-        x = irn_block(x, prefixed(w, f"res.dec.up.irn{i}"))
-    return x
+    return _block(lat, w, "res.dec.up", up_to=c2_coords)
 
 
 def compress_residual(r: SparseTensor, model: ent.EntropyModel, w):
@@ -174,7 +152,7 @@ def compress_residual(r: SparseTensor, model: ent.EntropyModel, w):
     The latent coordinate set is the floor-div of the residual's coordinates
     and is derived, not coded.
     """
-    latent = _residual_encode(r, w)
+    latent = _conv(_block(r, w, "res.enc.down"), w, "res.enc.head")
     symbols = ent.quantize(latent.feats)
     data = ent.range_encode(symbols, model)
     r_hat = _residual_decode(symbols, latent.coords, r.coords, w)
@@ -191,15 +169,6 @@ def _children(coords: np.ndarray) -> np.ndarray:
     return kids[order].astype(np.int32)
 
 
-def _upsample_block(x, w, prefix, cout):
-    cand = _children(x.coords)
-    y = sparse_conv(x, ConvSpec(x.channels, cout, 2, stride=2, transposed=True),
-                    w[f"{prefix}.conv.weight"], w[f"{prefix}.conv.bias"], out_coords=cand)
-    for i in (1, 2, 3):
-        y = irn_block(y, prefixed(w, f"{prefix}.irn{i}"))
-    return y
-
-
 def reconstruct(y_prime: SparseTensor, n1: int, n0: int, w, precision_bits: int):
     """Two upsample blocks with occupancy classification and adaptive pruning.
 
@@ -207,13 +176,13 @@ def reconstruct(y_prime: SparseTensor, n1: int, n0: int, w, precision_bits: int)
     probability lists covering both reconstruction scales.
     """
     probs_out = []
-    x = _upsample_block(y_prime, w, "rec.up1", REC_C1)
+    x = _block(y_prime, w, "rec.up1", up_to=_children(y_prime.coords))
     p1 = classify_occupancy(x, prefixed(w, "rec.up1.cls"))
     probs_out.append((p1, x.coords, 1))
     x = adaptive_prune(x, p1, n1)
     if x.n == 0:
         return PointCloudFrame.from_coords(np.empty((0, 3), np.int64), precision_bits), probs_out
-    x = _upsample_block(x, w, "rec.up2", REC_C0)
+    x = _block(x, w, "rec.up2", up_to=_children(x.coords))
     p0 = classify_occupancy(x, prefixed(w, "rec.up2.cls"))
     probs_out.append((p0, x.coords, 0))
     x = adaptive_prune(x, p0, n0)
@@ -303,7 +272,16 @@ def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=F
         raise DecodeError(f"frame type {bs.frame_type} carries substreams {ids}")
     if bs.frame_type == FRAME_P and (prev_latent is None or prev_latent.n == 0):
         raise MissingReference("P frame without a previous decoded latent")
-    c2 = oc.octree_decode(oc.parse_stream(bs.get(SUB_COORDS)))
+    tree = oc.parse_stream(bs.get(SUB_COORDS))
+    # the octree codes C2 of a (precision_bits)-bit frame; C2, C1 and C0 nest,
+    # and each voxel has one to eight children on the next finer scale
+    if tree.depth != bs.precision_bits - 2:
+        raise DecodeError(f"octree depth {tree.depth} does not fit "
+                          f"{bs.precision_bits}-bit precision")
+    if not (tree.count <= bs.n1 <= bs.n0 and bs.n1 <= 8 * tree.count and bs.n0 <= 8 * bs.n1):
+        raise DecodeError(f"point counts n0={bs.n0}, n1={bs.n1}, n2={tree.count} "
+                          "cannot belong to one frame")
+    c2 = oc.octree_decode(tree)
     c3 = stride_down_coords(c2)
     if bs.frame_type == FRAME_P:
         _, mc3, mc4 = mo.motion_coord_sets(c2, prev_latent.coords)

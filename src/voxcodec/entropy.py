@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, DecodeError
 from .rangecoder import RangeDecoder, RangeEncoder
 
 TOTAL = 1 << 16
@@ -209,6 +209,15 @@ def model_to_tensors(model: EntropyModel) -> dict:
 
 
 def model_from_tensors(tensors: dict) -> EntropyModel:
-    sizes = tensors["size"].astype(np.int64)
-    cdfs = [tensors["cdf"][i, : sizes[i]].astype(np.int64) for i in range(len(sizes))]
-    return EntropyModel(tensors["offset"].astype(np.int64), cdfs)
+    """Inverse of model_to_tensors.  Every entry must be an integer of at
+    most 2^31 in magnitude, or the tensors describe no model."""
+    t = {}
+    for key in ("size", "cdf", "offset"):
+        a = np.asarray(tensors[key])
+        if not np.all(np.isfinite(a)) or np.any(np.abs(a) > 2**31) or np.any(a != np.floor(a)):
+            raise DecodeError(f"entropy table '{key}' holds a non-integral or out-of-range value")
+        t[key] = a.astype(np.int64)
+    if t["cdf"].ndim != 2 or not t["size"].shape == t["offset"].shape == t["cdf"].shape[:1]:
+        raise DecodeError("entropy tables disagree on the channel count")
+    cdfs = [t["cdf"][i, : t["size"][i]] for i in range(len(t["size"]))]
+    return EntropyModel(t["offset"], cdfs)

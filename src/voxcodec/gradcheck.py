@@ -278,12 +278,7 @@ def grad_chain(seed: int) -> GradReport:
     g = rng.normal(size=(m.n, 4))
 
     # analytic: chain interpolation feature-gradient through the convolution
-    d2c = np.maximum(d2, DIST_EPS)
-    wgt = 1.0 / d2c
-    denom = np.maximum(wgt.sum(axis=1), alpha)
-    mix = wgt / denom[:, None]
-    grad_ref = np.zeros_like(base_ref.feats, dtype=np.float64)
-    np.add.at(grad_ref, idx, mix[:, :, None] * g[:, None, :])
+    grad_ref, _, _, _ = interpolate_gradients(m, base_ref, alpha, g, idx, d2)
     kmap = build_kernel_map(x.coords, base_ref.coords, spec)
     grad_in, _, _ = sparse_conv_backward(x, spec, weight, kmap, grad_ref)
 

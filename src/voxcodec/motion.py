@@ -13,7 +13,7 @@ import numpy as np
 from . import entropy as ent
 from .errors import ContractViolation
 from .knn import knn
-from .nn import ConvSpec, _conv, prefixed, relu, rn_block
+from .nn import _conv, prefixed, relu, rn_block
 from .sparse import (
     SparseTensor,
     add_on_union,
@@ -32,10 +32,8 @@ def flow_embedding(y_t: SparseTensor, y_prev: SparseTensor, w) -> SparseTensor:
         raise ContractViolation("latents must share a scale")
     if y_t.channels != y_prev.channels:
         raise ContractViolation("latents must share a channel count")
-    cat = concatenate(y_t, y_prev)
-    c = y_t.channels
-    e = relu(_conv(cat, w, "flow.conv1", ConvSpec(2 * c, c, 3)))
-    return _conv(e, w, "flow.conv2", ConvSpec(c, c, 3))
+    e = relu(_conv(concatenate(y_t, y_prev), w, "flow.conv1"))
+    return _conv(e, w, "flow.conv2")
 
 
 def fuse_flow(e_o: SparseTensor, w) -> SparseTensor:
@@ -44,13 +42,11 @@ def fuse_flow(e_o: SparseTensor, w) -> SparseTensor:
     coarse = RN(RN(down(e_o))); residual = e_o - up(coarse) on e_o's coords;
     fine = down(residual); fused = coarse + fine (identical coordinates).
     """
-    c = e_o.channels
-    coarse = _conv(e_o, w, "fuse.down.conv", ConvSpec(c, c, 2, stride=2))
+    coarse = _conv(e_o, w, "fuse.down.conv")
     coarse = rn_block(rn_block(coarse, prefixed(w, "fuse.rn1")), prefixed(w, "fuse.rn2"))
-    up = _conv(coarse, w, "fuse.up.conv", ConvSpec(c, c, 2, stride=2, transposed=True),
-               out_coords=e_o.coords)
+    up = _conv(coarse, w, "fuse.up.conv", e_o.coords, transposed=True)
     residual = e_o.with_feats(e_o.feats - up.feats)
-    fine = _conv(residual, w, "fuse.fine.conv", ConvSpec(c, c, 2, stride=2))
+    fine = _conv(residual, w, "fuse.fine.conv")
     return add_on_union(coarse, fine)
 
 
@@ -60,8 +56,7 @@ def compress_motion(e_t: SparseTensor, model: ent.EntropyModel, w):
     Returns (substream bytes, reconstructed embedding on e_t's coordinates,
     integer latent symbols).
     """
-    c = e_t.channels
-    latent = _conv(e_t, w, "mot.enc.conv", ConvSpec(c, model.channels, 2, stride=2))
+    latent = _conv(e_t, w, "mot.enc.conv")
     symbols = ent.quantize(latent.feats)
     data = ent.range_encode(symbols, model)
     e_hat = decode_motion_latent(symbols, latent.coords, e_t.coords, e_t.scale, w)
@@ -73,12 +68,7 @@ def decode_motion_latent(symbols, latent_coords, target_coords, target_scale, w)
     latent = SparseTensor(
         latent_coords, symbols.astype(np.float32), target_scale + 1, _trusted=True
     )
-    c_out = w["mot.dec.conv.weight"].shape[2]
-    return _conv(
-        latent, w, "mot.dec.conv",
-        ConvSpec(latent.channels, c_out, 2, stride=2, transposed=True),
-        out_coords=target_coords,
-    )
+    return _conv(latent, w, "mot.dec.conv", target_coords, transposed=True)
 
 
 def recover_motion(e_hat: SparseTensor, target_coords: np.ndarray, w) -> SparseTensor:
@@ -88,14 +78,11 @@ def recover_motion(e_hat: SparseTensor, target_coords: np.ndarray, w) -> SparseT
     up is upsampled and summed with a fine field predicted directly on the
     target coordinates.
     """
-    c = e_hat.channels
     coarse = rn_block(rn_block(e_hat, prefixed(w, "mfield.rn1")), prefixed(w, "mfield.rn2"))
-    m_coarse = _conv(coarse, w, "mfield.coarse_head", ConvSpec(c, 3, 1))
-    fine = _conv(e_hat, w, "mfield.up.conv", ConvSpec(c, c, 2, stride=2, transposed=True),
-                 out_coords=target_coords)
-    m_fine = _conv(fine, w, "mfield.fine_head", ConvSpec(c, 3, 1))
-    m_up = _conv(m_coarse, w, "mfield.coarse_up.conv",
-                 ConvSpec(3, 3, 2, stride=2, transposed=True), out_coords=target_coords)
+    m_coarse = _conv(coarse, w, "mfield.coarse_head")
+    fine = _conv(e_hat, w, "mfield.up.conv", target_coords, transposed=True)
+    m_fine = _conv(fine, w, "mfield.fine_head")
+    m_up = _conv(m_coarse, w, "mfield.coarse_up.conv", target_coords, transposed=True)
     return m_up.with_feats(m_up.feats + m_fine.feats)
 
 

@@ -54,12 +54,10 @@ class ConvSpec:
 class KernelMap:
     """Per-kernel-offset (input_row, output_row) index pair lists."""
 
-    __slots__ = ("pairs", "n_in", "n_out")
+    __slots__ = ("pairs",)
 
-    def __init__(self, pairs, n_in, n_out):
+    def __init__(self, pairs):
         self.pairs = pairs
-        self.n_in = n_in
-        self.n_out = n_out
 
 
 def build_kernel_map(in_coords, out_coords, spec: ConvSpec) -> KernelMap:
@@ -90,7 +88,7 @@ def build_kernel_map(in_coords, out_coords, spec: ConvSpec) -> KernelMap:
         pairs = _by_corner(in_coords, np.arange(in_coords.shape[0]), j.reshape(-1))
     else:
         pairs = _neighbour_pairs(in_coords, out_coords, spec.offsets())
-    return KernelMap(pairs, in_coords.shape[0], out_coords.shape[0])
+    return KernelMap(pairs)
 
 
 def _by_corner(children, i_rows, j_rows):
@@ -156,7 +154,6 @@ def sparse_conv(
     weight: np.ndarray,
     bias=None,
     out_coords=None,
-    kmap: KernelMap | None = None,
 ) -> SparseTensor:
     """Generalized sparse convolution.
 
@@ -180,12 +177,11 @@ def sparse_conv(
     out = np.zeros((out_coords.shape[0], spec.out_channels), dtype=dtype)
     if bias is not None:
         out += np.asarray(bias, dtype=dtype)
-    if kmap is None and same and spec.kernel_size == 1:
+    if same and spec.kernel_size == 1:
         # a 1x1 kernel on its own coordinates pairs every row with itself
         out += x.feats @ w[0]
     else:
-        if kmap is None:
-            kmap = _cached_kernel_map(x, out_coords, spec)
+        kmap = _cached_kernel_map(x, out_coords, spec)
         for o, (i_idx, j_idx) in enumerate(kmap.pairs):
             if i_idx.size:
                 # within one offset each output row appears at most once
@@ -231,34 +227,46 @@ def relu(x: SparseTensor) -> SparseTensor:
     return x.with_feats(np.maximum(x.feats, 0))
 
 
-def _conv(x, w, name, spec, out_coords=None):
-    return sparse_conv(x, spec, w[name + ".weight"], w[name + ".bias"], out_coords)
+# kernel offsets per weight -> (kernel_size, stride).  No layer is a stride-1
+# kernel-2 conv, so the {0,1}^3 corner kernel is always stride 2, forward or
+# transposed.
+_GEOMETRY = {1: (1, 1), 27: (3, 1), 8: (2, 2)}
+
+
+def _weight_spec(weight, transposed=False) -> ConvSpec:
+    """The ConvSpec a (offsets, cin, cout) weight tensor implies."""
+    shape = np.shape(weight)
+    if len(shape) != 3 or shape[0] not in _GEOMETRY:
+        raise ContractViolation(f"weight shape {shape} names no supported kernel")
+    kernel_size, stride = _GEOMETRY[shape[0]]
+    return ConvSpec(shape[1], shape[2], kernel_size, stride, transposed)
+
+
+def _conv(x, w, name, out_coords=None, transposed=False):
+    """Layer ``name`` of the weights ``w``, its geometry read from the weight."""
+    weight = w[name + ".weight"]
+    return sparse_conv(x, _weight_spec(weight, transposed), weight, w[name + ".bias"], out_coords)
 
 
 def irn_block(x: SparseTensor, w) -> SparseTensor:
     """Channel-preserving inception-residual block: x + concat of three branches.
 
-    Branches on O input channels: (1x1 -> O/4, 3x3 -> O/4),
-    (3x3 -> O/4, 3x3 -> O/4), (1x1 -> O/2).  Coordinates unchanged.
+    Branches (1x1 -> 3x3), (3x3 -> 3x3) and (1x1); PCGCv2 gives them O/4,
+    O/4 and O/2 of the O input channels.  Coordinates unchanged.
     """
-    o = x.channels
-    if o % 4:
-        raise ContractViolation(f"IRN channels ({o}) must be divisible by 4")
-    q, h = o // 4, o // 2
-    b0 = _conv(x, w, "b0c1", ConvSpec(o, q, 1))
-    b0 = _conv(b0, w, "b0c2", ConvSpec(q, q, 3))
-    b1 = _conv(x, w, "b1c1", ConvSpec(o, q, 3))
-    b1 = _conv(b1, w, "b1c2", ConvSpec(q, q, 3))
-    b2 = _conv(x, w, "b2c1", ConvSpec(o, h, 1))
+    b0 = _conv(_conv(x, w, "b0c1"), w, "b0c2")
+    b1 = _conv(_conv(x, w, "b1c1"), w, "b1c2")
+    b2 = _conv(x, w, "b2c1")
+    widths = (b0.channels, b1.channels, b2.channels)
+    if sum(widths) != x.channels:
+        raise ContractViolation(f"IRN branch widths {widths} do not add up to {x.channels}")
     inception = np.concatenate([b0.feats, b1.feats, b2.feats], axis=1)
     return x.with_feats(x.feats + inception)
 
 
 def rn_block(x: SparseTensor, w) -> SparseTensor:
     """Residual block: x + conv3(relu(conv3(x))).  Coordinates unchanged."""
-    c = x.channels
-    y = _conv(x, w, "c1", ConvSpec(c, c, 3))
-    y = _conv(relu(y), w, "c2", ConvSpec(c, c, 3))
+    y = _conv(relu(_conv(x, w, "c1")), w, "c2")
     return x.with_feats(x.feats + y.feats)
 
 
@@ -273,8 +281,8 @@ def _sigmoid(z):
 
 def classify_occupancy(x: SparseTensor, w) -> np.ndarray:
     """Per-voxel occupation probability: logistic of a 1x1 conv to one channel."""
-    spec = ConvSpec(x.channels, 1, 1)
-    logits = sparse_conv(x, spec, w["weight"], w["bias"]).feats[:, 0]
+    weight = w["weight"]
+    logits = sparse_conv(x, _weight_spec(weight), weight, w["bias"]).feats[:, 0]
     return _sigmoid(logits.astype(np.float64))
 
 

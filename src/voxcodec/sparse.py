@@ -175,10 +175,8 @@ def add_on_union(a: SparseTensor, b: SparseTensor) -> SparseTensor:
     return SparseTensor(unpack_keys(union), out, a.scale, _trusted=True)
 
 
-def stride_down_coords(coords: np.ndarray, factor: int = 2) -> np.ndarray:
+def stride_down_coords(coords: np.ndarray) -> np.ndarray:
     """Unique floor-division of coordinates by two, lexicographically sorted."""
-    if factor != 2:
-        raise ContractViolation("only factor 2 is supported")
     c = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     if c.size == 0:
         return np.empty((0, 3), dtype=np.int32)

@@ -54,18 +54,14 @@ def conv_layout() -> list[tuple[str, ConvSpec]]:
     """Every convolution layer in the pipeline, as (name, spec)."""
     layers: list[tuple[str, ConvSpec]] = []
 
-    def down_block(prefix, cin, cout):
-        layers.append((f"{prefix}.conv", ConvSpec(cin, cout, 2, stride=2)))
+    def block(prefix, cin, cout, transposed=False):
+        # PCGCv2 scale block: a stride-2 conv, then three IRN blocks
+        layers.append((f"{prefix}.conv", ConvSpec(cin, cout, 2, stride=2, transposed=transposed)))
         for i in (1, 2, 3):
             layers.extend(_irn_layers(f"{prefix}.irn{i}", cout))
 
-    def up_block(prefix, cin, cout):
-        layers.append((f"{prefix}.conv", ConvSpec(cin, cout, 2, stride=2, transposed=True)))
-        for i in (1, 2, 3):
-            layers.extend(_irn_layers(f"{prefix}.irn{i}", cout))
-
-    down_block("fe.down1", 1, FE_C1)
-    down_block("fe.down2", FE_C1, FE_C2)
+    block("fe.down1", 1, FE_C1)
+    block("fe.down2", FE_C1, FE_C2)
 
     layers.append(("flow.conv1", ConvSpec(2 * FE_C2, FLOW_C, 3)))
     layers.append(("flow.conv2", ConvSpec(FLOW_C, FLOW_C, 3)))
@@ -86,13 +82,13 @@ def conv_layout() -> list[tuple[str, ConvSpec]]:
     layers.append(("mfield.fine_head", ConvSpec(FLOW_C, 3, 1)))
     layers.append(("mfield.coarse_up.conv", ConvSpec(3, 3, 2, stride=2, transposed=True)))
 
-    down_block("res.enc.down", FE_C2, FE_C2)
+    block("res.enc.down", FE_C2, FE_C2)
     layers.append(("res.enc.head", ConvSpec(FE_C2, RESIDUAL_LATENT_C, 3)))
-    up_block("res.dec.up", RESIDUAL_LATENT_C, FE_C2)
+    block("res.dec.up", RESIDUAL_LATENT_C, FE_C2, transposed=True)
 
-    up_block("rec.up1", FE_C2, REC_C1)
+    block("rec.up1", FE_C2, REC_C1, transposed=True)
     layers.append(("rec.up1.cls", ConvSpec(REC_C1, 1, 1)))
-    up_block("rec.up2", REC_C1, REC_C0)
+    block("rec.up2", REC_C1, REC_C0, transposed=True)
     layers.append(("rec.up2.cls", ConvSpec(REC_C0, 1, 1)))
     return layers
 

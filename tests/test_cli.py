@@ -73,6 +73,21 @@ class TestEncode:
                        "--output", str(tmp_path / "x")])
         assert rc == cli.EXIT_NO_WEIGHTS
 
+    def test_nan_entropy_offset_exit_2(self, tmp_path, capsys):
+        from voxcodec.weights import WeightStore, make_weights
+
+        store = make_weights(0)
+        tensors = {n: store[n] for n in store.names()}
+        offset = tensors["entropy.motion.offset"].copy()
+        offset[0] = np.nan
+        tensors["entropy.motion.offset"] = offset
+        path = tmp_path / "nan.dpcw"
+        WeightStore(tensors).save(path)
+        rc = cli.main(["encode", "--weights", str(path), "--synthetic", "rigid:100,1,0",
+                       "--output", str(tmp_path / "x")])
+        assert rc == cli.EXIT_NO_WEIGHTS
+        assert "unusable weight file" in capsys.readouterr().err
+
     def test_env_var_weights(self, tmp_path, weights_file, monkeypatch):
         monkeypatch.setenv("DDPC_WEIGHTS", str(weights_file))
         rc = cli.main(["encode", "--synthetic", "rigid:100,1,0", "--precision", "6",

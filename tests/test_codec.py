@@ -221,6 +221,32 @@ class TestEndToEnd:
         with pytest.raises(DecodeError, match="substreams"):
             codec.decode(codec.parse(codec.serialize(tampered)), None, models, store)
 
+    @pytest.mark.parametrize("case", [
+        "depth", "n1-below-n2", "n0-below-n1", "n1-above-8-n2", "n0-above-8-n1"])
+    def test_header_counts_checked_before_octree(self, store, models, small_frames,
+                                                 monkeypatch, case):
+        bs, _ = codec.encode_intra(small_frames[0], models, store)
+        n2 = codec.oc.parse_stream(bs.get(codec.SUB_COORDS)).count
+        precision, n0, n1 = bs.precision_bits, bs.n0, bs.n1
+        if case == "depth":
+            precision += 1
+        elif case == "n1-below-n2":
+            n1 = n2 - 1
+        elif case == "n0-below-n1":
+            n0 = n1 - 1
+        elif case == "n1-above-8-n2":
+            n1 = n0 = 8 * n2 + 1
+        else:
+            n0 = 8 * n1 + 1
+        crafted = codec.FrameBitstream(codec.FRAME_I, precision, bs.lam, n0, n1, bs.substreams)
+
+        def octree_decode(stream):
+            raise AssertionError("octree decoded before the header counts were checked")
+
+        monkeypatch.setattr(codec.oc, "octree_decode", octree_decode)
+        with pytest.raises(DecodeError):
+            codec.decode(codec.parse(codec.serialize(crafted)), None, models, store)
+
     def test_latent_carry_variant_closed_loop(self, store, models, small_frames):
         f0, f1 = small_frames
         bs0, enc0 = codec.encode_intra(f0, models, store, latent_carry=True)

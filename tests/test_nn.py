@@ -178,8 +178,8 @@ class TestKernelMapMemo:
             w = rng.normal(size=spec.weight_shape).astype(np.float32)
             for out in outs:
                 got = sparse_conv(x, spec, w, None, out)
-                expect = sparse_conv(x, spec, w, None, out,
-                                     kmap=build_kernel_map(x.coords, out, spec))
+                fresh = SparseTensor(x.coords, x.feats, x.scale)  # an empty memo
+                expect = sparse_conv(fresh, spec, w, None, out)
                 assert got.feats.tobytes() == expect.feats.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -199,7 +199,7 @@ class TestKernelMapMemo:
             out = stride_down_coords(x.coords)
         else:
             out = x.coords
-        expect = sparse_conv(x, spec, w, b, out, kmap=build_kernel_map(x.coords, out, spec))
+        expect = sparse_conv(SparseTensor(x.coords, x.feats, x.scale), spec, w, b, out)
         for _ in range(2):  # the first call fills the memo, the second reads it
             got = sparse_conv(x, spec, w, b, out)
             assert got.feats.dtype == dtype
@@ -316,6 +316,33 @@ class TestActivationsAndBlocks:
             parts.append(cur_feats)
         expect = x.feats + np.concatenate(parts, axis=1)
         assert np.abs(y.feats - expect).max() < 1e-4
+
+    def test_irn_branch_widths_must_add_up(self):
+        rng = np.random.default_rng(5)
+        x = random_tensor(rng, 12, 6, 8)
+        w, _ = irn_weights(rng, 8)
+        w["b2c1.weight"] = rng.normal(size=(1, 8, 3)).astype(np.float32)
+        w["b2c1.bias"] = np.zeros(3, np.float32)
+        with pytest.raises(ContractViolation, match="branch widths"):
+            irn_block(x, w)
+
+    def test_conv_geometry_comes_from_the_weight(self):
+        rng = np.random.default_rng(6)
+        x = random_tensor(rng, 20, 6, 2, scale=1)
+        for offsets, spec, out, transposed in [
+            (1, ConvSpec(2, 3, 1), None, False),
+            (27, ConvSpec(2, 3, 3), None, False),
+            (8, ConvSpec(2, 3, 2, stride=2), None, False),
+            (8, ConvSpec(2, 3, 2, stride=2, transposed=True), _children(x.coords), True),
+        ]:
+            w = {"l.weight": rng.normal(size=(offsets, 2, 3)), "l.bias": rng.normal(size=3)}
+            got = nn._conv(x, w, "l", out, transposed=transposed)
+            expect = sparse_conv(x, spec, w["l.weight"], w["l.bias"], out)
+            assert got.feats.tobytes() == expect.feats.tobytes()
+        for offsets, transposed in [(5, False), (27, True)]:
+            w = {"l.weight": np.zeros((offsets, 2, 3)), "l.bias": np.zeros(3)}
+            with pytest.raises(ContractViolation):
+                nn._conv(x, w, "l", x.coords, transposed=transposed)
 
     def test_rn_zero_weights_identity(self):
         rng = np.random.default_rng(3)

@@ -156,10 +156,6 @@ class TestStrideDown:
     def test_empty(self):
         assert stride_down_coords(np.empty((0, 3), np.int64)).shape == (0, 3)
 
-    def test_rejects_other_factors(self):
-        with pytest.raises(ContractViolation):
-            stride_down_coords(np.array([[0, 0, 0]]), factor=4)
-
     @given(st.sets(st.tuples(st.integers(0, 31), st.integers(0, 31), st.integers(0, 31)),
                    min_size=1, max_size=30))
     @settings(max_examples=40, deadline=None)

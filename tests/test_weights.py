@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from voxcodec import codec, nn, synthetic
 from voxcodec.errors import ContractViolation, DecodeError
 from voxcodec.nn import ConvSpec
 from voxcodec.weights import (
@@ -90,3 +91,34 @@ def test_expected_conv_specs_consistent():
         assert isinstance(spec, ConvSpec)
         if spec.transposed:
             assert spec.stride == 2 and spec.kernel_size == 2
+
+
+@pytest.mark.parametrize("key", ["offset", "size", "cdf"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.5, 1e30])
+def test_entropy_tables_must_hold_integers(store, key, value):
+    tensors = {n: store[n] for n in store.names()}
+    arr = tensors[f"entropy.motion.{key}"].copy()
+    arr.flat[0] = value
+    tensors[f"entropy.motion.{key}"] = arr
+    with pytest.raises(DecodeError):
+        entropy_models(WeightStore(tensors))
+
+
+def test_every_layer_runs_with_its_layout_spec(store, models, monkeypatch):
+    """The pipeline reads each conv's geometry from its weight; across an
+    I+P encode and decode every layer runs, with exactly its layout spec."""
+    layer_of = {id(store[name + ".weight"]): name for name, _ in conv_layout()}
+    used = {}
+    original = nn.sparse_conv
+
+    def recording(x, spec, weight, bias=None, out_coords=None):
+        used.setdefault(layer_of[id(weight)], set()).add(spec)
+        return original(x, spec, weight, bias, out_coords)
+
+    monkeypatch.setattr(nn, "sparse_conv", recording)
+    f0, f1 = synthetic.make_rigid_sequence(300, 2, 1, 6, seed=3)
+    bs0, enc0 = codec.encode_intra(f0, models, store)
+    bs1, _ = codec.encode_inter(f1, enc0.reference_latent, models, store)
+    dec0 = codec.decode(bs0, None, models, store)
+    codec.decode(bs1, dec0.reference_latent, models, store)
+    assert used == {name: {spec} for name, spec in conv_layout()}
