@@ -121,8 +121,6 @@ class FrameResult:
     reference_latent: SparseTensor        # reference for the next frame
     rate: ent.RateReport
     scale_probs: list = field(default_factory=list)   # (probs, candidates, truth_scale)
-    motion_symbols: np.ndarray | None = None
-    residual_symbols: np.ndarray | None = None
 
 
 def _block(x, w, prefix, up_to=None) -> SparseTensor:
@@ -201,7 +199,7 @@ def _coords_substream(c2: np.ndarray, precision_bits: int) -> bytes:
 
 
 def _finish_frame(y_prime, bs, models, w, latent_carry=False,
-                  motion_symbols=None, residual_symbols=None, octree_bytes=0):
+                  motion_symbols=None, residual_symbols=None):
     decoded, probs = reconstruct(y_prime, bs.n1, bs.n0, w, bs.precision_bits)
     if latent_carry:
         reference = y_prime
@@ -209,19 +207,13 @@ def _finish_frame(y_prime, bs, models, w, latent_carry=False,
         reference = SparseTensor.empty(y_prime.channels, scale=2)
     else:
         reference = feature_extract(decoded, w)
-    est_bits = 8.0 * octree_bytes
-    breakdown = {"coords": 8.0 * octree_bytes}
+    breakdown = {"coords": 8.0 * len(bs.get(SUB_COORDS))}
     if motion_symbols is not None:
-        b = ent.estimate_bits(motion_symbols, models["motion"])
-        est_bits += b
-        breakdown["motion"] = b
+        breakdown["motion"] = ent.estimate_bits(motion_symbols, models["motion"])
     if residual_symbols is not None:
-        b = ent.estimate_bits(residual_symbols, models["residual"])
-        est_bits += b
-        breakdown["residual"] = b
-    rate = ent.RateReport(est_bits, bs.payload_bytes(), breakdown)
-    return FrameResult(decoded, y_prime, reference, rate, probs,
-                       motion_symbols, residual_symbols)
+        breakdown["residual"] = ent.estimate_bits(residual_symbols, models["residual"])
+    rate = ent.RateReport(sum(breakdown.values()), breakdown)
+    return FrameResult(decoded, y_prime, reference, rate, probs)
 
 
 def encode_intra(frame: PointCloudFrame, models, w, lam=3, latent_carry=False):
@@ -233,8 +225,7 @@ def encode_intra(frame: PointCloudFrame, models, w, lam=3, latent_carry=False):
     res_bytes, r_hat, symbols = compress_residual(y, models["residual"], w)
     bs = FrameBitstream(FRAME_I, frame.precision_bits, lam, n0, n1,
                         [(SUB_COORDS, coords_sub), (SUB_RESIDUAL, res_bytes)])
-    result = _finish_frame(r_hat, bs, models, w, latent_carry,
-                           residual_symbols=symbols, octree_bytes=len(coords_sub))
+    result = _finish_frame(r_hat, bs, models, w, latent_carry, residual_symbols=symbols)
     return bs, result
 
 
@@ -259,8 +250,7 @@ def encode_inter(frame: PointCloudFrame, prev_latent: SparseTensor, models, w,
                          (SUB_RESIDUAL, res_bytes)])
     result = _finish_frame(y_prime, bs, models, w, latent_carry,
                            motion_symbols=motion_symbols,
-                           residual_symbols=residual_symbols,
-                           octree_bytes=len(coords_sub))
+                           residual_symbols=residual_symbols)
     return bs, result
 
 
@@ -297,10 +287,8 @@ def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=F
         rsym = ent.range_decode(bs.get(SUB_RESIDUAL), models["residual"], c3.shape[0])
         y_prime = _residual_decode(rsym, c3, c2, w)
         motion_symbols = None
-    octree_bytes = len(bs.get(SUB_COORDS))
     return _finish_frame(y_prime, bs, models, w, latent_carry=latent_carry,
-                         motion_symbols=motion_symbols, residual_symbols=rsym,
-                         octree_bytes=octree_bytes)
+                         motion_symbols=motion_symbols, residual_symbols=rsym)
 
 
 def bce_occupancy(probs: np.ndarray, candidates: np.ndarray, truth: np.ndarray) -> float:

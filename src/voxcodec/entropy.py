@@ -22,7 +22,6 @@ _LOG2_TOTAL = 16.0
 @dataclass
 class RateReport:
     total_bits: float
-    coded_bytes: int
     breakdown: dict
 
 
@@ -122,15 +121,14 @@ def range_encode(symbols: np.ndarray, model: EntropyModel) -> bytes:
         for v in s[:, c]:
             slot = int(v) - offset
             if 0 <= slot < nsym:
-                enc.encode(int(cdf[slot]), int(cdf[slot + 1] - cdf[slot]), TOTAL)
+                enc.encode_symbol(cdf, slot)
             else:
-                esc = int(cdf[nsym + 1] - cdf[nsym])
-                if esc <= 0:
+                if cdf[nsym + 1] == cdf[nsym]:
                     raise ContractViolation("symbol out of range and model has no escape slot")
                 z = _zigzag(int(v))
                 if z >= 1 << 32:
                     raise ContractViolation("escape symbol exceeds 32-bit raw range")
-                enc.encode(int(cdf[nsym]), esc, TOTAL)
+                enc.encode_symbol(cdf, nsym)
                 enc.encode_raw_u32(z)
     return enc.finish()
 
@@ -144,7 +142,7 @@ def range_decode(data: bytes, model: EntropyModel, count: int) -> np.ndarray:
         offset = int(model.offsets[c])
         nsym = cdf.size - 2
         for i in range(count):
-            slot = dec.decode_symbol(cdf, TOTAL)
+            slot = dec.decode_symbol(cdf)
             if slot < nsym:
                 out[i, c] = slot + offset
             else:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import motion as mo
 from .errors import ContractViolation
 from .knn import knn
-from .motion import DIST_EPS, adaptive_interpolate, interpolate_gradients
 from .nn import ConvSpec, build_kernel_map, sparse_conv, sparse_conv_backward
 from .sparse import SparseTensor
 
@@ -137,10 +137,11 @@ def _interp_instance(seed: int, branch: str):
             mfeats = rng.uniform(0.05, 0.25, size=(len(mcoords), 3))
         m = SparseTensor.build(mcoords, mfeats, scale=2)
         translated = m.coords.astype(np.float64) + m.feats
-        idx, d2 = knn(translated, ref, 3)
-        if d2.shape[1] < 3 or np.any(d2 < 100 * DIST_EPS):
+        # the 4th neighbour is only read by the near-tie test below
+        idx, d2 = knn(translated, ref, 4)
+        if d2.shape[1] < 4 or np.any(d2[:, :3] < 100 * mo.DIST_EPS):
             continue
-        s = (1.0 / np.maximum(d2, DIST_EPS)).sum(axis=1)
+        s = mo.interpolate_over(translated, ref.coords, ref.feats, idx[:, :3], alpha)[2]
         capped = s < alpha
         if branch == "capped" and not np.all(capped):
             continue
@@ -149,8 +150,7 @@ def _interp_instance(seed: int, branch: str):
         if np.any(np.abs(s - alpha) < 0.05):
             continue
         # reject near-ties at the membership boundary
-        _, d2_4 = knn(translated, ref, 4)
-        if np.any(d2_4[:, 3] - d2_4[:, 2] < 0.05):
+        if np.any(d2[:, 3] - d2[:, 2] < 0.05):
             continue
         return m, ref, alpha
     raise ContractViolation(f"could not sample a {branch}-branch instance for seed {seed}")
@@ -161,26 +161,16 @@ def grad_interpolate(seed: int, branch: str = "open") -> GradReport:
     motion vectors, in the requested denominator branch."""
     m, ref, alpha = _interp_instance(seed, branch)
     rng = np.random.Generator(np.random.PCG64(seed + 1))
-    base = adaptive_interpolate(m, ref, alpha)
-    g = rng.normal(size=base.feats.shape)
-    grad_ref, grad_motion, idx, d2 = interpolate_gradients(m, ref, alpha, g)
+    g = rng.normal(size=(m.n, ref.channels))
+    grad_ref, grad_motion, idx, _ = mo.interpolate_gradients(m, ref, alpha, g)
+    translated = m.coords.astype(np.float64) + m.feats
 
     def loss_from_ref(f):
-        feats = f
-        d2c = np.maximum(d2, DIST_EPS)
-        w = 1.0 / d2c
-        denom = np.maximum(w.sum(axis=1), alpha)
-        pred = np.einsum("qk,qkc->qc", w / denom[:, None], feats[idx])
+        pred = mo.interpolate_over(translated, ref.coords, f, idx, alpha)[0]
         return float(np.sum(pred * g))
 
     def loss_from_motion(mf):
-        translated = m.coords.astype(np.float64) + mf
-        diff = translated[:, None, :] - ref.coords[idx].astype(np.float64)
-        dd = (diff**2).sum(axis=2)
-        d2c = np.maximum(dd, DIST_EPS)
-        w = 1.0 / d2c
-        denom = np.maximum(w.sum(axis=1), alpha)
-        pred = np.einsum("qk,qkc->qc", w / denom[:, None], ref.feats.astype(np.float64)[idx])
+        pred = mo.interpolate_over(m.coords + mf, ref.coords, ref.feats, idx, alpha)[0]
         return float(np.sum(pred * g))
 
     errors = {
@@ -262,28 +252,19 @@ def grad_chain(seed: int) -> GradReport:
     weight = rng.normal(size=spec.weight_shape)
     bias = rng.normal(size=4)
     m, _, alpha = _interp_instance(seed + 77, "open")
-
-    def forward(f):
-        ref = sparse_conv(x.with_feats(f), spec, weight, bias)
-        translated = m.coords.astype(np.float64) + m.feats
-        idx, d2 = knn(translated, ref, min(3, ref.n))
-        w = 1.0 / np.maximum(d2, DIST_EPS)
-        denom = np.maximum(w.sum(axis=1), alpha)
-        pred = np.einsum("qk,qkc->qc", w / denom[:, None], ref.feats.astype(np.float64)[idx])
-        return pred
-
-    base_ref = sparse_conv(x, spec, weight, bias)
     translated = m.coords.astype(np.float64) + m.feats
-    idx, d2 = knn(translated, base_ref, min(3, base_ref.n))
     g = rng.normal(size=(m.n, 4))
 
     # analytic: chain interpolation feature-gradient through the convolution
-    grad_ref, _, _, _ = interpolate_gradients(m, base_ref, alpha, g, idx, d2)
+    base_ref = sparse_conv(x, spec, weight, bias)
+    grad_ref, _, idx, _ = mo.interpolate_gradients(m, base_ref, alpha, g)
     kmap = build_kernel_map(x.coords, base_ref.coords, spec)
     grad_in, _, _ = sparse_conv_backward(x, spec, weight, kmap, grad_ref)
 
     def loss(f):
-        return float(np.sum(forward(f) * g))
+        ref = sparse_conv(x.with_feats(f), spec, weight, bias)
+        pred = mo.interpolate_over(translated, ref.coords, ref.feats, idx, alpha)[0]
+        return float(np.sum(pred * g))
 
     fd = central_diff(loss, x.feats.astype(np.float64))
     err = rel_error(grad_in, fd)

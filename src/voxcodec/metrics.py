@@ -8,8 +8,6 @@ ties resolved toward +y then +z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractViolation
@@ -17,13 +15,6 @@ from .knn import knn
 from .sparse import PointCloudFrame
 
 DEFAULT_PEAK = 1023
-
-
-@dataclass
-class RDPoint:
-    bpp: float
-    d1_psnr: float
-    d2_psnr: float | None = None
 
 
 def _coords(frame) -> np.ndarray:
@@ -126,17 +117,8 @@ def bd_rate(curve_a, curve_b) -> float:
 
 
 def _curve_arrays(curve):
-    rates = []
-    quals = []
-    for p in curve:
-        if isinstance(p, RDPoint):
-            rates.append(p.bpp)
-            quals.append(p.d1_psnr)
-        else:
-            rates.append(p[0])
-            quals.append(p[1])
-    r = np.asarray(rates, dtype=np.float64)
-    q = np.asarray(quals, dtype=np.float64)
+    r = np.asarray([p[0] for p in curve], dtype=np.float64)
+    q = np.asarray([p[1] for p in curve], dtype=np.float64)
     if r.size < 4:
         raise ContractViolation("each curve needs at least 4 rate-distortion points")
     if not (np.isfinite(r).all() and np.isfinite(q).all()) or np.any(r <= 0):

@@ -105,17 +105,33 @@ def adaptive_interpolate(
     if alpha <= 0:
         raise ContractViolation("alpha must be positive")
     translated = motion.coords.astype(np.float64) + motion.feats.astype(np.float64)
-    idx, d2 = knn(translated, reference, 3)
-    w = 1.0 / np.maximum(d2, DIST_EPS)
-    denom = np.maximum(w.sum(axis=1), alpha)
-    mix = w / denom[:, None]
-    out = np.einsum("qk,qkc->qc", mix, reference.feats[idx].astype(np.float64))
+    idx, _ = knn(translated, reference, 3)
+    out = interpolate_over(translated, reference.coords, reference.feats, idx, alpha)[0]
     return SparseTensor(
         motion.coords, out.astype(reference.feats.dtype), motion.scale, _trusted=True
     )
 
 
-def interpolate_gradients(motion, reference, alpha, grad_out, idx=None, d2=None):
+def interpolate_over(translated, coords, feats, idx, alpha):
+    """The adaptively weighted interpolation of adaptive_interpolate over
+    fixed neighbours: row q mixes the reference features ``feats[idx[q]]``
+    by the distances from ``translated[q]`` to ``coords[idx[q]]``.
+
+    Returns (prediction, mix, s, d2, offset): the float64 prediction, the
+    weights w / max(s, alpha) with s = sum(w), the squared distances (in
+    knn's expression, so they equal knn's bit for bit), and the
+    neighbour-minus-query offsets.
+    """
+    offset = coords[idx].astype(np.float64) - translated[:, None, :]
+    d2 = (offset**2).sum(axis=2)
+    w = 1.0 / np.maximum(d2, DIST_EPS)
+    s = w.sum(axis=1)
+    mix = w / np.maximum(s, alpha)[:, None]
+    pred = np.einsum("qk,qkc->qc", mix, feats[idx].astype(np.float64))
+    return pred, mix, s, d2, offset
+
+
+def interpolate_gradients(motion, reference, alpha, grad_out):
     """Analytic gradients of adaptive_interpolate w.r.t. reference features
     and motion vectors, with the 3-NN membership frozen.
 
@@ -124,30 +140,23 @@ def interpolate_gradients(motion, reference, alpha, grad_out, idx=None, d2=None)
     feats = reference.feats.astype(np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     translated = motion.coords.astype(np.float64) + motion.feats.astype(np.float64)
-    if idx is None:
-        idx, d2 = knn(translated, reference, 3)
-    d2c = np.maximum(d2, DIST_EPS)
-    w = 1.0 / d2c
-    s = w.sum(axis=1)
-    denom = np.maximum(s, alpha)
-    mix = w / denom[:, None]
+    idx, _ = knn(translated, reference, 3)
+    pred, mix, s, d2, offset = interpolate_over(translated, reference.coords, feats, idx, alpha)
 
     grad_ref = np.zeros_like(feats)
     np.add.at(grad_ref, idx, mix[:, :, None] * grad_out[:, None, :])
 
     # dL/dw_v, split by the active branch of the max() denominator
     gy = np.einsum("qc,qkc->qk", grad_out, feats[idx])
-    pred = np.einsum("qk,qkc->qc", mix, feats[idx])
     capped = s < alpha
     dw = np.where(
         capped[:, None],
         gy / alpha,
         (gy - np.einsum("qc,qc->q", grad_out, pred)[:, None]) / s[:, None],
     )
-    # w = 1/clamp(d2): flat inside the clamp
-    dd2 = np.where(d2 > DIST_EPS, -dw / (d2c**2), 0.0)
-    diff = translated[:, None, :] - reference.coords[idx].astype(np.float64)
-    grad_motion = (dd2[:, :, None] * 2.0 * diff).sum(axis=1)
+    # w = 1/clamp(d2): flat inside the clamp; d(d2)/d(translated) = -2 offset
+    dd2 = np.where(d2 > DIST_EPS, -dw / np.maximum(d2, DIST_EPS) ** 2, 0.0)
+    grad_motion = -(dd2[:, :, None] * 2.0 * offset).sum(axis=1)
     return grad_ref, grad_motion, idx, d2
 
 

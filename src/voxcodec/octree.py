@@ -2,11 +2,11 @@
 
 Breadth-first occupancy bytes: one byte per internal node, bit ``0x80 >> b``
 set iff child ``b`` is non-empty, with child index b = 4*(x bit) + 2*(y bit)
-+ (z bit).  The byte stream is optionally wrapped by the range coder with an
-adaptive byte model.
++ (z bit).  The payload is that byte stream range-coded under an adaptive
+byte model.
 
-Substream layout: u8 depth, u8 flags (bit0 = range-coded), u32 point count,
-payload.
+Substream layout: u8 depth, u8 flags, u32 point count, payload.  The flags
+byte is always 0x01 (range-coded); a decoder rejects any other value.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class OctreeStream:
     depth: int
     count: int
     payload: bytes
-    range_coded: bool
 
 
 def _morton(coords: np.ndarray, depth: int) -> np.ndarray:
@@ -53,8 +52,9 @@ def _unmorton(codes: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
-def octree_encode(coords: np.ndarray, depth: int, range_coded: bool = True) -> OctreeStream:
-    """Encode a coordinate set losslessly; all coords must lie in [0, 2^depth)^3."""
+def _levels(coords: np.ndarray, depth: int) -> tuple[int, bytes]:
+    """(distinct point count, breadth-first occupancy bytes) of a coordinate
+    set; all coords must lie in [0, 2^depth)^3."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     if coords.shape[0] == 0:
         raise ContractViolation("cannot octree-encode an empty set")
@@ -75,9 +75,18 @@ def octree_encode(coords: np.ndarray, depth: int, range_coded: bool = True) -> O
         level_bytes = np.zeros(uniq_parents.size, dtype=np.uint8)
         np.bitwise_or.at(level_bytes, parent_idx, (0x80 >> child).astype(np.uint8))
         occupancy.extend(level_bytes.tobytes())
-    raw = bytes(occupancy)
-    payload = encode_bytes_adaptive(raw) if range_coded else raw
-    return OctreeStream(depth, int(codes.size), payload, range_coded)
+    return int(codes.size), bytes(occupancy)
+
+
+def occupancy_bytes(coords: np.ndarray, depth: int) -> bytes:
+    """The breadth-first occupancy bytes that octree_encode range-codes."""
+    return _levels(coords, depth)[1]
+
+
+def octree_encode(coords: np.ndarray, depth: int) -> OctreeStream:
+    """Encode a coordinate set losslessly; all coords must lie in [0, 2^depth)^3."""
+    count, occupancy = _levels(coords, depth)
+    return OctreeStream(depth, count, encode_bytes_adaptive(occupancy))
 
 
 def octree_decode(stream: OctreeStream) -> np.ndarray:
@@ -86,8 +95,8 @@ def octree_decode(stream: OctreeStream) -> np.ndarray:
     if count < 1:
         raise DecodeError("octree stream declares zero points")
     # the byte count of each level is known only once the previous level
-    # is decoded, so both readers hand out bytes level by level
-    reader = (AdaptiveByteDecoder if stream.range_coded else _RawReader)(stream.payload)
+    # is decoded, so the reader hands out bytes level by level
+    reader = AdaptiveByteDecoder(stream.payload)
     nodes = np.zeros(1, dtype=np.uint64)
     for _ in range(depth):
         bits = np.frombuffer(reader.read(nodes.size), dtype=np.uint8)
@@ -107,26 +116,8 @@ def octree_decode(stream: OctreeStream) -> np.ndarray:
     return coords[lex_order(coords)].astype(np.int32)
 
 
-class _RawReader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def read(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DecodeError("octree occupancy stream is truncated")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def finish(self):
-        if self.pos != len(self.data):
-            raise DecodeError("trailing bytes after octree occupancy stream")
-
-
 def serialize_stream(stream: OctreeStream) -> bytes:
-    flags = FLAG_RANGE_CODED if stream.range_coded else 0
-    return struct.pack("<BBI", stream.depth, flags, stream.count) + stream.payload
+    return struct.pack("<BBI", stream.depth, FLAG_RANGE_CODED, stream.count) + stream.payload
 
 
 def parse_stream(data: bytes) -> OctreeStream:
@@ -135,4 +126,7 @@ def parse_stream(data: bytes) -> OctreeStream:
     depth, flags, count = struct.unpack_from("<BBI", data, 0)
     if not 1 <= depth <= MAX_DEPTH:
         raise DecodeError(f"octree depth {depth} outside [1, {MAX_DEPTH}]")
-    return OctreeStream(depth, count, data[6:], bool(flags & FLAG_RANGE_CODED))
+    if flags != FLAG_RANGE_CODED:
+        raise DecodeError(f"octree flags {flags:#04x}: only {FLAG_RANGE_CODED:#04x} "
+                          "(range-coded) is defined")
+    return OctreeStream(depth, count, data[6:])

@@ -5,13 +5,16 @@ is settled, and near-underflow the range is clamped to the next 2^16 boundary,
 so emitted bytes are final.  All arithmetic is fixed-width integer, hence
 decoding is deterministic and platform independent.
 
-Cumulative frequency totals must not exceed 2^16.  The flush writes exactly
-two bytes: the shortest prefix of a value inside the final interval (the
-post-normalization range is always >= 2^16, so a multiple of 2^16 exists in
-it).  The decoder mirrors the encoder's renormalization byte for byte, so on
-a valid stream it runs exactly two bytes past the physical stream end (the
-flush it never sees in full): any further read means the stream was
-truncated, and ending short of them means trailing bytes.
+One symbol step each way: the encoder takes a cumulative table cdf (a 1-D
+numpy integer array, cdf[0] = 0, total cdf[-1] at most 2^16) and a symbol
+index into it, and the decoder takes the same table and returns the index.
+The flush writes exactly two bytes: the shortest prefix of a value inside
+the final interval (the post-normalization range is always >= 2^16, so a
+multiple of 2^16 exists in it).  The decoder mirrors the encoder's
+renormalization byte for byte, so on a valid stream it runs exactly two
+bytes past the physical stream end (the flush it never sees in full): any
+further read means the stream was truncated, and ending short of them means
+trailing bytes.
 """
 
 from __future__ import annotations
@@ -35,15 +38,17 @@ class RangeEncoder:
         self._range = _MASK
         self._out = bytearray()
 
-    def encode(self, cum: int, freq: int, total: int) -> None:
-        """Narrow the interval to [cum, cum+freq) / total."""
-        if freq <= 0 or cum < 0 or cum + freq > total or total > MAX_TOTAL:
-            raise ContractViolation(
-                f"bad coder step cum={cum} freq={freq} total={total}"
-            )
+    def encode_symbol(self, cdf, s: int) -> None:
+        """Narrow the interval to symbol s of a cumulative table: the slot
+        [cdf[s], cdf[s + 1]) out of the total cdf[-1]."""
+        if not 0 <= s < len(cdf) - 1:
+            raise ContractViolation(f"symbol {s} outside a {len(cdf) - 1}-slot table")
+        lo, hi, total = cdf.item(s), cdf.item(s + 1), cdf.item(-1)
+        if not 0 <= lo < hi <= total <= MAX_TOTAL:
+            raise ContractViolation(f"bad coder step [{lo}, {hi}) of total {total}")
         r = self._range // total
-        self._low += cum * r
-        self._range = freq * r
+        self._low += lo * r
+        self._range = (hi - lo) * r
         self._normalize()
 
     def encode_raw_u32(self, value: int) -> None:
@@ -51,8 +56,7 @@ class RangeEncoder:
         if not 0 <= value < (1 << 32):
             raise ContractViolation("raw value out of u32 range")
         for shift in (24, 16, 8, 0):
-            b = (value >> shift) & 0xFF
-            self.encode(b << 8, 1 << 8, 1 << 16)
+            self.encode_symbol(_RAW_BYTE_CDF, (value >> shift) & 0xFF)
 
     def _normalize(self):
         low, rng = self._low, self._range
@@ -101,25 +105,26 @@ class RangeDecoder:
             raise DecodeError("range-coded stream is truncated")
         return 0
 
-    def decode_symbol(self, cdf, total: int) -> int:
-        """Decode and commit one symbol; returns the index s with
-        cdf[s] <= target < cdf[s + 1] for a table with cdf[0] = 0 and
-        cdf[-1] = total."""
+    def decode_symbol(self, cdf) -> int:
+        """Decode and commit one symbol, the inverse of encode_symbol:
+        returns the index s with cdf[s] <= target < cdf[s + 1] for a table
+        with cdf[0] = 0 and total cdf[-1]."""
+        total = cdf.item(-1)
         r = self._range // total
         t = self._code - self._low
         if t < 0:
             raise DecodeError("range-coded stream is corrupt")
         s = int(np.searchsorted(cdf, min(t // r, total - 1), side="right")) - 1
-        lo = int(cdf[s])
+        lo = cdf.item(s)
         self._low += lo * r
-        self._range = (int(cdf[s + 1]) - lo) * r
+        self._range = (cdf.item(s + 1) - lo) * r
         self._normalize()
         return s
 
     def decode_raw_u32(self) -> int:
         value = 0
         for _ in range(4):
-            value = (value << 8) | self.decode_symbol(_RAW_BYTE_CDF, 1 << 16)
+            value = (value << 8) | self.decode_symbol(_RAW_BYTE_CDF)
         return value
 
     def finish(self) -> None:
@@ -171,8 +176,7 @@ def encode_bytes_adaptive(data: bytes) -> bytes:
     model = AdaptiveByteModel()
     enc = RangeEncoder()
     for b in data:
-        cum = model.cumulative()
-        enc.encode(int(cum[b]), int(model.freq[b]), model.total)
+        enc.encode_symbol(model.cumulative(), b)
         model.update(b)
     return enc.finish()
 
@@ -189,7 +193,7 @@ class AdaptiveByteDecoder:
         model, dec = self._model, self._dec
         out = bytearray(n)
         for i in range(n):
-            b = dec.decode_symbol(model.cumulative(), model.total)
+            b = dec.decode_symbol(model.cumulative())
             model.update(b)
             out[i] = b
         return bytes(out)

@@ -135,14 +135,13 @@ def test_criterion_4_entropy_coder():
 
 
 def test_criterion_5_octree_codec():
-    stream = oc.octree_encode(np.array([[0, 0, 0]]), 9, range_coded=False)
-    fixture_ok = stream.payload == bytes([0x80] * 9)
+    fixture_ok = oc.occupancy_bytes(np.array([[0, 0, 0]]), 9) == bytes([0x80] * 9)
     for i in range(1000):
         rng = np.random.default_rng(3000 + i)
         depth = int(rng.integers(4, 11))
         n = int(rng.integers(1, 260))
         coords = np.unique(rng.integers(0, 1 << depth, size=(n, 3)), axis=0)
-        st = oc.octree_encode(coords, depth, range_coded=bool(i % 2))
+        st = oc.octree_encode(coords, depth)
         back = oc.octree_decode(st)
         expect = np.array(sorted(map(tuple, coords)), dtype=np.int32)
         assert np.array_equal(back, expect), f"octree roundtrip failed at set {i}"

@@ -132,6 +132,30 @@ class TestDecode:
         assert rc == cli.EXIT_NO_REFERENCE
 
 
+    def test_octree_flags_other_than_0x01_exit_3(self, tmp_path, weights_file, encoded):
+        # a well-formed frame in the raw octree format (flags 0x00) that
+        # earlier decoders read; only range-coded payloads (0x01) are defined
+        from voxcodec import codec, octree
+
+        manifest = json.loads((encoded / "manifest.json").read_text())
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        for entry in manifest["frames"]:
+            (broken / entry["file"]).write_bytes((encoded / entry["file"]).read_bytes())
+        first = broken / manifest["frames"][0]["file"]
+        bs = codec.parse(first.read_bytes())
+        tree = octree.parse_stream(bs.get(codec.SUB_COORDS))
+        raw = octree.occupancy_bytes(octree.octree_decode(tree), tree.depth)
+        raw_sub = bytes([tree.depth, 0x00]) + tree.count.to_bytes(4, "little") + raw
+        bs.substreams = [(sid, raw_sub if sid == codec.SUB_COORDS else d)
+                         for sid, d in bs.substreams]
+        first.write_bytes(codec.serialize(bs))
+        rc = cli.main(["decode", "--weights", str(weights_file),
+                       "--manifest", str(broken / "manifest.json"),
+                       "--output", str(tmp_path / "out")])
+        assert rc == cli.EXIT_BAD_INPUT
+
     def test_exit_code_chosen_by_error_type(self, tmp_path, weights_file, encoded,
                                             monkeypatch):
         from voxcodec.errors import DecodeError, MissingReference

@@ -128,6 +128,13 @@ class TestRangeCoding:
         with pytest.raises(ContractViolation):
             ent.range_encode(np.array([[7]]), model)
 
+    @pytest.mark.parametrize("value", [2**31, -(2**31) - 1])
+    def test_escape_beyond_32_bits_rejected(self, value):
+        # zig-zag maps these to 2^32 and 2^32 + 1, past the raw escape's u32
+        model = ent.build_table_from_pmf([[1.0, 1.0]], [0], escape_mass=1e-3)
+        with pytest.raises(ContractViolation, match="32-bit"):
+            ent.range_encode(np.array([[value]]), model)
+
     def test_large_stream_size_bound(self):
         rng = np.random.default_rng(9)
         model = random_model(rng, channels=4, nsym=21)

@@ -43,7 +43,7 @@ def test_octree_substream():
     assert out["rejected"] > 0
 
 
-def test_range_coded_entropy_stream(models):
+def test_entropy_substream(models):
     model = models["residual"]
     symbols = np.random.default_rng(2).integers(-20, 20, size=(60, model.channels))
     data = ent.range_encode(symbols, model)

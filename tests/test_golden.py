@@ -1,0 +1,56 @@
+"""Golden digests of the bytes contract: the serialized DDPC frames, the
+decoded coordinates and the decoder's reference latent of one seeded 7-bit
+I+P sequence under ``make_weights(0)``.
+
+A change that moves any digest changes what the codec emits; such a change
+must be deliberate and named in CHANGES.md, with the literals below updated
+in the same change.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from voxcodec import codec, synthetic
+
+GOLDEN = {
+    "ddpc": "cfa60e0a013073854bd53c581527b28af309e3ba8d74720d38e7a893b1746f8c",
+    "decoded": "5041809c572ca13730cd6f18133314f9502ef02941d0240509b6aa3aec758627",
+    "reference_latent": "bebee1f0485281491bcde2f07e19c6015ea6898c1d249b990fbc522b0975ea9f",
+}
+
+
+def _sha(*chunks) -> str:
+    h = hashlib.sha256()
+    for c in chunks:
+        h.update(c)
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def digests(store, models):
+    frames = synthetic.make_rigid_sequence(1500, 2, 2, 7, seed=5)
+    bs0, enc0 = codec.encode_intra(frames[0], models, store)
+    bs1, _ = codec.encode_inter(frames[1], enc0.reference_latent, models, store, alpha=3.0)
+    data = [codec.serialize(bs0), codec.serialize(bs1)]
+    dec0 = codec.decode(codec.parse(data[0]), None, models, store)
+    dec1 = codec.decode(codec.parse(data[1]), dec0.reference_latent, models, store, alpha=3.0)
+    decoded = [np.ascontiguousarray(d.decoded.points.coords, dtype=np.int64).tobytes()
+               for d in (dec0, dec1)]
+    ref = dec1.reference_latent
+    return {
+        "ddpc": _sha(*data),
+        "decoded": _sha(*decoded),
+        "reference_latent": _sha(
+            np.ascontiguousarray(ref.coords, dtype=np.int64).tobytes(),
+            np.ascontiguousarray(ref.feats, dtype=np.float32).tobytes(),
+        ),
+    }
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_bytes_contract(digests, key):
+    assert digests[key] == GOLDEN[key], (
+        f"the {key} SHA-256 of the golden 7-bit I+P sequence changed: the bytes "
+        "contract changed, which must be deliberate and named in CHANGES.md")

@@ -40,6 +40,21 @@ def test_interpolate_fd(seed, branch):
     assert rep.passed, rep.block_errors
 
 
+def test_interpolate_fd_reads_the_production_forward(monkeypatch):
+    # the finite differences and the analytic weights both come from the
+    # helper the codec runs, so a changed alpha cap there must show up
+    from voxcodec import motion as mo
+
+    helper = mo.interpolate_over
+
+    def capped_at_twice_alpha(translated, coords, feats, idx, alpha):
+        return helper(translated, coords, feats, idx, 2 * alpha)
+
+    monkeypatch.setattr(mo, "interpolate_over", capped_at_twice_alpha)
+    _, failures = gc.run_all(5)
+    assert any(name.startswith("interpolate") for name, _, _ in failures)
+
+
 def test_interpolate_feature_gradient_closed_form():
     # in the uncapped branch the feature gradient rows are the normalized
     # inverse-distance weights

@@ -169,8 +169,3 @@ class TestBDRate:
         high = [(r, q + 100) for r, q in self.curve()]
         with pytest.raises(ContractViolation):
             metrics.bd_rate(self.curve(), high)
-
-    def test_rdpoint_inputs(self):
-        a = [metrics.RDPoint(r, q) for r, q in self.curve()]
-        b = [metrics.RDPoint(r * 0.5, q) for r, q in self.curve()]
-        assert metrics.bd_rate(a, b) == pytest.approx(-50.0, abs=0.1)

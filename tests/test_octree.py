@@ -5,51 +5,56 @@ from hypothesis import strategies as st
 
 from voxcodec import octree as oc
 from voxcodec.errors import ContractViolation, DecodeError
+from voxcodec.rangecoder import encode_bytes_adaptive
 
 
 def sorted_coords(coords):
     return np.array(sorted(map(tuple, coords)), dtype=np.int32)
 
 
+def coded(occupancy, depth, count):
+    """A stream whose payload is ``occupancy`` range-coded, as the encoder codes it."""
+    return oc.OctreeStream(depth, count, encode_bytes_adaptive(occupancy))
+
+
 def test_single_point_depth9_fixture():
-    stream = oc.octree_encode(np.array([[0, 0, 0]]), 9, range_coded=False)
-    assert stream.payload == bytes([0x80] * 9)
+    assert oc.occupancy_bytes(np.array([[0, 0, 0]]), 9) == bytes([0x80] * 9)
+    stream = oc.octree_encode(np.array([[0, 0, 0]]), 9)
     assert np.array_equal(oc.octree_decode(stream), [[0, 0, 0]])
 
 
 def test_full_unit_cube():
     coords = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-    stream = oc.octree_encode(np.array(coords), 1, range_coded=False)
-    assert stream.payload == b"\xff"
+    assert oc.occupancy_bytes(np.array(coords), 1) == b"\xff"
+    stream = oc.octree_encode(np.array(coords), 1)
     assert np.array_equal(oc.octree_decode(stream), sorted_coords(coords))
 
 
 def test_child_bit_order():
     # child index 4x+2y+z maps to bit 0x80 >> index
-    stream = oc.octree_encode(np.array([[1, 0, 1]]), 1, range_coded=False)
-    assert stream.payload == bytes([0x80 >> 5])
+    assert oc.occupancy_bytes(np.array([[1, 0, 1]]), 1) == bytes([0x80 >> 5])
 
 
 def test_roundtrip_4096_depth9():
     rng = np.random.default_rng(0)
     coords = np.unique(rng.integers(0, 512, size=(4096, 3)), axis=0)
-    for coded in (False, True):
-        stream = oc.octree_encode(coords, 9, range_coded=coded)
-        assert np.array_equal(oc.octree_decode(stream), sorted_coords(coords))
+    stream = oc.octree_encode(coords, 9)
+    assert np.array_equal(oc.octree_decode(stream), sorted_coords(coords))
 
 
 def test_size_bound():
     rng = np.random.default_rng(1)
     coords = np.unique(rng.integers(0, 128, size=(500, 3)), axis=0)
-    stream = oc.octree_encode(coords, 7, range_coded=False)
-    assert len(stream.payload) <= coords.shape[0] * 7
+    assert len(oc.occupancy_bytes(coords, 7)) <= coords.shape[0] * 7
 
 
 def test_substream_roundtrip():
     coords = np.array([[1, 2, 3], [4, 5, 6]])
     stream = oc.octree_encode(coords, 4)
-    back = oc.parse_stream(oc.serialize_stream(stream))
-    assert (back.depth, back.count, back.range_coded) == (stream.depth, stream.count, True)
+    data = oc.serialize_stream(stream)
+    assert data[1] == 0x01  # the flags byte: range-coded
+    back = oc.parse_stream(data)
+    assert (back.depth, back.count) == (stream.depth, stream.count)
     assert back.payload == stream.payload
     assert np.array_equal(oc.octree_decode(back), sorted_coords(coords))
 
@@ -66,16 +71,15 @@ def test_out_of_cube_rejected():
 
 def test_truncated_stream_errors():
     coords = np.unique(np.random.default_rng(2).integers(0, 16, size=(40, 3)), axis=0)
-    stream = oc.octree_encode(coords, 4, range_coded=False)
-    bad = oc.OctreeStream(stream.depth, stream.count, stream.payload[:3], False)
-    with pytest.raises(DecodeError):
+    payload = encode_bytes_adaptive(oc.occupancy_bytes(coords, 4))
+    bad = oc.OctreeStream(4, coords.shape[0], payload[:3])
+    with pytest.raises(DecodeError, match="truncated"):
         oc.octree_decode(bad)
 
 
 def test_wrong_count_errors():
-    stream = oc.octree_encode(np.array([[0, 0, 0]]), 3, range_coded=False)
-    bad = oc.OctreeStream(stream.depth, 5, stream.payload, False)
-    with pytest.raises(DecodeError):
+    bad = coded(oc.occupancy_bytes(np.array([[0, 0, 0]]), 3), 3, 5)
+    with pytest.raises(DecodeError, match="decoded 1 points, header says 5"):
         oc.octree_decode(bad)
 
 
@@ -84,20 +88,19 @@ def test_short_substream_header_errors():
         oc.parse_stream(b"\x04\x00")
 
 
-@given(st.integers(4, 10), st.integers(0, 2**31), st.booleans())
+@given(st.integers(4, 10), st.integers(0, 2**31))
 @settings(max_examples=50, deadline=None)
-def test_roundtrip_property(depth, seed, coded):
+def test_roundtrip_property(depth, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 200))
     coords = np.unique(rng.integers(0, 1 << depth, size=(n, 3)), axis=0)
-    stream = oc.octree_encode(coords, depth, range_coded=coded)
+    stream = oc.octree_encode(coords, depth)
     assert np.array_equal(oc.octree_decode(stream), sorted_coords(coords))
 
 
-def test_range_coded_trailing_bytes_rejected():
+def test_trailing_bytes_rejected():
     coords = np.unique(np.random.default_rng(3).integers(0, 64, size=(100, 3)), axis=0)
-    stream = oc.octree_encode(coords, 6)
-    padded = oc.OctreeStream(6, stream.count, stream.payload + b"\x00" * 3, True)
+    padded = coded(oc.occupancy_bytes(coords, 6) + b"\x00" * 3, 6, coords.shape[0])
     with pytest.raises(DecodeError, match="trailing"):
         oc.octree_decode(padded)
 
@@ -106,13 +109,21 @@ def test_range_coded_trailing_bytes_rejected():
 def test_depth_outside_encoder_range_rejected(depth):
     # depth 0, count 1 would otherwise decode to the single point (0, 0, 0)
     with pytest.raises(DecodeError, match="depth"):
-        oc.parse_stream(bytes([depth, 0]) + (1).to_bytes(4, "little"))
+        oc.parse_stream(bytes([depth, 0x01]) + (1).to_bytes(4, "little"))
+
+
+@pytest.mark.parametrize("flags", [0x00, 0x02, 0x03, 0xFF])
+def test_flags_other_than_0x01_rejected(flags):
+    data = bytearray(oc.serialize_stream(oc.octree_encode(np.array([[1, 2, 3]]), 4)))
+    data[1] = flags
+    with pytest.raises(DecodeError, match="flags"):
+        oc.parse_stream(bytes(data))
 
 
 def test_level_over_count_rejected_before_last_level():
     # a full first level holds 8 nodes, more than the 2 points declared;
     # the payload stops there, so only the per-level bound can reject it
-    bad = oc.OctreeStream(9, 2, b"\xff", False)
+    bad = coded(b"\xff", 9, 2)
     with pytest.raises(DecodeError, match="level holds 8 nodes"):
         oc.octree_decode(bad)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxcodec.errors import DecodeError
+from voxcodec.errors import ContractViolation, DecodeError
 from voxcodec.rangecoder import (
     AdaptiveByteDecoder,
     AdaptiveByteModel,
@@ -16,13 +16,12 @@ from voxcodec.rangecoder import (
 def roundtrip(freqs, symbols):
     freqs = np.asarray(freqs, dtype=np.int64)
     cum = np.concatenate([[0], np.cumsum(freqs)])
-    total = int(cum[-1])
     enc = RangeEncoder()
     for s in symbols:
-        enc.encode(int(cum[s]), int(freqs[s]), total)
+        enc.encode_symbol(cum, s)
     data = enc.finish()
     dec = RangeDecoder(data)
-    out = [dec.decode_symbol(cum, total) for _ in symbols]
+    out = [dec.decode_symbol(cum) for _ in symbols]
     dec.finish()
     return data, out
 
@@ -55,6 +54,18 @@ def test_alternating_extremes():
     assert out == [0, 1] * 500
 
 
+@pytest.mark.parametrize("cdf, s", [
+    ([0, 5, 5, 9], 1),            # zero-width slot
+    ([0, 5, 9], 2),               # s = len(cdf) - 1: no slot past the total
+    ([0, 5, 9], -1),              # negative indices do not wrap
+    ([0, 5, 9], -2),              # (-2 would wrap to the valid slot 1)
+    ([0, 1, (1 << 16) + 1], 0),   # total above 2^16
+], ids=["zero-width", "past-last-slot", "minus-1", "minus-2", "total-over-2^16"])
+def test_encode_symbol_rejects_bad_steps(cdf, s):
+    with pytest.raises(ContractViolation):
+        RangeEncoder().encode_symbol(np.array(cdf), s)
+
+
 def test_raw_u32():
     enc = RangeEncoder()
     values = [0, 1, 0xDEADBEEF, 0xFFFFFFFF, 12345]
@@ -74,7 +85,7 @@ def test_truncation_detected():
     with pytest.raises(DecodeError):
         dec = RangeDecoder(data[: len(data) // 2])
         for _ in symbols:
-            dec.decode_symbol(cum, int(cum[-1]))
+            dec.decode_symbol(cum)
 
 
 @given(st.lists(st.integers(0, 5), max_size=300), st.integers(0, 2**32 - 1))
@@ -128,12 +139,12 @@ def test_code_below_interval_raises_decode_error():
     cum = np.array([0, 1000, 1 << 16])
     enc = RangeEncoder()
     for sym in (1, 0, 1, 0, 1, 0, 0):
-        enc.encode(int(cum[sym]), int(cum[sym + 1] - cum[sym]), 1 << 16)
+        enc.encode_symbol(cum, sym)
     assert enc.finish() == bytes.fromhex("03f73688")
     dec = RangeDecoder(bytes.fromhex("03f70088"))
     with pytest.raises(DecodeError, match="corrupt"):
         for _ in range(7):
-            dec.decode_symbol(cum, 1 << 16)
+            dec.decode_symbol(cum)
 
 
 def test_adaptive_model_halving_keeps_positive_freqs():
