@@ -1,9 +1,10 @@
 """Command-line surface: encode/decode sequences, evaluate metrics, emit RD
 CSV and BD-rate tables, run self-tests and gradient checks.
 
-Exit codes: 0 ok, 2 missing weights/model, 3 malformed input, 4 missing
-reference frame state, 5 original/decoded count mismatch, 6 too few curve
-points.  All outputs are deterministic given (inputs, weights, seed).
+Exit codes: 0 ok, 2 missing weights/model, 3 malformed input or a file that
+cannot be read or written, 4 missing reference frame state, 5 original/decoded
+count mismatch, 6 too few curve points.  All outputs are deterministic given
+(inputs, weights, seed).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _resolve_weights(args):
         store = WeightStore.load(path)
         validate_store(store)
         models = entropy_models(store)
-    except VoxCodecError as exc:
+    except (OSError, VoxCodecError) as exc:
         print(f"error: unusable weight file: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_NO_WEIGHTS)
     return store, models
@@ -95,12 +96,8 @@ def _input_frames(args):
 
 def cmd_encode(args) -> int:
     store, models = _resolve_weights(args)
-    try:
-        _apply_config(args)
-        frames = _input_frames(args)
-    except VoxCodecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    _apply_config(args)
+    frames = _input_frames(args)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     gop = args.gop if args.gop > 0 else len(frames)
@@ -174,8 +171,7 @@ def cmd_decode(args) -> int:
             result = codec.decode(bs, prev_latent, models, store, alpha=alpha,
                                   latent_carry=carry)
         except (OSError, VoxCodecError) as exc:
-            print(f"error: frame {i}: {exc}", file=sys.stderr)
-            return EXIT_NO_REFERENCE if isinstance(exc, MissingReference) else EXIT_BAD_INPUT
+            raise type(exc)(f"frame {i}: {exc}") from None
         prev_latent = result.reference_latent
         out = outdir / (Path(name).stem + ".ply")
         write_frame(out, result.decoded)
@@ -191,12 +187,8 @@ def _fmt(x: float) -> str:
 
 
 def cmd_eval(args) -> int:
-    try:
-        _apply_config(args)
-        originals = _input_frames(args)
-    except VoxCodecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    _apply_config(args)
+    originals = _input_frames(args)
     decoded_paths = sorted(Path(args.decoded).glob("*.ply"))
     if len(decoded_paths) != len(originals):
         print(f"error: {len(originals)} originals vs {len(decoded_paths)} decoded frames",
@@ -233,28 +225,23 @@ def _read_curve(path):
         rows = rows[1:]
     pts = []
     for row in rows:
-        seq, frame, lam, bpp, d1, d2 = row.split(",")
-        pts.append((float(bpp), float(d1), float(d2)))
+        try:
+            seq, frame, lam, bpp, d1, d2 = row.split(",")
+            pts.append((float(bpp), float(d1), float(d2)))
+        except ValueError:
+            raise VoxCodecError(f"malformed RD CSV row in {path}: {row!r}") from None
     # average frames per lambda is the caller's concern; points come as rows
     return pts
 
 
 def cmd_rdcsv(args) -> int:
-    try:
-        a = _read_curve(args.curve_a)
-        b = _read_curve(args.curve_b)
-    except (OSError, ValueError) as exc:
-        print(f"error: malformed RD CSV: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    a = _read_curve(args.curve_a)
+    b = _read_curve(args.curve_b)
     if min(len(a), len(b)) < 4:
         print("error: each curve needs at least 4 rate-distortion points", file=sys.stderr)
         return EXIT_FEW_POINTS
-    try:
-        bd_d1 = metrics.bd_rate([(p[0], p[1]) for p in a], [(p[0], p[1]) for p in b])
-        bd_d2 = metrics.bd_rate([(p[0], p[2]) for p in a], [(p[0], p[2]) for p in b])
-    except VoxCodecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    bd_d1 = metrics.bd_rate([(p[0], p[1]) for p in a], [(p[0], p[1]) for p in b])
+    bd_d2 = metrics.bd_rate([(p[0], p[2]) for p in a], [(p[0], p[2]) for p in b])
     print(f"bd_rate_d1_percent={bd_d1:.4f}")
     print(f"bd_rate_d2_percent={bd_d2:.4f}")
     if args.svg:
@@ -448,9 +435,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:  # argparse errors and hard exits carry the code
         return int(exc.code or 0)
-    except VoxCodecError as exc:
+    except (OSError, VoxCodecError) as exc:  # the one place a failure picks its code
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return EXIT_NO_REFERENCE if isinstance(exc, MissingReference) else EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import codec
 from . import motion as mo
 from .errors import ContractViolation
 from .knn import knn
-from .nn import ConvSpec, build_kernel_map, sparse_conv, sparse_conv_backward
+from .nn import ConvSpec, _sigmoid, build_kernel_map, sparse_conv, sparse_conv_backward
 from .sparse import SparseTensor
 
 H = 1e-4
@@ -180,13 +181,6 @@ def grad_interpolate(seed: int, branch: str = "open") -> GradReport:
     return GradReport(f"interpolate[{branch}]", max(errors.values()), errors)
 
 
-def bce_loss(logits: np.ndarray, occupancy: np.ndarray) -> float:
-    z = np.asarray(logits, dtype=np.float64)
-    p = 1.0 / (1.0 + np.exp(-z))
-    o = np.asarray(occupancy, dtype=np.float64)
-    return float(-np.mean(o * np.log(p) + (1 - o) * np.log(1 - p)))
-
-
 def bce_grad(logits: np.ndarray, occupancy: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     p = 1.0 / (1.0 + np.exp(-z))
@@ -194,12 +188,18 @@ def bce_grad(logits: np.ndarray, occupancy: np.ndarray) -> np.ndarray:
 
 
 def grad_bce(seed: int) -> GradReport:
+    """Logit gradient of the codec's occupancy BCE over a row of n candidate
+    voxels, of which the truth set holds the occupied ones."""
     rng = np.random.Generator(np.random.PCG64(seed))
     n = int(rng.integers(4, 32))
     logits = rng.normal(0, 2, size=n)
     occ = rng.integers(0, 2, size=n).astype(np.float64)
+    candidates = np.zeros((n, 3), dtype=np.int64)
+    candidates[:, 0] = np.arange(n)
+    truth = candidates[occ == 1]
     analytic = bce_grad(logits, occ)
-    fd = central_diff(lambda z: bce_loss(z, occ), logits)
+    fd = central_diff(
+        lambda z: codec.bce_occupancy(_sigmoid(z), candidates, truth), logits)
     err = rel_error(analytic, fd)
     return GradReport("bce", err, {"logits": err})
 

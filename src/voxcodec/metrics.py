@@ -28,6 +28,16 @@ def _nearest(queries: np.ndarray, reference: np.ndarray):
     return idx[:, 0], d2[:, 0]
 
 
+def _operands(a, b, peak, metric):
+    """Coordinates of two clouds a metric may compare at this peak."""
+    if not 0 < peak < float("inf"):
+        raise ContractViolation(f"{metric} peak must be positive and finite, got {peak}")
+    ca, cb = _coords(a), _coords(b)
+    if ca.shape[0] == 0 or cb.shape[0] == 0:
+        raise ContractViolation(f"{metric} requires two non-empty clouds")
+    return ca, cb
+
+
 def _psnr(mse: float, peak: int) -> float:
     if mse == 0.0:
         return float("inf")
@@ -37,9 +47,7 @@ def _psnr(mse: float, peak: int) -> float:
 def d1_psnr(a, b, peak: int = DEFAULT_PEAK) -> float:
     """Point-to-point geometry PSNR, symmetric via the max of the two mean
     squared nearest-neighbour distances.  Identical clouds report inf."""
-    ca, cb = _coords(a), _coords(b)
-    if ca.shape[0] == 0 or cb.shape[0] == 0:
-        raise ContractViolation("d1 requires two non-empty clouds")
+    ca, cb = _operands(a, b, peak, "d1")
     _, e_ab = _nearest(ca, cb)
     _, e_ba = _nearest(cb, ca)
     mse = max(float(e_ab.mean()), float(e_ba.mean()))
@@ -77,9 +85,7 @@ def _plane_errors(queries, reference, normals, valid):
 
 def d2_psnr(a, b, peak: int = DEFAULT_PEAK) -> float:
     """Point-to-plane geometry PSNR with PCA normals on each reference."""
-    ca, cb = _coords(a), _coords(b)
-    if ca.shape[0] == 0 or cb.shape[0] == 0:
-        raise ContractViolation("d2 requires two non-empty clouds")
+    ca, cb = _operands(a, b, peak, "d2")
     nb, vb = estimate_normals(cb)
     na, va = estimate_normals(ca)
     e_ab = _plane_errors(ca, cb, nb, vb)

@@ -149,26 +149,22 @@ class RangeDecoder:
 
 
 class AdaptiveByteModel:
-    """256-symbol adaptive frequency model: increment 32, halving at 2^16."""
+    """256-symbol adaptive frequency model: increment 32, halving at 2^16.
+    ``cdf`` is the cumulative table the coder reads, updated in place."""
 
     INCREMENT = 32
     LIMIT = 1 << 16
 
     def __init__(self):
-        self.freq = np.ones(256, dtype=np.int64)
-        self.total = 256
-
-    def cumulative(self) -> np.ndarray:
-        cum = np.zeros(257, dtype=np.int64)
-        np.cumsum(self.freq, out=cum[1:])
-        return cum
+        self.cdf = np.arange(257, dtype=np.int64)
 
     def update(self, symbol: int) -> None:
-        self.freq[symbol] += self.INCREMENT
-        self.total += self.INCREMENT
-        if self.total >= self.LIMIT:
-            self.freq -= self.freq >> 1  # halve, rounding up: stays >= 1
-            self.total = int(self.freq.sum())
+        cdf = self.cdf
+        cdf[symbol + 1:] += self.INCREMENT
+        if cdf.item(-1) >= self.LIMIT:
+            freq = np.diff(cdf)
+            freq -= freq >> 1  # halve, rounding up: stays >= 1
+            np.cumsum(freq, out=cdf[1:])
 
 
 def encode_bytes_adaptive(data: bytes) -> bytes:
@@ -176,7 +172,7 @@ def encode_bytes_adaptive(data: bytes) -> bytes:
     model = AdaptiveByteModel()
     enc = RangeEncoder()
     for b in data:
-        enc.encode_symbol(model.cumulative(), b)
+        enc.encode_symbol(model.cdf, b)
         model.update(b)
     return enc.finish()
 
@@ -193,7 +189,7 @@ class AdaptiveByteDecoder:
         model, dec = self._model, self._dec
         out = bytearray(n)
         for i in range(n):
-            b = dec.decode_symbol(model.cumulative())
+            b = dec.decode_symbol(model.cdf)
             model.update(b)
             out[i] = b
         return bytes(out)

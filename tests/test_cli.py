@@ -268,6 +268,20 @@ class TestEval:
         assert len(lines) == 1 + 5 * 2  # header + five tags x two frames
         assert sorted({row.split(",")[2] for row in lines[1:]}) == ["10", "3", "4", "5", "7"]
 
+    @pytest.mark.parametrize("peak", ["0", "-5"])
+    def test_non_positive_peak_exit_3(self, tmp_path, peak, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        write_ply(src / "f0.ply", np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9], [2, 4, 6]]))
+        (tmp_path / "manifest.json").write_text(json.dumps({"frames": [{"bpp": 1.0}]}))
+        csv = tmp_path / "rd.csv"
+        rc = cli.main(["eval", "--precision", "7", "--decoded", str(src),
+                       "--bitstream-dir", str(tmp_path), "--csv", str(csv),
+                       "--peak", peak, str(src / "f0.ply")])
+        assert rc == cli.EXIT_BAD_INPUT
+        assert "peak" in capsys.readouterr().err
+        assert not csv.exists()
+
     def test_count_mismatch_exit_5(self, tmp_path, weights_file, encoded):
         dec = tmp_path / "short"
         dec.mkdir()
@@ -361,6 +375,72 @@ class TestRdcsv:
         self.write_curve(b, 1.0)
         b.write_text(b.read_text() + row + "\n")
         assert cli.main(["rdcsv", str(a), str(b)]) == cli.EXIT_BAD_INPUT
+
+
+class TestFileErrors:
+    """A file that cannot be read or written exits 3 with one error line."""
+
+    @staticmethod
+    def argv(case, tmp, weights, encoded):
+        w = ["--weights", str(weights)]
+        missing = tmp / "no-such-dir"
+        existing = tmp / "a-file"
+        existing.write_text("x\n")
+        if case in ("eval-csv", "rdcsv-svg"):
+            (tmp / "a.csv").write_text("\n".join(
+                [cli.CSV_HEADER] + [f"seq,0,3,{r},{q},{q}" for r, q in
+                                    [(0.5, 60), (1.0, 64), (2.0, 67), (4.0, 69)]]) + "\n")
+            (tmp / "manifest.json").write_text(json.dumps({"frames": [{"bpp": 1.0}]}))
+            write_ply(tmp / "f0.ply", np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
+        return {
+            "encode-input": ["encode", *w, "--output", str(tmp / "out"),
+                             str(tmp / "missing.ply")],
+            "eval-input": ["eval", "--decoded", str(tmp), "--csv", str(tmp / "rd.csv"),
+                           str(tmp / "missing.ply")],
+            "encode-config": ["encode", *w, "--synthetic", "rigid:100,1,0",
+                              "--config", str(tmp / "missing.cfg"),
+                              "--output", str(tmp / "out")],
+            "encode-output": ["encode", *w, "--synthetic", "rigid:100,1,0",
+                              "--precision", "6", "--output", str(existing)],
+            "decode-output": ["decode", *w, "--manifest", str(encoded / "manifest.json"),
+                              "--output", str(existing)],
+            "eval-csv": ["eval", "--decoded", str(tmp), "--bitstream-dir", str(tmp),
+                         "--csv", str(missing / "rd.csv"), str(tmp / "f0.ply")],
+            "rdcsv-svg": ["rdcsv", str(tmp / "a.csv"), str(tmp / "a.csv"),
+                          "--svg", str(missing / "x.svg")],
+            "make-weights-output": ["make-weights", "--output", str(missing / "w.dpcw")],
+        }[case]
+
+    @pytest.mark.parametrize("case", [
+        "encode-input", "eval-input", "encode-config", "encode-output", "decode-output",
+        "eval-csv", "rdcsv-svg", "make-weights-output"])
+    def test_exit_3_with_one_error_line(self, tmp_path, weights_file, encoded, case,
+                                        capsys):
+        rc = cli.main(self.argv(case, tmp_path, weights_file, encoded))
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_BAD_INPUT
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert "Traceback" not in err
+
+    def test_module_invocation_exit_3(self, tmp_path, weights_file, encoded):
+        proc = subprocess.run(
+            [sys.executable, "-m", "voxcodec.cli",
+             *self.argv("encode-input", tmp_path, weights_file, encoded)],
+            capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_BAD_INPUT
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_unreadable_weight_file_exit_2(self, tmp_path, weights_file, monkeypatch,
+                                           capsys):
+        def unreadable(path):
+            raise OSError(f"cannot read {path}")
+
+        monkeypatch.setattr(cli.WeightStore, "load", unreadable)
+        rc = cli.main(["encode", "--weights", str(weights_file), "--synthetic",
+                       "rigid:100,1,0", "--output", str(tmp_path / "out")])
+        assert rc == cli.EXIT_NO_WEIGHTS
+        assert capsys.readouterr().err.startswith("error: unusable weight file")
 
 
 class TestConfig:

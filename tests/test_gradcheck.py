@@ -55,6 +55,21 @@ def test_interpolate_fd_reads_the_production_forward(monkeypatch):
     assert any(name.startswith("interpolate") for name, _, _ in failures)
 
 
+def test_bce_fd_reads_the_production_loss(monkeypatch):
+    # the finite differences run the codec's own BCE, so a changed log base
+    # there must show up against the natural-log analytic gradient
+    from voxcodec import codec
+
+    loss = codec.bce_occupancy
+
+    def log2_bce(probs, candidates, truth):
+        return loss(probs, candidates, truth) / np.log(2.0)
+
+    monkeypatch.setattr(codec, "bce_occupancy", log2_bce)
+    _, failures = gc.run_all(5)
+    assert any(name == "bce" for name, _, _ in failures)
+
+
 def test_interpolate_feature_gradient_closed_form():
     # in the uncapped branch the feature gradient rows are the normalized
     # inverse-distance weights

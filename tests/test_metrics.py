@@ -34,6 +34,19 @@ class TestD1:
         with pytest.raises(ContractViolation):
             metrics.d1_psnr(a, np.empty((0, 3)))
 
+    @pytest.mark.parametrize("metric", [metrics.d1_psnr, metrics.d2_psnr])
+    @pytest.mark.parametrize("peak", [0, -5, np.inf, np.nan])
+    def test_peak_must_be_positive_and_finite(self, metric, peak, monkeypatch):
+        # a zero peak would print the inf that stands for identical clouds;
+        # the check comes before any nearest-neighbour search
+        def no_knn(*args, **kwargs):
+            raise AssertionError("kNN ran before the peak check")
+
+        monkeypatch.setattr(metrics, "knn", no_knn)
+        a, b = cloud([[0, 0, 0], [1, 1, 1]]), cloud([[1, 0, 0], [2, 2, 2]])
+        with pytest.raises(ContractViolation, match="peak"):
+            metric(a, b, peak=peak)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_mse_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
