@@ -10,6 +10,7 @@ count mismatch, 6 too few curve points.  All outputs are deterministic given
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -188,6 +189,12 @@ def _fmt(x: float) -> str:
 
 def cmd_eval(args) -> int:
     _apply_config(args)
+    out = Path(args.csv)
+    # a CSV that cannot be written fails before the metrics, not after them
+    if not out.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out.parent))
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
     originals = _input_frames(args)
     decoded_paths = sorted(Path(args.decoded).glob("*.ply"))
     if len(decoded_paths) != len(originals):
@@ -210,7 +217,6 @@ def cmd_eval(args) -> int:
         d2 = metrics.d2_psnr(orig, dec, peak=args.peak)
         rows.append(f"{args.sequence},{i},{args.lam},{_fmt(bpp)},{_fmt(d1)},{_fmt(d2)}")
         print(rows[-1])
-    out = Path(args.csv)
     new = not out.exists()
     with open(out, "a") as fh:
         if new:
@@ -303,6 +309,11 @@ def cmd_selftest(args) -> int:
             failures.append(name)
             print(f"selftest {name}: FAILED ({exc})")
 
+    def expect(ok, what):
+        # an explicit raise, not assert: python -O must not skip the checks
+        if not ok:
+            raise AssertionError(what)
+
     rng = np.random.Generator(np.random.PCG64(args.seed))
 
     def entropy_roundtrip():
@@ -310,13 +321,15 @@ def cmd_selftest(args) -> int:
         model = ent.build_table_from_pmf(pmfs, [-4] * 4, escape_mass=1e-3)
         syms = rng.integers(-6, 7, size=(500, 4))
         data = ent.range_encode(syms, model)
-        assert np.array_equal(ent.range_decode(data, model, 500), syms)
+        expect(np.array_equal(ent.range_decode(data, model, 500), syms),
+               "decoded symbols differ from the encoded ones")
 
     def octree_roundtrip():
         coords = np.unique(rng.integers(0, 64, size=(300, 3)), axis=0)
         stream = octree.octree_encode(coords, 6)
         back = octree.octree_decode(stream)
-        assert np.array_equal(back, np.array(sorted(map(tuple, coords)), dtype=np.int32))
+        expect(np.array_equal(back, np.array(sorted(map(tuple, coords)), dtype=np.int32)),
+               "decoded coordinates differ from the encoded ones")
 
     def conv_oracle():
         spec = ConvSpec(2, 3, 3)
@@ -333,7 +346,8 @@ def cmd_selftest(args) -> int:
                 hit = np.where((x.coords == pos).all(axis=1))[0]
                 if hit.size:
                     acc += x.feats[hit[0]].astype(np.float64) @ wgt[o].astype(np.float64)
-            assert np.allclose(out.feats[j], acc, atol=1e-5)
+            expect(np.allclose(out.feats[j], acc, atol=1e-5),
+                   f"output row {j} differs from the dense sum")
 
     def interpolation_cases():
         # three neighbours at squared distance 2, features 1,2,3, alpha 3:
@@ -342,11 +356,12 @@ def cmd_selftest(args) -> int:
             [[1, 1, 0], [1, 0, 1], [0, 1, 1]], [[1.0], [2.0], [3.0]], scale=2)
         m = SparseTensor.build([[0, 0, 0]], np.zeros((1, 3), np.float32), scale=2)
         out = adaptive_interpolate(m, ref, 3.0)
-        assert abs(out.feats[0, 0] - 1.0) < 1e-6
+        expect(abs(out.feats[0, 0] - 1.0) < 1e-6,
+               f"alpha-capped mean {out.feats[0, 0]}, expected 1")
 
     def gradcheck_smoke():
         _, failures = gradcheck.run_all(5, args.seed)
-        assert not failures
+        expect(not failures, f"{len(failures)} failing instances")
 
     check("entropy-roundtrip", entropy_roundtrip)
     check("octree-roundtrip", octree_roundtrip)

@@ -124,7 +124,8 @@ class FrameResult:
 
 
 def _block(x, w, prefix, up_to=None) -> SparseTensor:
-    """A PCGCv2 scale block: a stride-2 conv, transposed onto ``up_to`` when
+    """A PCGCv2 scale block: a stride-2 conv, transposed onto ``up_to`` (target
+    coordinates, or a tensor whose coordinates and kernel maps to share) when
     that is given, then three IRN blocks."""
     x = _conv(x, w, f"{prefix}.conv", up_to, transposed=up_to is not None)
     for i in (1, 2, 3):
@@ -139,9 +140,11 @@ def feature_extract(frame: PointCloudFrame, w) -> SparseTensor:
     return _block(_block(frame.points, w, "fe.down1"), w, "fe.down2")
 
 
-def _residual_decode(symbols: np.ndarray, latent_coords, c2_coords, w) -> SparseTensor:
+def _residual_decode(symbols: np.ndarray, latent_coords, c2, w) -> SparseTensor:
+    """The scale-2 residual on ``c2``: coordinates, or on the encoder the
+    residual tensor itself, whose kernel maps the IRN blocks then reuse."""
     lat = SparseTensor(latent_coords, symbols.astype(np.float32), scale=3, _trusted=True)
-    return _block(lat, w, "res.dec.up", up_to=c2_coords)
+    return _block(lat, w, "res.dec.up", up_to=c2)
 
 
 def compress_residual(r: SparseTensor, model: ent.EntropyModel, w):
@@ -153,7 +156,7 @@ def compress_residual(r: SparseTensor, model: ent.EntropyModel, w):
     latent = _conv(_block(r, w, "res.enc.down"), w, "res.enc.head")
     symbols = ent.quantize(latent.feats)
     data = ent.range_encode(symbols, model)
-    r_hat = _residual_decode(symbols, latent.coords, r.coords, w)
+    r_hat = _residual_decode(symbols, latent.coords, r, w)
     return data, r_hat, symbols
 
 

@@ -26,7 +26,12 @@ class RateReport:
 
 
 class EntropyModel:
-    """Per-channel quantized CDF tables implementing a factorized prior."""
+    """Per-channel quantized CDF tables implementing a factorized prior.
+
+    ``cdfs`` holds the tables as int64 arrays for rate estimation and
+    serialization; ``tables`` holds the same tables as tuples of Python ints,
+    which the range coder reads one symbol at a time.
+    """
 
     def __init__(self, offsets, cdfs):
         self.offsets = np.asarray(offsets, dtype=np.int64)
@@ -40,6 +45,7 @@ class EntropyModel:
                 raise ContractViolation("CDF must be monotone")
             if np.any(np.diff(c)[:-1] < 1):
                 raise ContractViolation("in-range symbols need probability >= 1/65536")
+        self.tables = [tuple(c.tolist()) for c in self.cdfs]
 
     @property
     def channels(self) -> int:
@@ -114,21 +120,21 @@ def range_encode(symbols: np.ndarray, model: EntropyModel) -> bytes:
     if s.shape[1] != model.channels:
         raise ContractViolation(f"{s.shape[1]} columns for {model.channels}-channel model")
     enc = RangeEncoder()
-    for c in range(model.channels):
-        cdf = model.cdfs[c]
+    encode = enc.encode_symbol
+    for c, cdf in enumerate(model.tables):
         offset = int(model.offsets[c])
-        nsym = cdf.size - 2
-        for v in s[:, c]:
-            slot = int(v) - offset
+        nsym = len(cdf) - 2
+        for v in s[:, c].tolist():
+            slot = v - offset
             if 0 <= slot < nsym:
-                enc.encode_symbol(cdf, slot)
+                encode(cdf, slot)
             else:
                 if cdf[nsym + 1] == cdf[nsym]:
                     raise ContractViolation("symbol out of range and model has no escape slot")
-                z = _zigzag(int(v))
+                z = _zigzag(v)
                 if z >= 1 << 32:
                     raise ContractViolation("escape symbol exceeds 32-bit raw range")
-                enc.encode_symbol(cdf, nsym)
+                encode(cdf, nsym)
                 enc.encode_raw_u32(z)
     return enc.finish()
 
@@ -136,17 +142,16 @@ def range_encode(symbols: np.ndarray, model: EntropyModel) -> bytes:
 def range_decode(data: bytes, model: EntropyModel, count: int) -> np.ndarray:
     """Inverse of range_encode; returns an int64 (count, channels) array."""
     dec = RangeDecoder(data)
+    decode = dec.decode_symbol
     out = np.empty((count, model.channels), dtype=np.int64)
-    for c in range(model.channels):
-        cdf = model.cdfs[c]
+    for c, cdf in enumerate(model.tables):
         offset = int(model.offsets[c])
-        nsym = cdf.size - 2
+        nsym = len(cdf) - 2
+        column = [0] * count
         for i in range(count):
-            slot = dec.decode_symbol(cdf)
-            if slot < nsym:
-                out[i, c] = slot + offset
-            else:
-                out[i, c] = _unzigzag(dec.decode_raw_u32())
+            slot = decode(cdf)
+            column[i] = slot + offset if slot < nsym else _unzigzag(dec.decode_raw_u32())
+        out[:, c] = column
     dec.finish()
     return out
 

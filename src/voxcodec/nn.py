@@ -158,17 +158,22 @@ def sparse_conv(
     """Generalized sparse convolution.
 
     out[j] = bias + sum over offsets o and pairs (i, j) of x[i] @ weight[o].
-    Output rows with no contributing pairs equal the bias.
+    Output rows with no contributing pairs equal the bias.  ``out_coords``
+    may be a tensor: the output then shares its coordinates, and with them
+    the kernel maps already built on them.
     """
     weight = np.asarray(weight)
     if weight.shape != spec.weight_shape:
         raise ContractViolation(f"weight shape {weight.shape} != {spec.weight_shape}")
     if x.channels != spec.in_channels:
         raise ContractViolation(f"input channels {x.channels} != {spec.in_channels}")
+    target = out_coords if isinstance(out_coords, SparseTensor) else None
     if out_coords is None:
         if spec.transposed:
             raise ContractViolation("transposed convolution requires target coordinates")
         out_coords = x.coords if spec.stride == 1 else stride_down_coords(x.coords)
+    elif target is not None:
+        out_coords = target.coords
     else:
         out_coords = np.asarray(out_coords, dtype=np.int32).reshape(-1, 3)
     same = spec.stride == 1 and (out_coords is x.coords or np.array_equal(out_coords, x.coords))
@@ -188,6 +193,8 @@ def sparse_conv(
                 out[j_idx] += x.feats[i_idx] @ w[o]
     if same:
         return SparseTensor(x.coords, out, x.scale, _coords_of=x)
+    if target is not None:
+        return SparseTensor(None, out, _out_scale(spec, x.scale), _coords_of=target)
     return SparseTensor(out_coords, out, _out_scale(spec, x.scale), _trusted=True)
 
 

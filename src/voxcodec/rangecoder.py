@@ -2,24 +2,27 @@
 
 Carry-less variant: a byte is emitted only once the top byte of the interval
 is settled, and near-underflow the range is clamped to the next 2^16 boundary,
-so emitted bytes are final.  All arithmetic is fixed-width integer, hence
+so emitted bytes are final.  All arithmetic is on plain Python ints, hence
 decoding is deterministic and platform independent.
 
-One symbol step each way: the encoder takes a cumulative table cdf (a 1-D
-numpy integer array, cdf[0] = 0, total cdf[-1] at most 2^16) and a symbol
-index into it, and the decoder takes the same table and returns the index.
-The flush writes exactly two bytes: the shortest prefix of a value inside
-the final interval (the post-normalization range is always >= 2^16, so a
-multiple of 2^16 exists in it).  The decoder mirrors the encoder's
-renormalization byte for byte, so on a valid stream it runs exactly two
-bytes past the physical stream end (the flush it never sees in full): any
-further read means the stream was truncated, and ending short of them means
-trailing bytes.
+One symbol step each way: the encoder takes a cumulative table cdf (a
+sequence of Python ints such as a list or tuple, cdf[0] = 0, total cdf[-1] at
+most 2^16) and a symbol index into it, and the decoder takes the same table
+and returns the index.  Underneath, each direction narrows the interval in
+one place (``RangeEncoder._narrow``, ``RangeDecoder._narrow``), which also
+serves raw bytes and the adaptive byte model, whose Fenwick tree holds no
+flat table.  The flush writes exactly two bytes: the shortest prefix of a
+value inside the final interval (the post-normalization range is always
+>= 2^16, so a multiple of 2^16 exists in it).  The decoder mirrors the
+encoder's renormalization byte for byte, so on a valid stream it runs
+exactly two bytes past the physical stream end (the flush it never sees in
+full): any further read means the stream was truncated, and ending short of
+them means trailing bytes.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_right
 
 from .errors import ContractViolation, DecodeError
 
@@ -28,8 +31,6 @@ _BOTTOM = 1 << 16
 _MASK = (1 << 32) - 1
 MAX_TOTAL = 1 << 16
 _VIRTUAL_ALLOWANCE = 2
-# raw bytes are coded as uniform symbols of width 256 out of 2^16
-_RAW_BYTE_CDF = np.arange(0, (1 << 16) + 1, 1 << 8, dtype=np.int64)
 
 
 class RangeEncoder:
@@ -43,36 +44,41 @@ class RangeEncoder:
         [cdf[s], cdf[s + 1]) out of the total cdf[-1]."""
         if not 0 <= s < len(cdf) - 1:
             raise ContractViolation(f"symbol {s} outside a {len(cdf) - 1}-slot table")
-        lo, hi, total = cdf.item(s), cdf.item(s + 1), cdf.item(-1)
-        if not 0 <= lo < hi <= total <= MAX_TOTAL:
-            raise ContractViolation(f"bad coder step [{lo}, {hi}) of total {total}")
-        r = self._range // total
-        self._low += lo * r
-        self._range = (hi - lo) * r
-        self._normalize()
+        self._narrow(cdf[s], cdf[s + 1], cdf[-1])
 
     def encode_raw_u32(self, value: int) -> None:
-        """Encode 32 raw bits as four uniform bytes (used for escapes)."""
+        """Encode 32 raw bits as four uniform bytes (used for escapes): each
+        byte b is the slot [256 b, 256 (b + 1)) of 2^16."""
         if not 0 <= value < (1 << 32):
             raise ContractViolation("raw value out of u32 range")
         for shift in (24, 16, 8, 0):
-            self.encode_symbol(_RAW_BYTE_CDF, (value >> shift) & 0xFF)
+            b = (value >> shift) & 0xFF
+            self._narrow(b << 8, (b + 1) << 8, MAX_TOTAL)
 
-    def _normalize(self):
-        low, rng = self._low, self._range
-        while True:
-            if (low ^ (low + rng)) < _TOP:
-                self._out.append(low >> 24)
-            elif rng < _BOTTOM:
-                # underflow: clamp range to the next 2^16 boundary; the top
-                # byte is settled by construction (see module docstring)
-                rng = (-low) & (_BOTTOM - 1)
-                self._out.append(low >> 24)
-            else:
-                break
-            low = (low << 8) & _MASK
-            rng = (rng << 8)
-        self._low, self._range = low, rng
+    def _narrow(self, lo: int, hi: int, total: int) -> None:
+        """The one encoder step: narrow to [lo, hi) of total, then emit every
+        settled byte.  Bytes settle only once the range is below 2^24."""
+        if not 0 <= lo < hi <= total <= MAX_TOTAL:
+            raise ContractViolation(f"bad coder step [{lo}, {hi}) of total {total}")
+        r = self._range // total
+        low = self._low + lo * r
+        rng = (hi - lo) * r
+        if rng < _TOP:
+            out = self._out
+            while True:
+                if (low ^ (low + rng)) < _TOP:
+                    out.append(low >> 24)
+                elif rng < _BOTTOM:
+                    # underflow: clamp range to the next 2^16 boundary; the
+                    # top byte is settled by construction (see module docstring)
+                    rng = (-low) & (_BOTTOM - 1)
+                    out.append(low >> 24)
+                else:
+                    break
+                low = (low << 8) & _MASK
+                rng <<= 8
+        self._low = low
+        self._range = rng
 
     def finish(self) -> bytes:
         """Flush: emit the two top bytes of a value inside [low, low+range)."""
@@ -86,45 +92,37 @@ class RangeEncoder:
 
 class RangeDecoder:
     def __init__(self, data: bytes):
+        head = data[:4]
         self._data = data
-        self._pos = 0
+        self._pos = len(head)
         self._virtual = 0
         self._low = 0
         self._range = _MASK
-        self._code = 0
-        for _ in range(4):
-            self._code = (self._code << 8) | self._next_byte()
+        self._r = 1
+        self._code = int.from_bytes(head, "big") << 8 * (4 - len(head))
+        for _ in range(4 - len(head)):
+            self._past_end()
 
-    def _next_byte(self) -> int:
-        if self._pos < len(self._data):
-            b = self._data[self._pos]
-            self._pos += 1
-            return b
+    def _past_end(self) -> None:
+        """Count one zero byte read past the stream end: the flush allows two."""
         self._virtual += 1
         if self._virtual > _VIRTUAL_ALLOWANCE:
             raise DecodeError("range-coded stream is truncated")
-        return 0
 
     def decode_symbol(self, cdf) -> int:
         """Decode and commit one symbol, the inverse of encode_symbol:
         returns the index s with cdf[s] <= target < cdf[s + 1] for a table
         with cdf[0] = 0 and total cdf[-1]."""
-        total = cdf.item(-1)
-        r = self._range // total
-        t = self._code - self._low
-        if t < 0:
-            raise DecodeError("range-coded stream is corrupt")
-        s = int(np.searchsorted(cdf, min(t // r, total - 1), side="right")) - 1
-        lo = cdf.item(s)
-        self._low += lo * r
-        self._range = (cdf.item(s + 1) - lo) * r
-        self._normalize()
+        s = bisect_right(cdf, self._target(cdf[-1])) - 1
+        self._narrow(cdf[s], cdf[s + 1])
         return s
 
     def decode_raw_u32(self) -> int:
         value = 0
         for _ in range(4):
-            value = (value << 8) | self.decode_symbol(_RAW_BYTE_CDF)
+            b = self._target(MAX_TOTAL) >> 8
+            self._narrow(b << 8, (b + 1) << 8)
+            value = (value << 8) | b
         return value
 
     def finish(self) -> None:
@@ -133,38 +131,99 @@ class RangeDecoder:
         if self._virtual != _VIRTUAL_ALLOWANCE:
             raise DecodeError("trailing bytes after range-coded stream")
 
-    def _normalize(self):
-        low, rng = self._low, self._range
-        while True:
-            if (low ^ (low + rng)) < _TOP:
-                pass
-            elif rng < _BOTTOM:
-                rng = (-low) & (_BOTTOM - 1)
-            else:
-                break
-            self._code = ((self._code << 8) | self._next_byte()) & _MASK
-            low = (low << 8) & _MASK
-            rng = (rng << 8)
-        self._low, self._range = low, rng
+    def _target(self, total: int) -> int:
+        """The value in [0, total) the code points at; the _narrow call that
+        commits the symbol holding it must follow, for the same total."""
+        self._r = r = self._range // total
+        t = self._code - self._low
+        if t < 0:
+            raise DecodeError("range-coded stream is corrupt")
+        t //= r
+        return t if t < total else total - 1
+
+    def _narrow(self, lo: int, hi: int) -> None:
+        """The one decoder step, mirroring RangeEncoder._narrow: narrow to
+        [lo, hi) of the total given to _target, then read one byte for each
+        byte the encoder emitted."""
+        r = self._r
+        low = self._low + lo * r
+        rng = (hi - lo) * r
+        if rng < _TOP:
+            code, data, pos = self._code, self._data, self._pos
+            while True:
+                if (low ^ (low + rng)) < _TOP:
+                    pass
+                elif rng < _BOTTOM:
+                    rng = (-low) & (_BOTTOM - 1)
+                else:
+                    break
+                if pos < len(data):
+                    code = ((code << 8) | data[pos]) & _MASK
+                    pos += 1
+                else:
+                    code = (code << 8) & _MASK
+                    self._past_end()
+                low = (low << 8) & _MASK
+                rng <<= 8
+            self._code, self._pos = code, pos
+        self._low = low
+        self._range = rng
 
 
 class AdaptiveByteModel:
     """256-symbol adaptive frequency model: increment 32, halving at 2^16.
-    ``cdf`` is the cumulative table the coder reads, updated in place."""
+
+    ``freq`` holds the per-symbol counts and ``total`` their sum; the
+    cumulative counts live in a Fenwick tree (Fenwick, 1994) over ``freq``,
+    so a slot lookup and an update each cost eight steps, not 256.
+    """
 
     INCREMENT = 32
     LIMIT = 1 << 16
+    SIZE = 256
 
     def __init__(self):
-        self.cdf = np.arange(257, dtype=np.int64)
+        self._rebuild([1] * self.SIZE)
 
-    def update(self, symbol: int) -> None:
-        cdf = self.cdf
-        cdf[symbol + 1:] += self.INCREMENT
-        if cdf.item(-1) >= self.LIMIT:
-            freq = np.diff(cdf)
-            freq -= freq >> 1  # halve, rounding up: stays >= 1
-            np.cumsum(freq, out=cdf[1:])
+    def _rebuild(self, freq) -> None:
+        tree = [0] + freq
+        n = self.SIZE
+        for i in range(1, n + 1):
+            j = i + (i & -i)
+            if j <= n:
+                tree[j] += tree[i]
+        self.freq, self._tree, self.total = freq, tree, tree[n]
+
+    def slot(self, s: int):
+        """The cumulative slot [lo, hi) of symbol s."""
+        tree, i, lo = self._tree, s, 0
+        while i:
+            lo += tree[i]
+            i &= i - 1
+        return lo, lo + self.freq[s]
+
+    def locate(self, t: int):
+        """The symbol s whose slot [lo, hi) holds t in [0, total), as (s, lo, hi)."""
+        tree, s, lo = self._tree, 0, 0
+        step = self.SIZE >> 1
+        while step:
+            nxt = tree[s + step]
+            if lo + nxt <= t:
+                s += step
+                lo += nxt
+            step >>= 1
+        return s, lo, lo + self.freq[s]
+
+    def update(self, s: int) -> None:
+        inc, tree, n = self.INCREMENT, self._tree, self.SIZE
+        self.freq[s] += inc
+        self.total += inc
+        i = s + 1
+        while i <= n:
+            tree[i] += inc
+            i += i & -i
+        if self.total >= self.LIMIT:
+            self._rebuild([f - (f >> 1) for f in self.freq])  # halve, rounding up: stays >= 1
 
 
 def encode_bytes_adaptive(data: bytes) -> bytes:
@@ -172,7 +231,8 @@ def encode_bytes_adaptive(data: bytes) -> bytes:
     model = AdaptiveByteModel()
     enc = RangeEncoder()
     for b in data:
-        enc.encode_symbol(model.cdf, b)
+        lo, hi = model.slot(b)
+        enc._narrow(lo, hi, model.total)
         model.update(b)
     return enc.finish()
 
@@ -189,7 +249,8 @@ class AdaptiveByteDecoder:
         model, dec = self._model, self._dec
         out = bytearray(n)
         for i in range(n):
-            b = dec.decode_symbol(model.cdf)
+            b, lo, hi = model.locate(dec._target(model.total))
+            dec._narrow(lo, hi)
             model.update(b)
             out[i] = b
         return bytes(out)

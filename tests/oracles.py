@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own fast paths: dense zero-padded
 convolution on a full grid, one sorted search per kernel offset, O(N*Q)
-nearest-neighbour scans, per-element probability sums, and a dense-grid set
-union.
+nearest-neighbour scans, per-element probability sums, a dense-grid set
+union, and the range coder's earlier numpy symbol step.
 """
 
 import numpy as np
@@ -165,3 +165,131 @@ def reference_quantizer(xyz, source_bits, target_bits):
         scaled = scaled / (2 ** (source_bits - target_bits))
     voxels = sorted({tuple(int(np.floor(v)) for v in p) for p in scaled})
     return np.array(voxels, dtype=np.int64)
+
+
+# -- numpy range coder: np.searchsorted to find a symbol, cdf.item reads, and
+# an adaptive byte model updated in place on a numpy cumulative table.  The
+# library's coder steps on plain Python ints and must match it byte for byte.
+
+_ORACLE_TOP = 1 << 24
+_ORACLE_BOTTOM = 1 << 16
+_ORACLE_MASK = (1 << 32) - 1
+_RAW_BYTE_CDF = np.arange(0, (1 << 16) + 1, 1 << 8, dtype=np.int64)
+
+
+class NumpyRangeEncoder:
+    def __init__(self):
+        self._low = 0
+        self._range = _ORACLE_MASK
+        self._out = bytearray()
+
+    def encode_symbol(self, cdf, s):
+        cdf = np.asarray(cdf, dtype=np.int64)
+        lo, hi, total = cdf.item(s), cdf.item(s + 1), cdf.item(-1)
+        r = self._range // total
+        self._low += lo * r
+        self._range = (hi - lo) * r
+        low, rng = self._low, self._range
+        while True:
+            if (low ^ (low + rng)) < _ORACLE_TOP:
+                self._out.append(low >> 24)
+            elif rng < _ORACLE_BOTTOM:
+                rng = (-low) & (_ORACLE_BOTTOM - 1)
+                self._out.append(low >> 24)
+            else:
+                break
+            low = (low << 8) & _ORACLE_MASK
+            rng = rng << 8
+        self._low, self._range = low, rng
+
+    def encode_raw_u32(self, value):
+        for shift in (24, 16, 8, 0):
+            self.encode_symbol(_RAW_BYTE_CDF, (value >> shift) & 0xFF)
+
+    def finish(self):
+        v = -(-self._low // _ORACLE_BOTTOM) * _ORACLE_BOTTOM
+        if v > _ORACLE_MASK:
+            v = (_ORACLE_MASK + 1) - _ORACLE_BOTTOM
+        self._out.append((v >> 24) & 0xFF)
+        self._out.append((v >> 16) & 0xFF)
+        return bytes(self._out)
+
+
+class NumpyRangeDecoder:
+    def __init__(self, data):
+        self._data = data
+        self._pos = 0
+        self._low = 0
+        self._range = _ORACLE_MASK
+        self._code = 0
+        for _ in range(4):
+            self._code = (self._code << 8) | self._next_byte()
+
+    def _next_byte(self):
+        b = self._data[self._pos] if self._pos < len(self._data) else 0
+        self._pos += 1
+        return b
+
+    def decode_symbol(self, cdf):
+        cdf = np.asarray(cdf, dtype=np.int64)
+        total = cdf.item(-1)
+        r = self._range // total
+        t = self._code - self._low
+        s = int(np.searchsorted(cdf, min(t // r, total - 1), side="right")) - 1
+        lo = cdf.item(s)
+        self._low += lo * r
+        self._range = (cdf.item(s + 1) - lo) * r
+        low, rng = self._low, self._range
+        while True:
+            if (low ^ (low + rng)) < _ORACLE_TOP:
+                pass
+            elif rng < _ORACLE_BOTTOM:
+                rng = (-low) & (_ORACLE_BOTTOM - 1)
+            else:
+                break
+            self._code = ((self._code << 8) | self._next_byte()) & _ORACLE_MASK
+            low = (low << 8) & _ORACLE_MASK
+            rng = rng << 8
+        self._low, self._range = low, rng
+        return s
+
+    def decode_raw_u32(self):
+        value = 0
+        for _ in range(4):
+            value = (value << 8) | self.decode_symbol(_RAW_BYTE_CDF)
+        return value
+
+
+class NumpyAdaptiveByteModel:
+    """Increment 32, halving at 2^16, on a numpy cumulative table."""
+
+    def __init__(self):
+        self.cdf = np.arange(257, dtype=np.int64)
+
+    def update(self, symbol):
+        cdf = self.cdf
+        cdf[symbol + 1:] += 32
+        if cdf.item(-1) >= 1 << 16:
+            freq = np.diff(cdf)
+            freq -= freq >> 1
+            np.cumsum(freq, out=cdf[1:])
+
+
+def numpy_encode_bytes_adaptive(data):
+    model = NumpyAdaptiveByteModel()
+    enc = NumpyRangeEncoder()
+    for b in data:
+        enc.encode_symbol(model.cdf, b)
+        model.update(b)
+    return enc.finish()
+
+
+def numpy_decode_bytes_adaptive(data, n):
+    model = NumpyAdaptiveByteModel()
+    dec = NumpyRangeDecoder(data)
+    out = bytearray()
+    for _ in range(n):
+        b = dec.decode_symbol(model.cdf)
+        model.update(b)
+        out.append(b)
+    return bytes(out)

@@ -282,6 +282,26 @@ class TestEval:
         assert "peak" in capsys.readouterr().err
         assert not csv.exists()
 
+    @pytest.mark.parametrize("target", ["no-such-dir/rd.csv", "."])
+    def test_unwritable_csv_fails_before_any_metric(self, tmp_path, target, capsys,
+                                                   monkeypatch):
+        src = tmp_path / "src"
+        src.mkdir()
+        write_ply(src / "f0.ply", np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9], [2, 4, 6]]))
+        (tmp_path / "manifest.json").write_text(json.dumps({"frames": [{"bpp": 1.0}]}))
+
+        def no_metrics(*args, **kwargs):
+            raise AssertionError("a metric ran before the CSV path was checked")
+
+        monkeypatch.setattr(cli.metrics, "d1_psnr", no_metrics)
+        rc = cli.main(["eval", "--precision", "7", "--decoded", str(src),
+                       "--bitstream-dir", str(tmp_path), "--csv", str(tmp_path / target),
+                       str(src / "f0.ply")])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_BAD_INPUT
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
     def test_count_mismatch_exit_5(self, tmp_path, weights_file, encoded):
         dec = tmp_path / "short"
         dec.mkdir()
@@ -507,6 +527,17 @@ class TestSelftestAndGradcheck:
 
         monkeypatch.setattr(climod.octree, "octree_decode", corrupt_decode)
         assert cli.main(["selftest", "--seed", "0"]) != 0
+
+    def test_selftest_checks_survive_python_O(self):
+        # python -O strips assert statements; the selftest must still fail
+        script = ("import sys, numpy as np\n"
+                  "from voxcodec import cli, octree\n"
+                  "octree.octree_decode = lambda stream: np.zeros((1, 3), np.int32)\n"
+                  "sys.exit(cli.main(['selftest', '--seed', '0']))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert "selftest octree-roundtrip: FAILED" in proc.stdout
 
 
 class TestSubprocessEntry:

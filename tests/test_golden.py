@@ -1,6 +1,8 @@
 """Golden digests of the bytes contract: the serialized DDPC frames, the
 decoded coordinates and the decoder's reference latent of one seeded 7-bit
-I+P sequence under ``make_weights(0)``.
+I+P sequence under ``make_weights(0)``, plus two coder streams that sequence
+never reaches: escape-coded entropy symbols and an adaptive byte stream long
+enough for its model to halve.
 
 A change that moves any digest changes what the codec emits; such a change
 must be deliberate and named in CHANGES.md, with the literals below updated
@@ -12,12 +14,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from voxcodec import codec, synthetic
+from voxcodec import codec, entropy, rangecoder, synthetic
 
 GOLDEN = {
     "ddpc": "cfa60e0a013073854bd53c581527b28af309e3ba8d74720d38e7a893b1746f8c",
     "decoded": "5041809c572ca13730cd6f18133314f9502ef02941d0240509b6aa3aec758627",
     "reference_latent": "bebee1f0485281491bcde2f07e19c6015ea6898c1d249b990fbc522b0975ea9f",
+}
+
+CODER_GOLDEN = {
+    "escapes": "70a5c4995d5b9d0bf9413b2b222c29479c41e4ecbcf7c81ec1cd67b9ceccb200",
+    "adaptive": "c8dc3081e5f286de271037b79eaa2829f06bc96d30f16120346e8cdbfb4e6119",
 }
 
 
@@ -54,3 +61,30 @@ def test_bytes_contract(digests, key):
     assert digests[key] == GOLDEN[key], (
         f"the {key} SHA-256 of the golden 7-bit I+P sequence changed: the bytes "
         "contract changed, which must be deliberate and named in CHANGES.md")
+
+
+def _escape_stream() -> bytes:
+    # escape mass 0.3 and symbols far outside the 9-symbol range: most
+    # symbols escape, including the u32 extremes 2^32 - 2 and 2^32 - 1
+    rng = np.random.default_rng(11)
+    model = entropy.build_table_from_pmf(
+        [rng.uniform(0.1, 2.0, 9) for _ in range(3)], [-4, 0, 3], escape_mass=0.3)
+    symbols = rng.integers(-12, 16, size=(700, 3))
+    symbols[::37, 1] = 2**31 - 1
+    symbols[::41, 2] = -(2**31)
+    return entropy.range_encode(symbols, model)
+
+
+def _adaptive_stream() -> bytes:
+    # 6,000 bytes: the model halves after about 2,040 of them
+    rng = np.random.default_rng(12)
+    payload = rng.geometric(0.08, size=6000).clip(0, 255).astype(np.uint8)
+    return rangecoder.encode_bytes_adaptive(bytes(payload))
+
+
+@pytest.mark.parametrize("key, stream", [("escapes", _escape_stream),
+                                         ("adaptive", _adaptive_stream)])
+def test_coder_stream_contract(key, stream):
+    assert _sha(stream()) == CODER_GOLDEN[key], (
+        f"the {key} coder stream changed: the range coder's bytes changed, which "
+        "must be deliberate and named in CHANGES.md")

@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    NumpyAdaptiveByteModel,
+    NumpyRangeEncoder,
+    numpy_decode_bytes_adaptive,
+    numpy_encode_bytes_adaptive,
+)
 from voxcodec.errors import ContractViolation, DecodeError
 from voxcodec.rangecoder import (
+    MAX_TOTAL,
     AdaptiveByteDecoder,
     AdaptiveByteModel,
     RangeDecoder,
@@ -151,5 +158,70 @@ def test_adaptive_model_halving_keeps_positive_freqs():
     m = AdaptiveByteModel()
     for _ in range(5000):
         m.update(42)
-    assert np.diff(m.cdf).min() >= 1
-    assert m.cdf[-1] < m.LIMIT
+    assert min(m.freq) >= 1
+    assert m.total == sum(m.freq) < m.LIMIT
+
+
+@st.composite
+def table_and_ops(draw):
+    """A cumulative table (total 1 .. 2^16, zero-width slots allowed) and a
+    mix of its coded symbols and raw u32 escapes."""
+    freqs = draw(st.lists(st.integers(0, 1600), min_size=1, max_size=40)
+                 .filter(lambda f: sum(f) > 0))
+    if draw(st.booleans()):
+        freqs[-1] += MAX_TOTAL - sum(freqs)
+    cdf = [0]
+    for f in freqs:
+        cdf.append(cdf[-1] + f)
+    codable = [i for i, f in enumerate(freqs) if f]
+    ops = draw(st.lists(st.one_of(
+        st.sampled_from(codable).map(lambda s: ("symbol", s)),
+        st.integers(0, 2**32 - 1).map(lambda v: ("raw", v))), max_size=400))
+    return cdf, ops
+
+
+@given(table_and_ops())
+@settings(max_examples=80, deadline=None)
+def test_table_coder_matches_numpy_oracle(case):
+    cdf, ops = case
+    encoders = (RangeEncoder(), NumpyRangeEncoder())
+    for enc in encoders:
+        for kind, v in ops:
+            if kind == "symbol":
+                enc.encode_symbol(cdf, v)
+            else:
+                enc.encode_raw_u32(v)
+    data, expect = (enc.finish() for enc in encoders)
+    assert data == expect
+    dec = RangeDecoder(data)
+    back = [(kind, dec.decode_symbol(tuple(cdf)) if kind == "symbol" else dec.decode_raw_u32())
+            for kind, _ in ops]
+    dec.finish()
+    assert back == ops
+
+
+@given(st.integers(2100, 4000), st.integers(1, 256), st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_adaptive_coder_matches_numpy_oracle(n, alphabet, seed):
+    # from 2,041 bytes on the model has halved at least once
+    rng = np.random.default_rng(seed)
+    payload = bytes(rng.integers(0, alphabet, size=n, dtype=np.uint8))
+    coded = encode_bytes_adaptive(payload)
+    assert coded == numpy_encode_bytes_adaptive(payload)
+    assert decode_adaptive(coded, n) == payload
+    assert numpy_decode_bytes_adaptive(coded, n) == payload
+
+
+def test_adaptive_model_slots_match_numpy_table():
+    rng = np.random.default_rng(9)
+    model, oracle = AdaptiveByteModel(), NumpyAdaptiveByteModel()
+    for step, b in enumerate(rng.geometric(0.05, size=6000).clip(0, 255).tolist()):
+        model.update(b)
+        oracle.update(b)
+        if step % 500 == 0:
+            cdf = oracle.cdf.tolist()
+            assert model.total == cdf[-1]
+            assert [model.slot(s) for s in range(256)] == list(zip(cdf[:-1], cdf[1:]))
+            for t in rng.integers(0, model.total, size=64).tolist():
+                s = int(np.searchsorted(oracle.cdf, t, side="right")) - 1
+                assert model.locate(t) == (s, cdf[s], cdf[s + 1])
