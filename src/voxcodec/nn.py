@@ -27,6 +27,9 @@ class ConvSpec:
     transposed: bool = False
 
     def __post_init__(self):
+        if self.in_channels < 1 or self.out_channels < 1:
+            raise ContractViolation(
+                f"channel widths {self.in_channels}, {self.out_channels} must be at least 1")
         if self.kernel_size not in (1, 2, 3):
             raise ContractViolation(f"kernel_size {self.kernel_size} unsupported")
         if self.stride not in (1, 2):
@@ -190,12 +193,27 @@ def sparse_conv(
         for o, (i_idx, j_idx) in enumerate(kmap.pairs):
             if i_idx.size:
                 # within one offset each output row appears at most once
-                out[j_idx] += x.feats[i_idx] @ w[o]
+                _add_rows(out, j_idx, np.take(x.feats, i_idx, axis=0) @ w[o])
     if same:
         return SparseTensor(x.coords, out, x.scale, _coords_of=x)
     if target is not None:
         return SparseTensor(None, out, _out_scale(spec, x.scale), _coords_of=target)
     return SparseTensor(out_coords, out, _out_scale(spec, x.scale), _trusted=True)
+
+
+def _add_rows(out, rows, p):
+    """``out[rows] += p`` for distinct ``rows`` of a C-contiguous ``out``,
+    moving whole rows.
+
+    Numpy's fancy indexing on a 2-D array steps element by element.  This
+    takes the rows, adds ``p`` in place and puts each row back as one
+    ``void`` item: the same in-place add on the same operands as
+    ``out[rows] += p``, so the same bytes, NaN payloads included.
+    """
+    acc = np.take(out, rows, axis=0)
+    acc += p
+    row = np.dtype((np.void, out.dtype.itemsize * out.shape[1]))
+    out.view(row)[:, 0][rows] = acc.view(row)[:, 0]
 
 
 def sparse_conv_backward(x: SparseTensor, spec: ConvSpec, weight, kmap: KernelMap, grad_out):
@@ -207,8 +225,9 @@ def sparse_conv_backward(x: SparseTensor, spec: ConvSpec, weight, kmap: KernelMa
     grad_w = np.zeros_like(weight)
     for o, (i_idx, j_idx) in enumerate(kmap.pairs):
         if i_idx.size:
-            grad_in[i_idx] += grad_out[j_idx] @ weight[o].T
-            grad_w[o] = feats[i_idx].T @ grad_out[j_idx]
+            g = np.take(grad_out, j_idx, axis=0)
+            _add_rows(grad_in, i_idx, g @ weight[o].T)
+            grad_w[o] = np.take(feats, i_idx, axis=0).T @ g
     grad_b = grad_out.sum(axis=0)
     return grad_in, grad_w, grad_b
 
@@ -307,4 +326,5 @@ def adaptive_prune(x: SparseTensor, probs: np.ndarray, keep: int) -> SparseTenso
     m = min(int(keep), x.n)
     order = np.argsort(-probs, kind="stable")[:m]
     order = np.sort(order)
-    return SparseTensor(x.coords[order], x.feats[order], x.scale, _trusted=True)
+    return SparseTensor(np.take(x.coords, order, axis=0), np.take(x.feats, order, axis=0),
+                        x.scale, _trusted=True)

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to derive expected test values.
 
 These deliberately avoid the library's own fast paths: dense zero-padded
-convolution on a full grid, one sorted search per kernel offset, O(N*Q)
+convolution on a full grid, one sorted search per kernel offset, the sparse
+convolution's earlier fancy-index offset loop, O(N*Q)
 nearest-neighbour scans, per-element probability sums, a dense-grid set
 union, and the range coder's earlier numpy symbol step.
 """
@@ -75,6 +76,22 @@ def kernel_map_oracle(in_coords, out_coords, spec):
             hit = in_keys[i] == keys if in_keys.size else np.zeros(len(keys), bool)
             pairs.append((i[hit], dst_rows[hit]))
     return pairs
+
+
+def sparse_conv_oracle(x, spec, weight, bias, out_coords):
+    """``sparse_conv``'s output features by its earlier offset loop, which
+    gathers and scatter-adds with fancy indexing, over the oracle's pairs.
+    Every row gets the same additions in the same order, so the library's
+    row-moving loop must match it byte for byte."""
+    dtype = x.feats.dtype
+    w = np.asarray(weight).astype(dtype, copy=False)
+    out = np.zeros((len(out_coords), spec.out_channels), dtype=dtype)
+    if bias is not None:
+        out += np.asarray(bias, dtype=dtype)
+    for o, (i_idx, j_idx) in enumerate(kernel_map_oracle(x.coords, out_coords, spec)):
+        if i_idx.size:
+            out[j_idx] += x.feats[i_idx] @ w[o]
+    return out
 
 
 def brute_force_knn(queries, ref_coords, k):

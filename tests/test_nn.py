@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_conv_oracle, kernel_map_oracle
+from oracles import dense_conv_oracle, kernel_map_oracle, sparse_conv_oracle
 from voxcodec import nn
 from voxcodec.codec import _children
 from voxcodec.errors import ContractViolation
@@ -280,6 +280,58 @@ class TestSparseConv:
         x = make([[0, 0, 0]], [[1.0]])
         with pytest.raises(ContractViolation):
             sparse_conv(x, ConvSpec(1, 1, 3), np.ones((5, 1, 1)), None)
+
+    @pytest.mark.parametrize("cin,cout", [(0, 3), (2, 0), (-1, 3), (2, -1)])
+    def test_channel_widths_below_one_rejected(self, cin, cout):
+        with pytest.raises(ContractViolation, match="channel widths"):
+            ConvSpec(cin, cout, 3)
+
+    @staticmethod
+    def _nan(dtype, payload):
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        quiet = 0x7FC00000 if dtype == np.float32 else 0x7FF8000000000000
+        return np.array(quiet | payload, dtype=bits).view(dtype)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40),
+           st.sampled_from([np.float32, np.float64]),
+           st.sampled_from([1, 3, 5, 64]), st.sampled_from([1, 3, 5, 64]),
+           st.sampled_from(["none", "-0.0", "random", "nan-payload"]),
+           st.sampled_from(["k1", "k1-other-out", "k3", "k3-other-out", "stride2",
+                            "children", "partial"]))
+    @example(0, 0, np.float32, 3, 5, "random", "k3-other-out")  # an empty input set
+    @example(1, 30, np.float64, 3, 5, "nan-payload", "k3")
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_bytes_match_fancy_index_loop(self, seed, n, dtype, cin, cout, bias, geometry):
+        rng = np.random.default_rng(seed)
+        span, lo = int(rng.integers(1, 8)), int(rng.integers(-16, 16))
+        coords = coord_set(rng, n, span, lo)
+        feats = rng.normal(size=(len(coords), cin)).astype(dtype)
+        if bias == "nan-payload":
+            # a sum of two NaNs keeps one operand's payload, so the bias's
+            # and the features' payloads tell the operand order apart
+            feats[rng.random(feats.shape) < 0.2] = self._nan(dtype, 2)
+            bias = np.full(cout, self._nan(dtype, 1))
+        else:
+            bias = {"none": None, "-0.0": np.full(cout, -0.0),
+                    "random": rng.normal(size=cout)}[bias]
+        x = make(coords, feats, scale=1)
+        extra = coord_set(rng, int(rng.integers(0, 40)), 2 * span + 2, 2 * lo - 1)
+        spec, out = {
+            "k1": (ConvSpec(cin, cout, 1), coords),
+            "k1-other-out": (ConvSpec(cin, cout, 1), extra),
+            "k3": (ConvSpec(cin, cout, 3), coords),
+            "k3-other-out": (ConvSpec(cin, cout, 3), extra),
+            "stride2": (ConvSpec(cin, cout, 2, stride=2), stride_down_coords(coords)),
+            "children": (ConvSpec(cin, cout, 2, stride=2, transposed=True), _children(coords)),
+            "partial": (ConvSpec(cin, cout, 2, stride=2, transposed=True),
+                        unpack_keys(np.union1d(pack_keys(_children(coords)[::3]),
+                                               pack_keys(extra)))),
+        }[geometry]
+        w = rng.normal(size=spec.weight_shape)
+        got = sparse_conv(x, spec, w, bias, out)
+        expect = sparse_conv_oracle(x, spec, w, bias, out)
+        assert got.feats.dtype == dtype
+        assert got.feats.tobytes() == expect.tobytes()
 
 
 class TestActivationsAndBlocks:
