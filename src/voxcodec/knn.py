@@ -3,9 +3,12 @@
 The reference is bucketed into cubic cells of side 2**level lattice units,
 counted from its min corner, and the cells are sorted by packed key.  Each
 block of queries probes its 3x3x3 cell neighbourhoods with one sorted lookup.
-A query is done when its k-th squared distance is strictly below the squared
-distance from it to the outside of the probed cube, or when the cube covers
-every occupied cell; the rest go round again with the cell side doubled.
+Every reference point outside a query's probed cube is at least r away, r
+being the query's distance to the outside of the cube, so the ball of radius
+r is certified: only the candidates strictly inside it are ranked (all of
+them where the cube covers every occupied cell), and the query is done when
+at least k are.  The rest go round again with the cell side doubled, from a
+first level whose certified ball holds about k reference points on average.
 Results are exact squared Euclidean distances, with ties broken by reference
 index (lexicographic coordinate order for a lex-sorted reference).  Brute
 force is the test oracle.
@@ -20,7 +23,7 @@ from .sparse import SparseTensor, lookup, pack_keys
 
 PROBE_BLOCK = 256  # queries whose 27 neighbour cells are looked up at once
 PAIR_BLOCK = 2048  # candidate (query, reference) pairs ranked at once
-FIRST_LEVEL = 1  # the first round's cells are 2 lattice units wide
+FIRST_LEVEL = 1  # the finest cells probed are 2 lattice units wide
 # Cell 0 sits just above the bottom of the 21-bit key range, so the probes of
 # a query clamped to the occupied cells +-1 pack for any 21-bit reference.
 _CELL0 = 2 - (1 << 20)
@@ -56,12 +59,24 @@ class GridIndex:
             self._levels[level] = (keys[starts], starts, ends, order, cell.max(axis=0))
         return self._levels[level]
 
+    def first_level(self, m: int) -> int:
+        """The level to start probing for m neighbours: the lowest whose
+        certified ball, at least one cell side in radius and so about 4.19
+        (4/3 pi) occupied cells' worth of points, holds m of them."""
+        level = FIRST_LEVEL
+        while 4.19 * self.coords.shape[0] < m * self.cells(level)[0].size:
+            level += 1
+        return level
+
 
 def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
-    """Rank the reference points in each query's 3x3x3 cell neighbourhood.
+    """Rank the reference points of each query's 3x3x3 cell neighbourhood
+    that lie strictly inside its certified ball (all of them where the cube
+    covers every occupied cell).
 
-    Returns (done, idx, d2): rows of idx/d2 are the m best candidates by
-    (d2, index), final where ``done`` is set.
+    Returns (done, idx, d2): a query is done when it has at least m ranked
+    candidates; its rows of idx/d2 are then the m best by (d2, index).
+    Rows that are not done are undefined.
     """
     keys, starts, ends, order, top = index.cells(level)
     side = 1 << level
@@ -74,7 +89,7 @@ def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
     # any point outside the probed cube is at least r away on some axis
     lo_b = index.lo + (cell - 1) * side
     hi_b = index.lo + (cell + 2) * side
-    r = np.maximum(np.minimum(q - lo_b, hi_b - q).min(axis=1), 0.0)
+    r2 = np.maximum(np.minimum(q - lo_b, hi_b - q).min(axis=1), 0.0) ** 2
     covers = ((cell <= 1) & (cell + 1 >= top)).all(axis=1)
     done = np.zeros(q.shape[0], dtype=bool)
     idx = np.empty((q.shape[0], m), dtype=np.int64)
@@ -87,7 +102,11 @@ def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
         n, cnt = count[27 * a : 27 * b], per_query[a:b]
         qid = np.repeat(np.arange(a, b), cnt)
         rid = order[np.repeat(starts[pos[27 * a : 27 * b]] - (np.cumsum(n) - n), n) + np.arange(qid.size)]
-        dist = ((index.coords[rid] - q[qid]) ** 2).sum(axis=1)
+        dist = ((np.take(index.coords, rid, axis=0) - np.take(q, qid, axis=0)) ** 2).sum(axis=1)
+        # strict: a point on the cube's far face is r away and may win the tie on index
+        inside = (dist < r2[qid]) | covers[qid]
+        qid, rid, dist = qid[inside], rid[inside], dist[inside]
+        cnt = np.bincount(qid - a, minlength=b - a)
         ranked = np.lexsort((rid, dist, qid))
         rank = np.arange(qid.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         enough = cnt >= m
@@ -95,8 +114,7 @@ def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
         rows = a + np.flatnonzero(enough)
         idx[rows] = rid[take].reshape(-1, m)
         d2[rows] = dist[take].reshape(-1, m)
-        # strict: a point on the cube's far face is r away and may win the tie on index
-        done[rows] = (d2[rows, -1] < r[rows] ** 2) | covers[rows]
+        done[rows] = True
         a = b
     return done, idx, d2
 
@@ -123,9 +141,10 @@ def knn(queries, reference, k: int):
     m = min(k, index.coords.shape[0])
     idx = np.empty((q.shape[0], m), dtype=np.int64)
     d2 = np.empty((q.shape[0], m), dtype=np.float64)
+    first = index.first_level(m)
     for s in range(0, q.shape[0], PROBE_BLOCK):
         block = np.arange(s, min(s + PROBE_BLOCK, q.shape[0]))
-        level = FIRST_LEVEL
+        level = first
         while block.size:
             done, bi, bd = _probe(index, q[block], level, m)
             idx[block[done]], d2[block[done]] = bi[done], bd[done]

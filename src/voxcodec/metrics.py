@@ -66,7 +66,7 @@ def estimate_normals(coords: np.ndarray, k: int = 16) -> tuple[np.ndarray, np.nd
     idx, _ = knn(coords, coords.astype(np.int64), kk)
     if kk < 3:
         return np.zeros((n, 3)), np.zeros(n, dtype=bool)
-    nb = coords[idx]
+    nb = np.take(coords, idx, axis=0)
     nb -= nb.mean(axis=1, keepdims=True)
     _, evecs = np.linalg.eigh(np.matmul(nb.transpose(0, 2, 1), nb))
     nrm = evecs[:, :, 0]
@@ -78,9 +78,9 @@ def estimate_normals(coords: np.ndarray, k: int = 16) -> tuple[np.ndarray, np.nd
 
 def _plane_errors(queries, reference, normals, valid):
     idx, d2 = _nearest(queries, reference)
-    diff = queries.astype(np.float64) - reference.astype(np.float64)[idx]
-    proj = np.einsum("ij,ij->i", diff, normals[idx]) ** 2
-    return np.where(valid[idx], proj, d2)
+    diff = queries.astype(np.float64) - np.take(reference.astype(np.float64), idx, axis=0)
+    proj = np.einsum("ij,ij->i", diff, np.take(normals, idx, axis=0)) ** 2
+    return np.where(np.take(valid, idx, axis=0), proj, d2)
 
 
 def d2_psnr(a, b, peak: int = DEFAULT_PEAK) -> float:

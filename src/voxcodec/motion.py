@@ -122,12 +122,12 @@ def interpolate_over(translated, coords, feats, idx, alpha):
     knn's expression, so they equal knn's bit for bit), and the
     neighbour-minus-query offsets.
     """
-    offset = coords[idx].astype(np.float64) - translated[:, None, :]
+    offset = np.take(coords, idx, axis=0).astype(np.float64) - translated[:, None, :]
     d2 = (offset**2).sum(axis=2)
     w = 1.0 / np.maximum(d2, DIST_EPS)
     s = w.sum(axis=1)
     mix = w / np.maximum(s, alpha)[:, None]
-    pred = np.einsum("qk,qkc->qc", mix, feats[idx].astype(np.float64))
+    pred = np.einsum("qk,qkc->qc", mix, np.take(feats, idx, axis=0).astype(np.float64))
     return pred, mix, s, d2, offset
 
 
@@ -147,7 +147,7 @@ def interpolate_gradients(motion, reference, alpha, grad_out):
     np.add.at(grad_ref, idx, mix[:, :, None] * grad_out[:, None, :])
 
     # dL/dw_v, split by the active branch of the max() denominator
-    gy = np.einsum("qc,qkc->qk", grad_out, feats[idx])
+    gy = np.einsum("qc,qkc->qk", grad_out, np.take(feats, idx, axis=0))
     capped = s < alpha
     dw = np.where(
         capped[:, None],

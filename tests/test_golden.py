@@ -2,7 +2,8 @@
 decoded coordinates and the decoder's reference latent of one seeded 7-bit
 I+P sequence under ``make_weights(0)``, plus two coder streams that sequence
 never reaches: escape-coded entropy symbols and an adaptive byte stream long
-enough for its model to halve.
+enough for its model to halve.  The D1 and D2 PSNR of one seeded 7-bit cloud
+against a coarse-to-fine resample of it are pinned to the bit.
 
 A change that moves any digest changes what the codec emits; such a change
 must be deliberate and named in CHANGES.md, with the literals below updated
@@ -14,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from voxcodec import codec, entropy, rangecoder, synthetic
+from voxcodec import codec, entropy, metrics, rangecoder, synthetic
 
 GOLDEN = {
     "ddpc": "cfa60e0a013073854bd53c581527b28af309e3ba8d74720d38e7a893b1746f8c",
@@ -25,6 +26,12 @@ GOLDEN = {
 CODER_GOLDEN = {
     "escapes": "70a5c4995d5b9d0bf9413b2b222c29479c41e4ecbcf7c81ec1cd67b9ceccb200",
     "adaptive": "c8dc3081e5f286de271037b79eaa2829f06bc96d30f16120346e8cdbfb4e6119",
+}
+
+# float.hex() of each metric at the default peak
+METRIC_GOLDEN = {
+    "d1_psnr": "0x1.c1430989ee322p+5",
+    "d2_psnr": "0x1.e0792ec73584cp+5",
 }
 
 
@@ -87,4 +94,30 @@ def _adaptive_stream() -> bytes:
 def test_coder_stream_contract(key, stream):
     assert _sha(stream()) == CODER_GOLDEN[key], (
         f"the {key} coder stream changed: the range coder's bytes changed, which "
+        "must be deliberate and named in CHANGES.md")
+
+
+def _coarse_to_fine(coords, seed):
+    # a decoder-like resample: from c >> 2, expand to the 8 children twice and
+    # keep as many as the true cloud has at that scale, chosen by seeded scores
+    rng = np.random.default_rng(seed)
+    children = np.array([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    cur = np.unique(coords >> 2, axis=0)
+    for keep in (np.unique(coords >> 1, axis=0).shape[0], coords.shape[0]):
+        kids = np.unique((2 * cur[:, None, :] + children).reshape(-1, 3), axis=0)
+        cur = kids[np.sort(np.argsort(-rng.random(len(kids)), kind="stable")[:keep])]
+    return cur
+
+
+@pytest.fixture(scope="module")
+def metric_values():
+    a = synthetic.make_blob(1000, 7, 3)
+    b = _coarse_to_fine(a, 4)
+    return {"d1_psnr": metrics.d1_psnr(a, b), "d2_psnr": metrics.d2_psnr(a, b)}
+
+
+@pytest.mark.parametrize("key", sorted(METRIC_GOLDEN))
+def test_metric_contract(metric_values, key):
+    assert metric_values[key].hex() == METRIC_GOLDEN[key], (
+        f"{key} of the golden 7-bit pair changed: the metric bytes changed, which "
         "must be deliberate and named in CHANGES.md")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_knn
+from voxcodec import synthetic
 from voxcodec.errors import ContractViolation
 from voxcodec.knn import knn
 from voxcodec.sparse import SparseTensor
@@ -38,6 +39,15 @@ def test_tie_just_outside_the_probed_cube():
     assert idx.tolist() == [[1]] and d2.tolist() == [[9.0]]
 
 
+def test_tie_on_the_far_face_at_the_kth_place():
+    # the same first cube: two points at d2 = 1 are strictly inside the
+    # certified ball (r = 3), while (3, 3, 2) inside the cube and (1, 4, 1)
+    # on its far face tie at d2 = 9 = r^2 for the 3rd place; (1, 4, 1) wins
+    r = ref([[-2, -2, -2], [0, 1, 1], [1, 1, 2], [1, 4, 1], [3, 3, 2], [20, 20, 20]])
+    idx, d2 = knn([[1.0, 1.0, 1.0]], r, 3)
+    assert idx.tolist() == [[1, 2, 3]] and d2.tolist() == [[1.0, 1.0, 9.0]]
+
+
 def test_k_clamped():
     r = ref([[0, 0, 0], [9, 9, 9]])
     idx, d2 = knn([[1.0, 1.0, 1.0]], r, 3)
@@ -64,15 +74,14 @@ def test_matches_brute_force(seed):
     for k in (1, 3, 7):
         gi, gd = knn(queries, r, k)
         bi, bd = brute_force_knn(queries, r.coords, k)
-        assert np.array_equal(gi, bi)
-        assert np.allclose(gd, bd)
+        assert np.array_equal(gi, bi) and gd.tobytes() == bd.tobytes()
 
 
 def test_far_query():
     r = ref([[0, 0, 0], [2, 2, 2]])
     idx, d2 = knn([[1000.0, 1000.0, 1000.0]], r, 2)
     bi, bd = brute_force_knn([[1000.0, 1000.0, 1000.0]], r.coords, 2)
-    assert np.array_equal(idx, bi) and np.allclose(d2, bd)
+    assert np.array_equal(idx, bi) and d2.tobytes() == bd.tobytes()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(0, 400),
@@ -94,6 +103,17 @@ def test_matches_brute_force_exactly(seed, n, nq, kind, k):
     gi, gd = knn(q, coords, k)
     bi, bd = brute_force_knn(q, coords, k)
     assert gi.shape == (len(q), min(k, len(coords)))
+    assert np.array_equal(gi, bi) and gd.tobytes() == bd.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 500), st.sampled_from([6, 7]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_self_queries_on_a_clustered_cloud(seed, n, bits):
+    # estimate_normals' call: every reference point queries its 16 nearest,
+    # and on a lattice many candidates sit exactly at the certified radius
+    coords = synthetic.make_blob(n, bits, seed)
+    gi, gd = knn(coords.astype(np.float64), coords, 16)
+    bi, bd = brute_force_knn(coords, coords, 16)
     assert np.array_equal(gi, bi) and gd.tobytes() == bd.tobytes()
 
 
