@@ -1,10 +1,16 @@
 """Generalized sparse convolution engine.
 
 Convolutions are evaluated only at prescribed output coordinates via
-offset-indexed gather/scatter (kernel maps).  Stride-1 kernels use centered
-offsets; stride-2 kernels use the {0,1}^3 corner convention so downsampled
-coordinate sets are exactly the floor-division sets and transposed
-convolutions target prescribed coordinate sets.
+offset-indexed kernel maps.  Stride-1 kernels use centered offsets; stride-2
+kernels use the {0,1}^3 corner convention so downsampled coordinate sets are
+exactly the floor-division sets and transposed convolutions target
+prescribed coordinate sets.
+
+A stride-1 map searches the input keys once per kernel column and steps
+along the column's ``dz`` run from there.  Each map is turned once into a
+running-sum plan: per offset, the input rows to gather and a contiguous
+block of a sums table that receives those rows' running sums, so a conv
+writes blocks and reads each output row's final sum with one gather.
 """
 
 from __future__ import annotations
@@ -40,18 +46,22 @@ class ConvSpec:
             raise ContractViolation("transposed convolutions are stride-2 kernel-2")
 
     def offsets(self) -> np.ndarray:
-        """Kernel offsets in lexicographic order; defines the weight layout."""
-        if self.kernel_size == 1:
-            rng = (0,)
-        elif self.kernel_size == 2:
-            rng = (0, 1)
-        else:
-            rng = (-1, 0, 1)
-        return np.array(list(product(rng, rng, rng)), dtype=np.int64)
+        """Kernel offsets in lexicographic order; defines the weight layout.
+        The array is shared and read-only."""
+        return _OFFSETS[self.kernel_size]
 
     @property
     def weight_shape(self):
-        return (len(self.offsets()), self.in_channels, self.out_channels)
+        return (self.kernel_size**3, self.in_channels, self.out_channels)
+
+
+def _offset_table(rng):
+    offsets = np.array(list(product(rng, rng, rng)), dtype=np.int64)
+    offsets.flags.writeable = False
+    return offsets
+
+
+_OFFSETS = {1: _offset_table((0,)), 2: _offset_table((0, 1)), 3: _offset_table((-1, 0, 1))}
 
 
 class KernelMap:
@@ -73,8 +83,8 @@ def build_kernel_map(in_coords, out_coords, spec: ConvSpec) -> KernelMap:
     Coordinate rows are lexicographically sorted, as in a SparseTensor (the
     stride-1 output rows may come in any order).  Within one offset the pairs
     are in increasing output-row order, which is also increasing input-row
-    order.  This is the uncached primitive; :func:`sparse_conv` memoizes its
-    result on the input tensor.
+    order.  This is the uncached primitive; :func:`sparse_conv` memoizes the
+    running-sum plan made from its result on the input tensor.
     """
     in_coords = np.asarray(in_coords, dtype=np.int64).reshape(-1, 3)
     out_coords = np.asarray(out_coords, dtype=np.int64).reshape(-1, 3)
@@ -104,7 +114,8 @@ def _by_corner(children, i_rows, j_rows):
 
 
 def _neighbour_pairs(in_coords, out_coords, offsets):
-    """Stride-1 pairs: the output keys are packed once and shifted per offset."""
+    """Stride-1 pairs: the output keys are packed once and shifted per offset,
+    and the input keys are searched once per kernel column."""
     in_keys = pack_keys(in_coords)
     # offsets[0] and offsets[-1] are the extreme corners of the kernel, so
     # packing both raises exactly when some out + offset leaves the 21-bit range
@@ -122,25 +133,86 @@ def _neighbour_pairs(in_coords, out_coords, offsets):
         if mirror and t > n // 2:
             i, j = pairs[n - 1 - t]
             pairs.append((j, i))
+            continue
+        keys = first + step
+        if d[t, 2] and in_keys.size:
+            # the offsets of a column (dx, dy) are a run over dz in lex order,
+            # so keys is the previous offset's keys plus one.  The input keys
+            # are distinct and sorted: key + 1 can only sit at pos + hit
+            pos = np.minimum(pos + hit, in_keys.size - 1)
+            hit = in_keys[pos] == keys
         else:
-            i, hit = lookup(in_keys, first + step)
-            pairs.append((i[hit], dst_rows[hit]))
+            pos, hit = lookup(in_keys, keys)
+        pairs.append((pos[hit], dst_rows[hit]))
     return pairs
 
 
-def _cached_kernel_map(x: SparseTensor, out_coords, spec: ConvSpec) -> KernelMap:
-    """The kernel map from x onto out_coords, built once per coordinate set.
+class _Plan:
+    """A kernel map laid out for running sums.
+
+    One sums table per conv: slot 0 holds the initial row (the bias) and
+    pair ``t`` of step ``(o, rows, lo, hi, prev)`` gets slot ``lo + t``.
+    ``rows`` are the offset's input rows; ``prev[t]`` is the slot holding
+    the running sum of that pair's output row before offset ``o``, and
+    ``last[j]`` the slot holding output row ``j``'s final sum (0 for a row
+    with no pairs).  Offsets with no pairs have no step.
+    """
+
+    __slots__ = ("steps", "last", "size")
+
+    def __init__(self, pairs, n_out):
+        last = np.zeros(n_out, dtype=np.intp)
+        steps = []
+        lo = 1
+        for o, (i, j) in enumerate(pairs):
+            if i.size:
+                hi = lo + i.size
+                steps.append((o, i, lo, hi, last[j]))
+                # within one offset each output row appears at most once
+                last[j] = np.arange(lo, hi)
+                lo = hi
+        self.steps = steps
+        self.last = last
+        self.size = lo
+
+
+def _accumulate(plan: _Plan, feats, weight, init):
+    """Row ``j`` of the result is ``init`` plus, offset by offset in order,
+    ``feats[i] @ weight[o]`` for each pair ``(i, j)`` of the plan's map.
+
+    Each offset takes its rows' running sums into its own block of the
+    sums table and adds its product in place: per row, the same in-place
+    adds on the same operands as ``out[j] += feats[i] @ weight[o]`` on an
+    ``out`` filled with ``init``, so the same bytes, NaN payloads included.
+    """
+    sums = np.empty((plan.size, init.shape[-1]), dtype=init.dtype)
+    sums[:1] = init
+    for o, rows, lo, hi, prev in plan.steps:
+        acc = sums[lo:hi]
+        # prev < lo: reading only sums[:lo] keeps the source apart from acc,
+        # and "clip" (the slots are in range by construction) spares numpy
+        # a buffered copy of out
+        np.take(sums[:lo], prev, axis=0, out=acc, mode="clip")
+        # pairs are increasing in i, so an offset using every input row
+        # takes them in order: the operand is feats itself
+        acc += (feats if rows.size == feats.shape[0] else np.take(feats, rows, axis=0)) @ weight[o]
+    return np.take(sums, plan.last, axis=0)
+
+
+def _cached_plan(x: SparseTensor, out_coords, spec: ConvSpec) -> _Plan:
+    """The running-sum plan of the kernel map from x onto out_coords, built
+    once per coordinate set.
 
     The memo lives on x (and every tensor sharing x's coordinates); entries
     are keyed by kernel geometry and compared on the output coordinates.
     """
     entries = x.kernel_maps.setdefault((spec.kernel_size, spec.stride, spec.transposed), [])
-    for coords, kmap in entries:
+    for coords, plan in entries:
         if coords is out_coords or np.array_equal(coords, out_coords):
-            return kmap
-    kmap = build_kernel_map(x.coords, out_coords, spec)
-    entries.append((out_coords if out_coords is x.coords else out_coords.copy(), kmap))
-    return kmap
+            return plan
+    plan = _Plan(build_kernel_map(x.coords, out_coords, spec).pairs, out_coords.shape[0])
+    entries.append((out_coords if out_coords is x.coords else out_coords.copy(), plan))
+    return plan
 
 
 def _out_scale(spec: ConvSpec, in_scale: int) -> int:
@@ -182,18 +254,13 @@ def sparse_conv(
     same = spec.stride == 1 and (out_coords is x.coords or np.array_equal(out_coords, x.coords))
     dtype = x.feats.dtype
     w = weight.astype(dtype, copy=False)
-    out = np.zeros((out_coords.shape[0], spec.out_channels), dtype=dtype)
-    if bias is not None:
-        out += np.asarray(bias, dtype=dtype)
     if same and spec.kernel_size == 1:
         # a 1x1 kernel on its own coordinates pairs every row with itself
+        out = _initial((x.n, spec.out_channels), bias, dtype)
         out += x.feats @ w[0]
     else:
-        kmap = _cached_kernel_map(x, out_coords, spec)
-        for o, (i_idx, j_idx) in enumerate(kmap.pairs):
-            if i_idx.size:
-                # within one offset each output row appears at most once
-                _add_rows(out, j_idx, np.take(x.feats, i_idx, axis=0) @ w[o])
+        init = _initial((1, spec.out_channels), bias, dtype)
+        out = _accumulate(_cached_plan(x, out_coords, spec), x.feats, w, init)
     if same:
         return SparseTensor(x.coords, out, x.scale, _coords_of=x)
     if target is not None:
@@ -201,19 +268,12 @@ def sparse_conv(
     return SparseTensor(out_coords, out, _out_scale(spec, x.scale), _trusted=True)
 
 
-def _add_rows(out, rows, p):
-    """``out[rows] += p`` for distinct ``rows`` of a C-contiguous ``out``,
-    moving whole rows.
-
-    Numpy's fancy indexing on a 2-D array steps element by element.  This
-    takes the rows, adds ``p`` in place and puts each row back as one
-    ``void`` item: the same in-place add on the same operands as
-    ``out[rows] += p``, so the same bytes, NaN payloads included.
-    """
-    acc = np.take(out, rows, axis=0)
-    acc += p
-    row = np.dtype((np.void, out.dtype.itemsize * out.shape[1]))
-    out.view(row)[:, 0][rows] = acc.view(row)[:, 0]
+def _initial(shape, bias, dtype):
+    """Rows a conv's sums start from: zero plus the bias."""
+    out = np.zeros(shape, dtype=dtype)
+    if bias is not None:
+        out += np.asarray(bias, dtype=dtype)
+    return out
 
 
 def sparse_conv_backward(x: SparseTensor, spec: ConvSpec, weight, kmap: KernelMap, grad_out):
@@ -221,13 +281,15 @@ def sparse_conv_backward(x: SparseTensor, spec: ConvSpec, weight, kmap: KernelMa
     weight = np.asarray(weight, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     feats = x.feats.astype(np.float64, copy=False)
-    grad_in = np.zeros_like(feats)
+    # grad_in[i] += grad_out[j] @ weight[o].T: the forward sum on the swapped
+    # map, whose pairs are increasing in both rows as well
+    swapped = _Plan([(j, i) for i, j in kmap.pairs], x.n)
+    grad_in = _accumulate(swapped, grad_out, weight.transpose(0, 2, 1),
+                          np.zeros((1, feats.shape[1])))
     grad_w = np.zeros_like(weight)
     for o, (i_idx, j_idx) in enumerate(kmap.pairs):
         if i_idx.size:
-            g = np.take(grad_out, j_idx, axis=0)
-            _add_rows(grad_in, i_idx, g @ weight[o].T)
-            grad_w[o] = np.take(feats, i_idx, axis=0).T @ g
+            grad_w[o] = np.take(feats, i_idx, axis=0).T @ np.take(grad_out, j_idx, axis=0)
     grad_b = grad_out.sum(axis=0)
     return grad_in, grad_w, grad_b
 

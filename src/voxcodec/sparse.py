@@ -64,9 +64,10 @@ class SparseTensor:
     """Sorted voxel coordinate list plus a per-voxel feature matrix.
 
     Immutable after construction; all operations return new tensors.
-    ``kernel_maps`` is a memo of kernel maps built on these coordinates
-    (filled by :mod:`voxcodec.nn`); tensors made from another tensor's
-    coordinates (``_coords_of``) share its packed keys and this memo.
+    ``kernel_maps`` is a memo of the kernel maps built on these coordinates,
+    held as running-sum plans (filled by :mod:`voxcodec.nn`); tensors made
+    from another tensor's coordinates (``_coords_of``) share its packed keys
+    and this memo.
     """
 
     __slots__ = ("coords", "feats", "scale", "_keys", "kernel_maps")

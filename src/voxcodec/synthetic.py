@@ -14,7 +14,12 @@ from .sparse import PointCloudFrame
 
 
 def make_blob(n_points: int, precision_bits: int, seed: int, margin: int = 0) -> np.ndarray:
-    """Exactly n unique voxels clustered inside [margin, 2^P - margin)^3."""
+    """Exactly n unique voxels clustered inside [margin, 2^P - margin)^3.
+
+    Voxels are drawn one at a time until n distinct ones are found; a blob
+    the clusters cannot fill within ``64 n + 4096`` draws (sizes used in
+    practice take about 1.05 draws per point) is refused.
+    """
     span = (1 << precision_bits) - 2 * margin
     if span <= 0 or n_points > span**3:
         raise ContractViolation("blob does not fit the requested cube")
@@ -24,7 +29,14 @@ def make_blob(n_points: int, precision_bits: int, seed: int, margin: int = 0) ->
     sigma = 0.08 * span
     seen = set()
     out = []
+    max_draws = 64 * n_points + 4096
+    draws = 0
     while len(out) < n_points:
+        if draws == max_draws:
+            raise ContractViolation(
+                f"{n_points} distinct voxels not found in {max_draws} draws: "
+                f"the clusters are too narrow for a {span}-voxel cube")
+        draws += 1
         c = centers[rng.integers(0, n_clusters)]
         p = rng.normal(c, sigma)
         v = tuple(int(x) for x in np.clip(np.floor(p), 0, span - 1))

@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's own fast paths: dense zero-padded
 convolution on a full grid, one sorted search per kernel offset, the sparse
-convolution's earlier fancy-index offset loop, O(N*Q)
+convolution's earlier fancy-index offset loops (forward and backward), O(N*Q)
 nearest-neighbour scans, per-element probability sums, a dense-grid set
 union, and the range coder's earlier numpy symbol step.
 """
@@ -82,7 +82,7 @@ def sparse_conv_oracle(x, spec, weight, bias, out_coords):
     """``sparse_conv``'s output features by its earlier offset loop, which
     gathers and scatter-adds with fancy indexing, over the oracle's pairs.
     Every row gets the same additions in the same order, so the library's
-    row-moving loop must match it byte for byte."""
+    running-sum loop must match it byte for byte."""
     dtype = x.feats.dtype
     w = np.asarray(weight).astype(dtype, copy=False)
     out = np.zeros((len(out_coords), spec.out_channels), dtype=dtype)
@@ -92,6 +92,24 @@ def sparse_conv_oracle(x, spec, weight, bias, out_coords):
         if i_idx.size:
             out[j_idx] += x.feats[i_idx] @ w[o]
     return out
+
+
+def sparse_conv_backward_oracle(x, spec, weight, out_coords, grad_out):
+    """``sparse_conv_backward``'s gradients by its earlier loop, which
+    scatter-adds ``grad_out[j] @ weight[o].T`` into the input gradient with
+    fancy indexing over the oracle's pairs.  The library accumulates the
+    same products in the same order and must match it byte for byte."""
+    weight = np.asarray(weight, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    feats = x.feats.astype(np.float64)
+    grad_in = np.zeros_like(feats)
+    grad_w = np.zeros_like(weight)
+    for o, (i_idx, j_idx) in enumerate(kernel_map_oracle(x.coords, out_coords, spec)):
+        if i_idx.size:
+            g = grad_out[j_idx]
+            grad_in[i_idx] += g @ weight[o].T
+            grad_w[o] = feats[i_idx].T @ g
+    return grad_in, grad_w, grad_out.sum(axis=0)
 
 
 def brute_force_knn(queries, ref_coords, k):

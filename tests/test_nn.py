@@ -3,7 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_conv_oracle, kernel_map_oracle, sparse_conv_oracle
+from oracles import (
+    dense_conv_oracle,
+    kernel_map_oracle,
+    sparse_conv_backward_oracle,
+    sparse_conv_oracle,
+)
 from voxcodec import nn
 from voxcodec.codec import _children
 from voxcodec.errors import ContractViolation
@@ -16,6 +21,7 @@ from voxcodec.nn import (
     relu,
     rn_block,
     sparse_conv,
+    sparse_conv_backward,
 )
 from voxcodec.sparse import SparseTensor, pack_keys, stride_down_coords, unpack_keys
 
@@ -33,6 +39,12 @@ def random_tensor(rng, n, span, channels, scale=0):
 def coord_set(rng, n, span, lo):
     """Up to n distinct lex-sorted coordinates in [lo, lo + span)^3."""
     return unpack_keys(np.unique(pack_keys(rng.integers(lo, lo + span, size=(n, 3)))))
+
+
+def cube(lo, side):
+    """Every coordinate of [lo, lo + side)^3, lex-sorted."""
+    r = np.arange(lo, lo + side)
+    return np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 def assert_same_pairs(kmap, expect):
@@ -111,6 +123,27 @@ class TestKernelMap:
         if spec.stride == 1 or spec.transposed:
             assert_same_pairs(build_kernel_map(some, empty, spec),
                               kernel_map_oracle(some, empty, spec))
+
+    @pytest.mark.parametrize("edge", ["bottom", "middle", "top"])
+    @pytest.mark.parametrize("fill", [1.0, 0.7, 0.3])
+    def test_column_search_matches_oracle(self, edge, fill):
+        # a stride-1 map searches once per (dx, dy) column and steps along dz:
+        # columns with holes, sets at the ends of the 21-bit range whose dz
+        # runs end on the last (or start on the first) input key, empty sets
+        # and input sets other than the output set
+        lo = {"bottom": -(1 << 20), "middle": -3, "top": (1 << 20) - 6}[edge]
+        rng = np.random.default_rng(0)
+        outer, inner = cube(lo, 6), cube(lo + 1, 4)  # inner +- 1 stays in range
+        keep = rng.random(len(outer)) < fill
+        keep[[0, -1]] = True  # the first and last keys of the range
+        outer = outer[keep]
+        inner = inner[rng.random(len(inner)) < fill]
+        empty = np.empty((0, 3), np.int64)
+        spec = ConvSpec(1, 1, 3)
+        for in_c, out_c in [(inner, inner), (outer, inner), (inner[::2], inner),
+                            (empty, inner), (outer, empty), (empty, empty)]:
+            assert_same_pairs(build_kernel_map(in_c, out_c, spec),
+                              kernel_map_oracle(in_c, out_c, spec))
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 60), st.sampled_from(
         ["k1", "k3", "k3-other-out", "stride2", "children", "superset", "targets"]))
@@ -296,15 +329,22 @@ class TestSparseConv:
            st.sampled_from([np.float32, np.float64]),
            st.sampled_from([1, 3, 5, 64]), st.sampled_from([1, 3, 5, 64]),
            st.sampled_from(["none", "-0.0", "random", "nan-payload"]),
-           st.sampled_from(["k1", "k1-other-out", "k3", "k3-other-out", "stride2",
-                            "children", "partial"]))
+           st.sampled_from(["k1", "k1-other-out", "k3", "k3-other-out", "k3-superset",
+                            "solid", "stride2", "children", "partial"]))
     @example(0, 0, np.float32, 3, 5, "random", "k3-other-out")  # an empty input set
     @example(1, 30, np.float64, 3, 5, "nan-payload", "k3")
+    @example(2, 0, np.float32, 8, 8, "random", "solid")
+    @example(3, 20, np.float64, 3, 5, "nan-payload", "k3-superset")
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_bytes_match_fancy_index_loop(self, seed, n, dtype, cin, cout, bias, geometry):
         rng = np.random.default_rng(seed)
         span, lo = int(rng.integers(1, 8)), int(rng.integers(-16, 16))
-        coords = coord_set(rng, n, span, lo)
+        if geometry == "solid":
+            # inner rows have all 27 pairs, and the centre offset pairs
+            # every input row: it multiplies the features without a gather
+            coords = cube(lo, span)
+        else:
+            coords = coord_set(rng, n, span, lo)
         feats = rng.normal(size=(len(coords), cin)).astype(dtype)
         if bias == "nan-payload":
             # a sum of two NaNs keeps one operand's payload, so the bias's
@@ -321,6 +361,10 @@ class TestSparseConv:
             "k1-other-out": (ConvSpec(cin, cout, 1), extra),
             "k3": (ConvSpec(cin, cout, 3), coords),
             "k3-other-out": (ConvSpec(cin, cout, 3), extra),
+            # another output set on which the centre offset pairs every input row
+            "k3-superset": (ConvSpec(cin, cout, 3),
+                            unpack_keys(np.union1d(pack_keys(coords), pack_keys(extra)))),
+            "solid": (ConvSpec(cin, cout, 3), coords),
             "stride2": (ConvSpec(cin, cout, 2, stride=2), stride_down_coords(coords)),
             "children": (ConvSpec(cin, cout, 2, stride=2, transposed=True), _children(coords)),
             "partial": (ConvSpec(cin, cout, 2, stride=2, transposed=True),
@@ -332,6 +376,46 @@ class TestSparseConv:
         expect = sparse_conv_oracle(x, spec, w, bias, out)
         assert got.feats.dtype == dtype
         assert got.feats.tobytes() == expect.tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40),
+           st.sampled_from([np.float32, np.float64]),
+           st.sampled_from([1, 3, 5]), st.sampled_from([1, 3, 5]), st.booleans(),
+           st.sampled_from(["k1", "k3", "k3-other-out", "solid", "stride2", "children",
+                            "partial"]))
+    @example(0, 0, np.float64, 3, 5, False, "k3-other-out")  # an empty input set
+    @example(1, 30, np.float32, 1, 1, True, "k3")
+    @example(2, 0, np.float64, 3, 3, True, "solid")
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_backward_bytes_match_fancy_index_loop(self, seed, n, dtype, cin, cout, nans,
+                                                   geometry):
+        rng = np.random.default_rng(seed)
+        span, lo = int(rng.integers(1, 7)), int(rng.integers(-16, 16))
+        coords = cube(lo, span) if geometry == "solid" else coord_set(rng, n, span, lo)
+        x = make(coords, rng.normal(size=(len(coords), cin)).astype(dtype), scale=1)
+        extra = coord_set(rng, int(rng.integers(0, 40)), 2 * span + 2, 2 * lo - 1)
+        spec, out = {
+            "k1": (ConvSpec(cin, cout, 1), coords),
+            "k3": (ConvSpec(cin, cout, 3), coords),
+            "k3-other-out": (ConvSpec(cin, cout, 3), extra),
+            "solid": (ConvSpec(cin, cout, 3), coords),
+            "stride2": (ConvSpec(cin, cout, 2, stride=2), stride_down_coords(coords)),
+            "children": (ConvSpec(cin, cout, 2, stride=2, transposed=True), _children(coords)),
+            "partial": (ConvSpec(cin, cout, 2, stride=2, transposed=True),
+                        unpack_keys(np.union1d(pack_keys(_children(coords)[::3]),
+                                               pack_keys(extra)))),
+        }[geometry]
+        w = rng.normal(size=spec.weight_shape)
+        grad_out = rng.normal(size=(len(out), cout)).astype(dtype)
+        if nans:
+            # two payloads, so a sum of two NaN products shows its operand order
+            nan_at = rng.random(grad_out.shape) < 0.2
+            second = rng.random(grad_out.shape) < 0.5
+            grad_out[nan_at & ~second] = self._nan(dtype, 1)
+            grad_out[nan_at & second] = self._nan(dtype, 2)
+        got = sparse_conv_backward(x, spec, w, build_kernel_map(x.coords, out, spec), grad_out)
+        expect = sparse_conv_backward_oracle(x, spec, w, out, grad_out)
+        for g, e in zip(got, expect):
+            assert g.dtype == np.float64 and g.tobytes() == e.tobytes()
 
 
 class TestActivationsAndBlocks:
