@@ -12,7 +12,8 @@ decoded latent directly).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,13 +115,23 @@ class LossReport:
 
 @dataclass
 class FrameResult:
-    """Everything the encoder/decoder knows after processing one frame."""
+    """Everything the encoder/decoder knows after processing one frame.  The
+    rate estimate is computed from the coded symbols when first read, since
+    neither coding nor decoding needs it."""
 
     decoded: PointCloudFrame
     decoded_latent: SparseTensor          # y' on the scale-2 coordinates
     reference_latent: SparseTensor        # reference for the next frame
-    rate: ent.RateReport
-    scale_probs: list = field(default_factory=list)   # (probs, candidates, truth_scale)
+    scale_probs: list                     # (probs, candidates, truth_scale)
+    coords_bits: float                    # coded size of the coordinate substream
+    coded_symbols: dict                   # substream name -> (symbols, model)
+
+    @cached_property
+    def rate(self) -> ent.RateReport:
+        breakdown = {"coords": self.coords_bits}
+        for name, (symbols, model) in self.coded_symbols.items():
+            breakdown[name] = ent.estimate_bits(symbols, model)
+        return ent.RateReport(sum(breakdown.values()), breakdown)
 
 
 def _block(x, w, prefix, up_to=None) -> SparseTensor:
@@ -210,13 +221,12 @@ def _finish_frame(y_prime, bs, models, w, latent_carry=False,
         reference = SparseTensor.empty(y_prime.channels, scale=2)
     else:
         reference = feature_extract(decoded, w)
-    breakdown = {"coords": 8.0 * len(bs.get(SUB_COORDS))}
+    coded = {}
     if motion_symbols is not None:
-        breakdown["motion"] = ent.estimate_bits(motion_symbols, models["motion"])
+        coded["motion"] = (motion_symbols, models["motion"])
     if residual_symbols is not None:
-        breakdown["residual"] = ent.estimate_bits(residual_symbols, models["residual"])
-    rate = ent.RateReport(sum(breakdown.values()), breakdown)
-    return FrameResult(decoded, y_prime, reference, rate, probs)
+        coded["residual"] = (residual_symbols, models["residual"])
+    return FrameResult(decoded, y_prime, reference, probs, 8.0 * len(bs.get(SUB_COORDS)), coded)
 
 
 def encode_intra(frame: PointCloudFrame, models, w, lam=3, latent_carry=False):

@@ -9,11 +9,12 @@ out-of-range symbols are escape-coded followed by 32 raw bits (zig-zag).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ContractViolation, DecodeError
-from .rangecoder import RangeDecoder, RangeEncoder
+from .rangecoder import RAW_CDF, RangeDecoder, RangeEncoder
 
 TOTAL = 1 << 16
 _LOG2_TOTAL = 16.0
@@ -108,8 +109,35 @@ def _unzigzag(u: int) -> int:
     return u // 2 if u % 2 == 0 else -(u + 1) // 2
 
 
+def _column_steps(column: np.ndarray, cdf: np.ndarray, offset: int):
+    """The coder steps (lo, hi) of one column, as lists: each row's slot, and
+    after an escape slot the four raw bytes of the zig-zagged value."""
+    nsym = cdf.size - 2
+    slot = column - offset
+    esc = (slot < 0) | (slot >= nsym)
+    k = int(np.count_nonzero(esc))
+    if not k:
+        return cdf[slot].tolist(), cdf[slot + 1].tolist()
+    if cdf[nsym + 1] == cdf[nsym]:
+        raise ContractViolation("symbol out of range and model has no escape slot")
+    z = [_zigzag(v) for v in column[esc].tolist()]
+    if max(z) >= 1 << 32:
+        raise ContractViolation("escape symbol exceeds 32-bit raw range")
+    slot[esc] = nsym
+    first = np.arange(slot.size) + 4 * (np.cumsum(esc) - esc)  # each row's first step
+    lo = np.empty(slot.size + 4 * k, dtype=np.int64)
+    hi = np.empty_like(lo)
+    lo[first], hi[first] = cdf[slot], cdf[slot + 1]
+    raw = first[esc][:, None] + np.arange(1, 5)
+    raw_bytes = (np.array(z, dtype=np.int64)[:, None] >> np.array([24, 16, 8, 0])) & 0xFF
+    raw_cdf = np.array(RAW_CDF)
+    lo[raw], hi[raw] = raw_cdf[raw_bytes], raw_cdf[raw_bytes + 1]
+    return lo.tolist(), hi.tolist()
+
+
 def range_encode(symbols: np.ndarray, model: EntropyModel) -> bytes:
-    """Range-code integer symbols column by column under the model.
+    """Range-code integer symbols column by column under the model, one
+    coder run per column.
 
     Layout: channel 0 rows in order, then channel 1, etc.  Decoding requires
     the same model and the row count.
@@ -120,38 +148,27 @@ def range_encode(symbols: np.ndarray, model: EntropyModel) -> bytes:
     if s.shape[1] != model.channels:
         raise ContractViolation(f"{s.shape[1]} columns for {model.channels}-channel model")
     enc = RangeEncoder()
-    encode = enc.encode_symbol
-    for c, cdf in enumerate(model.tables):
-        offset = int(model.offsets[c])
-        nsym = len(cdf) - 2
-        for v in s[:, c].tolist():
-            slot = v - offset
-            if 0 <= slot < nsym:
-                encode(cdf, slot)
-            else:
-                if cdf[nsym + 1] == cdf[nsym]:
-                    raise ContractViolation("symbol out of range and model has no escape slot")
-                z = _zigzag(v)
-                if z >= 1 << 32:
-                    raise ContractViolation("escape symbol exceeds 32-bit raw range")
-                encode(cdf, nsym)
-                enc.encode_raw_u32(z)
+    for c, cdf in enumerate(model.cdfs):
+        los, his = _column_steps(s[:, c], cdf, int(model.offsets[c]))
+        enc.encode_steps(los, his, repeat(TOTAL))
     return enc.finish()
 
 
 def range_decode(data: bytes, model: EntropyModel, count: int) -> np.ndarray:
     """Inverse of range_encode; returns an int64 (count, channels) array."""
     dec = RangeDecoder(data)
-    decode = dec.decode_symbol
     out = np.empty((count, model.channels), dtype=np.int64)
     for c, cdf in enumerate(model.tables):
         offset = int(model.offsets[c])
         nsym = len(cdf) - 2
-        column = [0] * count
-        for i in range(count):
-            slot = decode(cdf)
-            column[i] = slot + offset if slot < nsym else _unzigzag(dec.decode_raw_u32())
+        column = []
+        while len(column) < count:
+            column += dec.decode_run(cdf, count - len(column), nsym)
+            if column[-1] == nsym:
+                # the escaped value, less the offset added to the whole column
+                column[-1] = _unzigzag(dec.decode_raw_u32()) - offset
         out[:, c] = column
+        out[:, c] += offset
     dec.finish()
     return out
 

@@ -5,14 +5,17 @@ is settled, and near-underflow the range is clamped to the next 2^16 boundary,
 so emitted bytes are final.  All arithmetic is on plain Python ints, hence
 decoding is deterministic and platform independent.
 
-One symbol step each way: the encoder takes a cumulative table cdf (a
-sequence of Python ints such as a list or tuple, cdf[0] = 0, total cdf[-1] at
-most 2^16) and a symbol index into it, and the decoder takes the same table
-and returns the index.  Underneath, each direction narrows the interval in
-one place (``RangeEncoder._narrow``, ``RangeDecoder._narrow``), which also
-serves raw bytes and the adaptive byte model, whose Fenwick tree holds no
-flat table.  The flush writes exactly two bytes: the shortest prefix of a
-value inside the final interval (the post-normalization range is always
+The coder works in runs, each one loop that keeps the interval, the code and
+the read position in locals and writes them back once.  The encoder codes a
+run of steps, slot [lo, hi) of a total; a latent column and an octree
+payload are one run each.  The decoder has one loop for a cumulative table
+(cdf[0] = 0, total cdf[-1] at most 2^16), which returns symbol indices, and
+one for the adaptive byte model, whose two-level count table holds no flat
+table.  Raw u32s are four big-endian bytes, each a symbol of the uniform
+table RAW_CDF: byte b is the slot [256 b, 256 (b + 1)) of 2^16.
+``encode_symbol``, ``decode_symbol`` and the raw u32 calls are runs of
+length one or four.  The flush writes exactly two bytes: the shortest prefix
+of a value inside the final interval (the post-normalization range is always
 >= 2^16, so a multiple of 2^16 exists in it).  The decoder mirrors the
 encoder's renormalization byte for byte, so on a valid stream it runs
 exactly two bytes past the physical stream end (the flush it never sees in
@@ -23,6 +26,7 @@ them means trailing bytes.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import le
 
 from .errors import ContractViolation, DecodeError
 
@@ -31,6 +35,18 @@ _BOTTOM = 1 << 16
 _MASK = (1 << 32) - 1
 MAX_TOTAL = 1 << 16
 _VIRTUAL_ALLOWANCE = 2
+RAW_CDF = tuple(range(0, MAX_TOTAL + 1, 1 << 8))
+
+
+def _check_table(cdf) -> tuple:
+    """A decoder table as a tuple of ints, or ContractViolation: it must start
+    at 0, never decrease and total 1 .. 2^16, so that every target falls in a
+    slot [lo, hi) the encoder could have coded."""
+    table = tuple(map(int, cdf))
+    if (len(table) < 2 or table[0] != 0 or not 0 < table[-1] <= MAX_TOTAL
+            or not all(map(le, table, table[1:]))):
+        raise ContractViolation("decoder table must rise from 0 to a total of 1 .. 2^16")
+    return table
 
 
 class RangeEncoder:
@@ -44,41 +60,43 @@ class RangeEncoder:
         [cdf[s], cdf[s + 1]) out of the total cdf[-1]."""
         if not 0 <= s < len(cdf) - 1:
             raise ContractViolation(f"symbol {s} outside a {len(cdf) - 1}-slot table")
-        self._narrow(cdf[s], cdf[s + 1], cdf[-1])
-
-    def encode_raw_u32(self, value: int) -> None:
-        """Encode 32 raw bits as four uniform bytes (used for escapes): each
-        byte b is the slot [256 b, 256 (b + 1)) of 2^16."""
-        if not 0 <= value < (1 << 32):
-            raise ContractViolation("raw value out of u32 range")
-        for shift in (24, 16, 8, 0):
-            b = (value >> shift) & 0xFF
-            self._narrow(b << 8, (b + 1) << 8, MAX_TOTAL)
-
-    def _narrow(self, lo: int, hi: int, total: int) -> None:
-        """The one encoder step: narrow to [lo, hi) of total, then emit every
-        settled byte.  Bytes settle only once the range is below 2^24."""
+        lo, hi, total = int(cdf[s]), int(cdf[s + 1]), int(cdf[-1])
         if not 0 <= lo < hi <= total <= MAX_TOTAL:
             raise ContractViolation(f"bad coder step [{lo}, {hi}) of total {total}")
-        r = self._range // total
-        low = self._low + lo * r
-        rng = (hi - lo) * r
-        if rng < _TOP:
-            out = self._out
-            while True:
+        self.encode_steps((lo,), (hi,), (total,))
+
+    def encode_raw_u32(self, value: int) -> None:
+        """Encode 32 raw bits as four uniform bytes (used for escapes)."""
+        if not 0 <= value < (1 << 32):
+            raise ContractViolation("raw value out of u32 range")
+        raw = int(value).to_bytes(4, "big")
+        self.encode_steps([RAW_CDF[b] for b in raw], [RAW_CDF[b + 1] for b in raw],
+                          (MAX_TOTAL,) * 4)
+
+    def encode_steps(self, los, his, totals) -> None:
+        """Narrow to [lo, hi) of total for each step in turn, emitting every
+        settled byte (bytes settle only once the range is below 2^24).  The
+        steps are not checked: they must satisfy 0 <= lo < hi <= total <=
+        2^16, as the slots of a validated table, raw bytes and the adaptive
+        model's slots do."""
+        low, rng, out = self._low, self._range, self._out
+        for lo, hi, total in zip(los, his, totals):
+            r = rng // total
+            low += lo * r
+            rng = (hi - lo) * r
+            while rng < _TOP:
                 if (low ^ (low + rng)) < _TOP:
                     out.append(low >> 24)
                 elif rng < _BOTTOM:
                     # underflow: clamp range to the next 2^16 boundary; the
                     # top byte is settled by construction (see module docstring)
-                    rng = (-low) & (_BOTTOM - 1)
+                    rng = -low & (_BOTTOM - 1)
                     out.append(low >> 24)
                 else:
                     break
                 low = (low << 8) & _MASK
                 rng <<= 8
-        self._low = low
-        self._range = rng
+        self._low, self._range = low, rng
 
     def finish(self) -> bytes:
         """Flush: emit the two top bytes of a value inside [low, low+range)."""
@@ -91,91 +109,82 @@ class RangeEncoder:
 
 
 class RangeDecoder:
+    """Reads a range-coded stream.  ``_pos`` runs past the stream end by one
+    for each zero byte read there; the flush allows two."""
+
     def __init__(self, data: bytes):
-        head = data[:4]
+        if len(data) < 4 - _VIRTUAL_ALLOWANCE:
+            raise DecodeError("range-coded stream is truncated")
         self._data = data
-        self._pos = len(head)
-        self._virtual = 0
+        self._pos = 4
         self._low = 0
         self._range = _MASK
-        self._r = 1
-        self._code = int.from_bytes(head, "big") << 8 * (4 - len(head))
-        for _ in range(4 - len(head)):
-            self._past_end()
-
-    def _past_end(self) -> None:
-        """Count one zero byte read past the stream end: the flush allows two."""
-        self._virtual += 1
-        if self._virtual > _VIRTUAL_ALLOWANCE:
-            raise DecodeError("range-coded stream is truncated")
+        self._code = int.from_bytes(data[:4], "big") << 8 * max(4 - len(data), 0)
 
     def decode_symbol(self, cdf) -> int:
         """Decode and commit one symbol, the inverse of encode_symbol:
-        returns the index s with cdf[s] <= target < cdf[s + 1] for a table
-        with cdf[0] = 0 and total cdf[-1]."""
-        s = bisect_right(cdf, self._target(cdf[-1])) - 1
-        self._narrow(cdf[s], cdf[s + 1])
-        return s
+        returns the index s with cdf[s] <= target < cdf[s + 1]."""
+        return self.decode_run(cdf, 1)[0]
 
     def decode_raw_u32(self) -> int:
-        value = 0
-        for _ in range(4):
-            b = self._target(MAX_TOTAL) >> 8
-            self._narrow(b << 8, (b + 1) << 8)
-            value = (value << 8) | b
-        return value
+        return int.from_bytes(bytes(self._decode(RAW_CDF, 4, -1)), "big")
+
+    def decode_run(self, cdf, n: int, stop: int = -1) -> list:
+        """Decode up to n symbols of the table cdf, checked once (see
+        _check_table); the run ends early after a symbol equal to stop."""
+        return self._decode(_check_table(cdf), n, stop)
 
     def finish(self) -> None:
         """Check that the stream ended exactly: a valid stream leaves the
         decoder two virtual bytes past its end, never short of them."""
-        if self._virtual != _VIRTUAL_ALLOWANCE:
+        if self._pos - len(self._data) != _VIRTUAL_ALLOWANCE:
             raise DecodeError("trailing bytes after range-coded stream")
 
-    def _target(self, total: int) -> int:
-        """The value in [0, total) the code points at; the _narrow call that
-        commits the symbol holding it must follow, for the same total."""
-        self._r = r = self._range // total
-        t = self._code - self._low
-        if t < 0:
-            raise DecodeError("range-coded stream is corrupt")
-        t //= r
-        return t if t < total else total - 1
-
-    def _narrow(self, lo: int, hi: int) -> None:
-        """The one decoder step, mirroring RangeEncoder._narrow: narrow to
-        [lo, hi) of the total given to _target, then read one byte for each
-        byte the encoder emitted."""
-        r = self._r
-        low = self._low + lo * r
-        rng = (hi - lo) * r
-        if rng < _TOP:
-            code, data, pos = self._code, self._data, self._pos
-            while True:
-                if (low ^ (low + rng)) < _TOP:
-                    pass
-                elif rng < _BOTTOM:
-                    rng = (-low) & (_BOTTOM - 1)
-                else:
-                    break
-                if pos < len(data):
+    def _decode(self, cdf: tuple, n: int, stop: int) -> list:
+        """The table decoder's loop, mirroring RangeEncoder.encode_steps: find
+        the slot holding the target, narrow to it, then read one byte for
+        each byte the encoder emitted."""
+        low, rng, code, pos = self._low, self._range, self._code, self._pos
+        data, end, total = self._data, len(self._data), cdf[-1]
+        out = []
+        for _ in range(n):
+            r = rng // total
+            t = code - low
+            if t < 0:
+                raise DecodeError("range-coded stream is corrupt")
+            t //= r
+            s = bisect_right(cdf, t if t < total else total - 1) - 1
+            lo = cdf[s]
+            low += lo * r
+            rng = (cdf[s + 1] - lo) * r
+            while rng < _TOP:
+                if (low ^ (low + rng)) >= _TOP:
+                    if rng >= _BOTTOM:
+                        break
+                    rng = -low & (_BOTTOM - 1)
+                if pos < end:
                     code = ((code << 8) | data[pos]) & _MASK
-                    pos += 1
+                elif pos - end >= _VIRTUAL_ALLOWANCE:
+                    raise DecodeError("range-coded stream is truncated")
                 else:
                     code = (code << 8) & _MASK
-                    self._past_end()
+                pos += 1
                 low = (low << 8) & _MASK
                 rng <<= 8
-            self._code, self._pos = code, pos
-        self._low = low
-        self._range = rng
+            out.append(s)
+            if s == stop:
+                break
+        self._low, self._range, self._code, self._pos = low, rng, code, pos
+        return out
 
 
 class AdaptiveByteModel:
     """256-symbol adaptive frequency model: increment 32, halving at 2^16.
 
-    ``freq`` holds the per-symbol counts and ``total`` their sum; the
-    cumulative counts live in a Fenwick tree (Fenwick, 1994) over ``freq``,
-    so a slot lookup and an update each cost eight steps, not 256.
+    ``freq`` holds the per-symbol counts, ``groups`` the sums of its sixteen
+    runs of sixteen and ``total`` their sum.  A cumulative count is a sum of
+    whole groups plus part of one group, so a slot lookup costs two C-level
+    sums and a search at most sixteen steps over groups and sixteen within one.
     """
 
     INCREMENT = 32
@@ -183,77 +192,99 @@ class AdaptiveByteModel:
     SIZE = 256
 
     def __init__(self):
-        self._rebuild([1] * self.SIZE)
-
-    def _rebuild(self, freq) -> None:
-        tree = [0] + freq
-        n = self.SIZE
-        for i in range(1, n + 1):
-            j = i + (i & -i)
-            if j <= n:
-                tree[j] += tree[i]
-        self.freq, self._tree, self.total = freq, tree, tree[n]
+        self.freq = [1] * self.SIZE
+        self.groups = [16] * 16
+        self.total = self.SIZE
 
     def slot(self, s: int):
         """The cumulative slot [lo, hi) of symbol s."""
-        tree, i, lo = self._tree, s, 0
-        while i:
-            lo += tree[i]
-            i &= i - 1
+        g = s >> 4
+        lo = sum(self.groups[:g]) + sum(self.freq[g << 4:s])
         return lo, lo + self.freq[s]
 
     def locate(self, t: int):
-        """The symbol s whose slot [lo, hi) holds t in [0, total), as (s, lo, hi)."""
-        tree, s, lo = self._tree, 0, 0
-        step = self.SIZE >> 1
-        while step:
-            nxt = tree[s + step]
-            if lo + nxt <= t:
-                s += step
-                lo += nxt
-            step >>= 1
-        return s, lo, lo + self.freq[s]
+        """The symbol s whose slot [lo, hi) holds t in [0, total), as (s, lo, hi):
+        a scan over the group sums, then over one group's counts."""
+        lo = s = 0
+        for n in self.groups:
+            if lo + n > t:
+                break
+            lo += n
+            s += 16
+        freq = self.freq
+        while lo + freq[s] <= t:
+            lo += freq[s]
+            s += 1
+        return s, lo, lo + freq[s]
 
     def update(self, s: int) -> None:
-        inc, tree, n = self.INCREMENT, self._tree, self.SIZE
+        inc = self.INCREMENT
         self.freq[s] += inc
+        self.groups[s >> 4] += inc
         self.total += inc
-        i = s + 1
-        while i <= n:
-            tree[i] += inc
-            i += i & -i
         if self.total >= self.LIMIT:
-            self._rebuild([f - (f >> 1) for f in self.freq])  # halve, rounding up: stays >= 1
+            freq = self.freq = [f - (f >> 1) for f in self.freq]  # halve, rounding up: stays >= 1
+            self.groups = [sum(freq[i:i + 16]) for i in range(0, self.SIZE, 16)]
+            self.total = sum(self.groups)
 
 
 def encode_bytes_adaptive(data: bytes) -> bytes:
     """Range-code a byte string under an adaptive order-0 model."""
     model = AdaptiveByteModel()
-    enc = RangeEncoder()
+    slot, update = model.slot, model.update
+    los, his, totals = [], [], []
     for b in data:
-        lo, hi = model.slot(b)
-        enc._narrow(lo, hi, model.total)
-        model.update(b)
+        lo, hi = slot(b)
+        los.append(lo)
+        his.append(hi)
+        totals.append(model.total)
+        update(b)
+    enc = RangeEncoder()
+    enc.encode_steps(los, his, totals)
     return enc.finish()
 
 
-class AdaptiveByteDecoder:
+class AdaptiveByteDecoder(RangeDecoder):
     """Incremental inverse of encode_bytes_adaptive: each read(n) returns the
     next n bytes, so a caller can learn how many to ask for as it decodes."""
 
     def __init__(self, data: bytes):
+        super().__init__(data)
         self._model = AdaptiveByteModel()
-        self._dec = RangeDecoder(data)
 
     def read(self, n: int) -> bytes:
-        model, dec = self._model, self._dec
+        """The adaptive decoder's loop: the table decoder's, with the model
+        locating the target and learning each byte."""
+        model = self._model
+        locate, update = model.locate, model.update
+        low, rng, code, pos = self._low, self._range, self._code, self._pos
+        data, end = self._data, len(self._data)
         out = bytearray(n)
         for i in range(n):
-            b, lo, hi = model.locate(dec._target(model.total))
-            dec._narrow(lo, hi)
-            model.update(b)
+            total = model.total
+            r = rng // total
+            t = code - low
+            if t < 0:
+                raise DecodeError("range-coded stream is corrupt")
+            t //= r
+            b, lo, hi = locate(t if t < total else total - 1)
+            low += lo * r
+            rng = (hi - lo) * r
+            while rng < _TOP:
+                if (low ^ (low + rng)) >= _TOP:
+                    if rng >= _BOTTOM:
+                        break
+                    rng = -low & (_BOTTOM - 1)
+                if pos < end:
+                    code = ((code << 8) | data[pos]) & _MASK
+                elif pos - end >= _VIRTUAL_ALLOWANCE:
+                    raise DecodeError("range-coded stream is truncated")
+                else:
+                    code = (code << 8) & _MASK
+                pos += 1
+                low = (low << 8) & _MASK
+                rng <<= 8
+            update(b)
             out[i] = b
+        self._low, self._range, self._code, self._pos = low, rng, code, pos
         return bytes(out)
-
-    def finish(self) -> None:
-        self._dec.finish()

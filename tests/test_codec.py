@@ -3,6 +3,9 @@ import pytest
 
 from oracles import dense_conv_oracle
 from voxcodec import codec, synthetic
+from voxcodec import entropy as ent
+from voxcodec import motion as mo
+from voxcodec import octree as oc
 from voxcodec.errors import ContractViolation, DecodeError, MissingReference
 from voxcodec.nn import ConvSpec
 from voxcodec.sparse import PointCloudFrame, SparseTensor, stride_down_coords
@@ -278,3 +281,43 @@ class TestLoss:
             assert report.rate_bpp > 0
             assert report.distortion >= 0
             assert report.loss == pytest.approx(report.rate_bpp + lam * report.distortion)
+
+
+def eager_rate(bs, models, prev_latent):
+    """The rate breakdown of one frame from its own substreams: every coded
+    symbol decoded again and billed by estimate_bits."""
+    c2 = oc.octree_decode(oc.parse_stream(bs.get(codec.SUB_COORDS)))
+    breakdown = {"coords": 8.0 * len(bs.get(codec.SUB_COORDS))}
+    if bs.frame_type == codec.FRAME_P:
+        mc4 = mo.motion_coord_sets(c2, prev_latent.coords)[2]
+        msym = ent.range_decode(bs.get(codec.SUB_MOTION), models["motion"], mc4.shape[0])
+        breakdown["motion"] = ent.estimate_bits(msym, models["motion"])
+    count = stride_down_coords(c2).shape[0]
+    rsym = ent.range_decode(bs.get(codec.SUB_RESIDUAL), models["residual"], count)
+    breakdown["residual"] = ent.estimate_bits(rsym, models["residual"])
+    return breakdown
+
+
+class TestRate:
+    def test_rate_estimated_only_when_read(self, store, models, small_frames, monkeypatch):
+        calls = []
+        estimate = ent.estimate_bits
+        monkeypatch.setattr(ent, "estimate_bits",
+                            lambda *args: calls.append(1) or estimate(*args))
+        f0, f1 = small_frames
+        bs0, enc0 = codec.encode_intra(f0, models, store)
+        bs1, enc1 = codec.encode_inter(f1, enc0.reference_latent, models, store)
+        dec0 = codec.decode(bs0, None, models, store)
+        dec1 = codec.decode(bs1, dec0.reference_latent, models, store)
+        assert calls == []
+        for result, bs, prev, n_coded in ((enc0, bs0, None, 1), (enc1, bs1, enc0, 2),
+                                          (dec0, bs0, None, 1), (dec1, bs1, dec0, 2)):
+            calls.clear()
+            rate = result.rate
+            assert len(calls) == n_coded
+            assert result.rate is rate
+            assert len(calls) == n_coded
+            # the lazy value is exactly the one computed eagerly from the streams
+            expect = eager_rate(bs, models, prev.reference_latent if prev else None)
+            assert rate.breakdown == expect
+            assert rate.total_bits == sum(expect.values())

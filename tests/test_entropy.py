@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import log_sum_bits
+from oracles import NumpyRangeDecoder, NumpyRangeEncoder, log_sum_bits
 from voxcodec import entropy as ent
 from voxcodec.errors import ContractViolation, DecodeError
 
@@ -160,3 +160,115 @@ class TestRangeCoding:
         data = ent.range_encode(syms, model)
         with pytest.raises(DecodeError, match="trailing"):
             ent.range_decode(data + b"\x00", model, 50)
+
+
+# -- column runs against the numpy coder ------------------------------------
+
+NEAR_LIMITS = [2**31 - 1, 2**31 - 2, -(2**31), -(2**31) + 1]
+
+
+def oracle_range_encode(symbols, model):
+    """range_encode's layout, one numpy-coder symbol step at a time."""
+    enc = NumpyRangeEncoder()
+    for c, cdf in enumerate(model.cdfs):
+        nsym = cdf.size - 2
+        for v in symbols[:, c].tolist():
+            slot = v - int(model.offsets[c])
+            if 0 <= slot < nsym:
+                enc.encode_symbol(cdf, slot)
+            else:
+                enc.encode_symbol(cdf, nsym)
+                enc.encode_raw_u32(2 * v if v >= 0 else -2 * v - 1)
+    return enc.finish()
+
+
+def oracle_range_decode(data, model, count):
+    dec = NumpyRangeDecoder(data)
+    out = np.empty((count, model.channels), dtype=np.int64)
+    for c, cdf in enumerate(model.cdfs):
+        nsym = cdf.size - 2
+        for i in range(count):
+            s = dec.decode_symbol(cdf)
+            if s < nsym:
+                out[i, c] = s + int(model.offsets[c])
+            else:
+                z = dec.decode_raw_u32()
+                out[i, c] = z // 2 if z % 2 == 0 else -(z + 1) // 2
+    return out
+
+
+def assert_matches_oracle(symbols, model):
+    symbols = np.asarray(symbols, dtype=np.int64).reshape(-1, model.channels)
+    data = ent.range_encode(symbols, model)
+    assert data == oracle_range_encode(symbols, model)
+    assert np.array_equal(ent.range_decode(data, model, len(symbols)), symbols)
+    assert np.array_equal(oracle_range_decode(data, model, len(symbols)), symbols)
+    return data
+
+
+def mixed_model(sizes=(1, 7, 33), offsets=(0, -3, -16), escape=1e-2, seed=0):
+    rng = np.random.default_rng(seed)
+    return ent.build_table_from_pmf([rng.uniform(0.05, 2.0, n) for n in sizes], offsets,
+                                    escape_mass=escape)
+
+
+@st.composite
+def column_cases(draw):
+    """A model whose channels have different table sizes, and symbols that hit
+    its slots and escape, with zig-zag values near +-2^31 among the escapes."""
+    channels = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=channels, max_size=channels))
+    offsets = draw(st.lists(st.integers(-50, 50), min_size=channels, max_size=channels))
+    model = mixed_model(sizes, offsets, draw(st.sampled_from([1e-4, 1e-2, 0.3])),
+                        draw(st.integers(0, 2**32 - 1)))
+    cell = st.one_of(st.integers(-60, 100), st.sampled_from(NEAR_LIMITS),
+                     st.integers(-(2**31), 2**31 - 1))
+    row = st.lists(cell, min_size=channels, max_size=channels)
+    rows = draw(st.lists(row, max_size=30))
+    return model, np.array(rows, dtype=np.int64).reshape(len(rows), channels)
+
+
+class TestColumnRuns:
+    @given(column_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_numpy_coder(self, case):
+        model, symbols = case
+        assert_matches_oracle(symbols, model)
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    @pytest.mark.parametrize("escape", [False, True])
+    def test_short_columns(self, rows, escape):
+        model = mixed_model()
+        value = NEAR_LIMITS if escape else [0, 2, 5]
+        assert_matches_oracle([value[:3]] * rows, model)
+
+    @pytest.mark.parametrize("where", ["first", "last", "every"])
+    def test_escape_positions(self, where):
+        model = mixed_model()
+        symbols = np.tile([0, 1, -10], (9, 1))
+        rows = {"first": [0], "last": [8], "every": list(range(9))}[where]
+        for i in rows:
+            symbols[i] = NEAR_LIMITS[i % 4], 40 + i, -(2**31) + i
+        assert_matches_oracle(symbols, model)
+
+    def test_every_truncation_raises_decode_error(self):
+        model = mixed_model()
+        symbols = np.tile([0, 1, -10], (20, 1))
+        symbols[::7, 1] = 2**31 - 1
+        data = assert_matches_oracle(symbols, model)
+        for k in range(len(data)):
+            with pytest.raises(DecodeError, match="truncated|corrupt"):
+                ent.range_decode(data[:k], model, 20)
+
+    def test_corrupt_and_trailing_streams_raise_decode_error(self):
+        model = mixed_model(sizes=(3,), offsets=(0,), escape=1e-3)
+        symbols = np.array([[2], [0], [2], [1]] * 8)
+        data = assert_matches_oracle(symbols, model)
+        assert data == bytes.fromhex("f9edcb3d3664ed09f6598c86")
+        # zeroing the third byte puts the code below the interval's low end,
+        # where the target would be negative
+        corrupt = data[:2] + b"\x00" + data[3:]
+        with pytest.raises(DecodeError, match="corrupt"):
+            ent.range_decode(corrupt, model, 32)
+        with pytest.raises(DecodeError, match="trailing"):
+            ent.range_decode(data + b"\x00", model, 32)

@@ -73,6 +73,22 @@ def test_encode_symbol_rejects_bad_steps(cdf, s):
         RangeEncoder().encode_symbol(np.array(cdf), s)
 
 
+@pytest.mark.parametrize("cdf", [
+    [0, 70000, 140000],           # total above 2^16
+    [0, 5, 3, 10],                # a slot of negative width
+    [0, 0, 0],                    # zero total
+    [2, 5, 9],                    # first slot does not start at 0
+    [0],                          # no slot
+], ids=["total-over-2^16", "decreasing", "zero-total", "nonzero-start", "no-slot"])
+def test_decode_symbol_rejects_bad_tables(cdf):
+    # the decoder's rule matches the encoder's: every target must fall in a
+    # slot [lo, hi) with 0 <= lo < hi <= total <= 2^16
+    with pytest.raises(ContractViolation):
+        RangeDecoder(b"\x12\x34\x56\x78\x9a").decode_symbol(np.array(cdf))
+    with pytest.raises(ContractViolation):
+        RangeDecoder(b"\x12\x34\x56\x78\x9a").decode_run(tuple(cdf), 3)
+
+
 def test_raw_u32():
     enc = RangeEncoder()
     values = [0, 1, 0xDEADBEEF, 0xFFFFFFFF, 12345]
@@ -225,3 +241,56 @@ def test_adaptive_model_slots_match_numpy_table():
             for t in rng.integers(0, model.total, size=64).tolist():
                 s = int(np.searchsorted(oracle.cdf, t, side="right")) - 1
                 assert model.locate(t) == (s, cdf[s], cdf[s + 1])
+
+
+def test_decode_run_stops_after_stop_symbol():
+    cdf = (0, 100, 200, 1 << 16)
+    enc = RangeEncoder()
+    for sym in (2, 2, 1, 0, 1, 2):
+        enc.encode_symbol(cdf, sym)
+    dec = RangeDecoder(enc.finish())
+    assert dec.decode_run(cdf, 6, 1) == [2, 2, 1]
+    assert dec.decode_run(cdf, 3, 1) == [0, 1]
+    assert dec.decode_run(cdf, 1, 1) == [2]
+    dec.finish()
+
+
+@st.composite
+def adaptive_payloads(draw):
+    """Payloads up to 6,000 bytes over a small or full alphabet: from 2,041
+    bytes on, the model has halved at least once."""
+    n = draw(st.one_of(st.integers(0, 300), st.integers(2000, 6000)))
+    alphabet = draw(st.integers(1, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return bytes(rng.integers(0, alphabet, size=n, dtype=np.uint8))
+
+
+@given(adaptive_payloads(), st.integers(1, 700))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_adaptive_runs_match_numpy_coder(payload, chunk):
+    coded = encode_bytes_adaptive(payload)
+    assert coded == numpy_encode_bytes_adaptive(payload)
+    assert numpy_decode_bytes_adaptive(coded, len(payload)) == payload
+    dec = AdaptiveByteDecoder(coded)
+    parts = [dec.read(min(chunk, len(payload) - i)) for i in range(0, len(payload), chunk)]
+    dec.finish()
+    assert b"".join(parts) == payload
+
+
+def test_adaptive_every_truncation_raises_decode_error():
+    payload = bytes(np.random.default_rng(5).integers(0, 12, size=300, dtype=np.uint8))
+    coded = encode_bytes_adaptive(payload)
+    for k in range(len(coded)):
+        with pytest.raises(DecodeError, match="truncated|corrupt"):
+            decode_adaptive(coded[:k], len(payload))
+
+
+def test_adaptive_corrupt_and_trailing_streams_raise_decode_error():
+    payload = bytes([3, 1, 4, 1, 5, 9, 2, 6] * 4)
+    coded = encode_bytes_adaptive(payload)
+    assert coded == bytes.fromhex("030113ec5e3fb659a42fb3d659ea7359a8a9b9b3")
+    # zeroing the second byte puts the code below the interval's low end
+    with pytest.raises(DecodeError, match="corrupt"):
+        decode_adaptive(coded[:1] + b"\x00" + coded[2:], len(payload))
+    with pytest.raises(DecodeError, match="trailing"):
+        decode_adaptive(coded + b"\x00", len(payload))
