@@ -40,11 +40,24 @@ DEFAULT_ALPHA = 3.0
 _CONFIG_KEYS = {"alpha": ("alpha", float), "lambda": ("lam", int), "gop": ("gop", int)}
 
 
+def _read_text(path):
+    """A text file's contents; bytes that do not decode are malformed input."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise VoxCodecError(f"{path} is not text: {exc.reason} at byte {exc.start}") from None
+
+
+def _check_alpha(alpha):
+    if not alpha > 0:  # NaN included
+        raise VoxCodecError(f"alpha must be positive, got {alpha}")
+
+
 def _load_config(path):
     """Plain key=value config; unknown keys and unparsable values are rejected.
     Returns {argument name: value}."""
     values = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for ln, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -98,6 +111,7 @@ def _input_frames(args):
 def cmd_encode(args) -> int:
     store, models = _resolve_weights(args)
     _apply_config(args)
+    _check_alpha(args.alpha)
     frames = _input_frames(args)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -161,6 +175,7 @@ def cmd_decode(args) -> int:
         alpha = float(manifest.get("alpha", DEFAULT_ALPHA))
     except (TypeError, ValueError):
         raise VoxCodecError("bad manifest: \"alpha\" is not a number") from None
+    _check_alpha(alpha)
     carry = bool(manifest.get("latent_carry", False))
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -226,7 +241,7 @@ def cmd_eval(args) -> int:
 
 
 def _read_curve(path):
-    rows = Path(path).read_text().strip().splitlines()
+    rows = _read_text(path).strip().splitlines()
     if rows and rows[0].strip() == CSV_HEADER:
         rows = rows[1:]
     pts = []

@@ -154,7 +154,7 @@ def feature_extract(frame: PointCloudFrame, w) -> SparseTensor:
 def _residual_decode(symbols: np.ndarray, latent_coords, c2, w) -> SparseTensor:
     """The scale-2 residual on ``c2``: coordinates, or on the encoder the
     residual tensor itself, whose kernel maps the IRN blocks then reuse."""
-    lat = SparseTensor(latent_coords, symbols.astype(np.float32), scale=3, _trusted=True)
+    lat = SparseTensor(latent_coords, symbols.astype(np.float32), scale=3)
     return _block(lat, w, "res.dec.up", up_to=c2)
 
 

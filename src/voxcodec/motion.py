@@ -65,9 +65,7 @@ def compress_motion(e_t: SparseTensor, model: ent.EntropyModel, w):
 
 def decode_motion_latent(symbols, latent_coords, target_coords, target_scale, w):
     """Shared encoder/decoder reconstruction of the flow embedding."""
-    latent = SparseTensor(
-        latent_coords, symbols.astype(np.float32), target_scale + 1, _trusted=True
-    )
+    latent = SparseTensor(latent_coords, symbols.astype(np.float32), target_scale + 1)
     return _conv(latent, w, "mot.dec.conv", target_coords, transposed=True)
 
 
@@ -102,14 +100,12 @@ def adaptive_interpolate(
         raise ContractViolation("reference latent is empty")
     if motion.channels != 3:
         raise ContractViolation("motion field must have 3 channels")
-    if alpha <= 0:
+    if not alpha > 0:  # NaN included
         raise ContractViolation("alpha must be positive")
     translated = motion.coords.astype(np.float64) + motion.feats.astype(np.float64)
     idx, _ = knn(translated, reference, 3)
     out = interpolate_over(translated, reference.coords, reference.feats, idx, alpha)[0]
-    return SparseTensor(
-        motion.coords, out.astype(reference.feats.dtype), motion.scale, _trusted=True
-    )
+    return motion.with_feats(out.astype(reference.feats.dtype))
 
 
 def interpolate_over(translated, coords, feats, idx, alpha):

@@ -6,11 +6,14 @@ kernels use the {0,1}^3 corner convention so downsampled coordinate sets are
 exactly the floor-division sets and transposed convolutions target
 prescribed coordinate sets.
 
-A stride-1 map searches the input keys once per kernel column and steps
-along the column's ``dz`` run from there.  Each map is turned once into a
-running-sum plan: per offset, the input rows to gather and a contiguous
-block of a sums table that receives those rows' running sums, so a conv
-writes blocks and reads each output row's final sum with one gather.
+Every kernel map is one shifted-key search, as in Choy et al.'s Minkowski
+Engine: stride 1 looks up ``out + o`` and stride 2 ``2*out + o`` in the input
+keys, a transposed conv ``2*in + o`` in the output keys.  The keys are
+searched once per kernel column and stepped along the column's ``dz`` run
+from there.  Each map is turned once into a running-sum plan: per offset,
+the input rows to gather and a contiguous block of a sums table that
+receives those rows' running sums, so a conv writes blocks and reads each
+output row's final sum with one gather.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ContractViolation
-from .sparse import SparseTensor, lookup, pack_keys, stride_down_coords
+from .sparse import SparseTensor, increasing, lookup, pack_keys, stride_down_coords
 
 
 @dataclass(frozen=True)
@@ -80,70 +83,71 @@ def build_kernel_map(in_coords, out_coords, spec: ConvSpec) -> KernelMap:
     forward stride-2:  (i, j) iff in[i] == 2*out[j] + offset, offset in {0,1}^3
     transposed:        (i, j) iff out[j] == 2*in[i] + offset, offset in {0,1}^3
 
-    Coordinate rows are lexicographically sorted, as in a SparseTensor (the
-    stride-1 output rows may come in any order).  Within one offset the pairs
-    are in increasing output-row order, which is also increasing input-row
-    order.  This is the uncached primitive; :func:`sparse_conv` memoizes the
+    All three are one shifted-key search (:func:`_shifted_pairs`): a forward
+    map shifts the output rows and searches the input keys, a transposed map
+    shifts the input rows and searches the output keys.  Coordinate rows are
+    distinct and lexicographically sorted, as in a SparseTensor (checked on
+    stride-2 outputs); a forward stride-2 output must be exactly the
+    floor-division set of the input.  Within one offset the pairs are in
+    increasing output-row order, which is also increasing input-row order.
+    This is the uncached primitive; :func:`sparse_conv` memoizes the
     running-sum plan made from its result on the input tensor.
     """
     in_coords = np.asarray(in_coords, dtype=np.int64).reshape(-1, 3)
     out_coords = np.asarray(out_coords, dtype=np.int64).reshape(-1, 3)
+    offsets = spec.offsets()
+    if spec.stride == 1:
+        same = np.array_equal(in_coords, out_coords)
+        return KernelMap(_shifted_pairs(pack_keys(in_coords), out_coords, offsets, same))
+    out_keys = pack_keys(out_coords)
+    if not increasing(out_keys):
+        raise ContractViolation("stride-2 output coordinates must be strictly increasing")
     if spec.transposed:
-        # each output row has one parent (out >> 1) and one corner (out & 1);
-        # the keys of 2*in and 2*(out >> 1) == out & -2 compare parents
-        pos, hit = lookup(pack_keys(2 * in_coords), pack_keys(out_coords & -2))
-        rows = np.flatnonzero(hit)
-        pairs = _by_corner(out_coords[rows], pos[rows], rows)
-    elif spec.stride == 2:
-        parents, j = np.unique(pack_keys(in_coords & -2), return_inverse=True)
-        if not np.array_equal(parents, pack_keys(2 * out_coords)):
-            raise ContractViolation("stride-2 output coordinates must be the floor-div set")
-        pairs = _by_corner(in_coords, np.arange(in_coords.shape[0]), j.reshape(-1))
-    else:
-        pairs = _neighbour_pairs(in_coords, out_coords, spec.offsets())
+        return KernelMap([(i, j) for j, i in _shifted_pairs(out_keys, 2 * in_coords, offsets)])
+    pairs = _shifted_pairs(pack_keys(in_coords), 2 * out_coords, offsets)
+    # an input row has one parent and one corner, so it pairs at most once:
+    # out is the floor-div set exactly when every input and output row pairs
+    paired = np.concatenate([j for _, j in pairs])
+    if paired.size != in_coords.shape[0] or not np.bincount(paired, minlength=out_keys.size).all():
+        raise ContractViolation("stride-2 output coordinates must be the floor-div set")
     return KernelMap(pairs)
 
 
-def _by_corner(children, i_rows, j_rows):
-    """Split (i, j) pairs by the {0,1}^3 corner of each child coordinate,
-    in offset order; a stable sort keeps each corner's rows increasing."""
-    corner = (children & 1) @ np.array([4, 2, 1])
-    order = np.argsort(corner, kind="stable")
-    bounds = np.cumsum(np.bincount(corner, minlength=8))[:-1]
-    return list(zip(np.split(i_rows[order], bounds), np.split(j_rows[order], bounds)))
+def _shifted_pairs(keys, base, offsets, same=False):
+    """Per offset o, the pairs (pos, q) with ``keys[pos] == pack(base[q] + o)``,
+    increasing in q.  ``keys`` are strictly increasing.
 
-
-def _neighbour_pairs(in_coords, out_coords, offsets):
-    """Stride-1 pairs: the output keys are packed once and shifted per offset,
-    and the input keys are searched once per kernel column."""
-    in_keys = pack_keys(in_coords)
+    The base rows are packed once and shifted per offset, and the keys are
+    searched once per kernel column.  ``same`` says the base rows are the
+    rows of ``keys``.
+    """
     # offsets[0] and offsets[-1] are the extreme corners of the kernel, so
-    # packing both raises exactly when some out + offset leaves the 21-bit range
-    first = pack_keys(out_coords + offsets[0])
-    pack_keys(out_coords + offsets[-1])
+    # packing both raises exactly when some base + offset leaves the 21-bit range
+    first = pack_keys(base + offsets[0])
+    pack_keys(base + offsets[-1])
     d = (offsets - offsets[0]).astype(np.uint64)
     steps = (d[:, 0] << np.uint64(42)) | (d[:, 1] << np.uint64(21)) | d[:, 2]
-    dst_rows = np.arange(out_coords.shape[0])
-    # on one coordinate set, offset -o pairs the same rows as o with the
-    # roles swapped, and both stay increasing: look up only half the kernel
+    rows = np.arange(base.shape[0])
     n = len(offsets)
-    mirror = np.array_equal(offsets[::-1], -offsets) and np.array_equal(in_coords, out_coords)
+    mirror = same and np.array_equal(offsets[::-1], -offsets)
     pairs = []
     for t, step in enumerate(steps):
         if mirror and t > n // 2:
-            i, j = pairs[n - 1 - t]
-            pairs.append((j, i))
+            # on one coordinate set, offset -o pairs the same rows as o with
+            # the roles swapped, and both stay increasing: search half the kernel
+            pos, q = pairs[n - 1 - t]
+            pairs.append((q, pos))
             continue
-        keys = first + step
-        if d[t, 2] and in_keys.size:
+        shifted = first + step
+        if d[t, 2] and keys.size:
             # the offsets of a column (dx, dy) are a run over dz in lex order,
-            # so keys is the previous offset's keys plus one.  The input keys
-            # are distinct and sorted: key + 1 can only sit at pos + hit
-            pos = np.minimum(pos + hit, in_keys.size - 1)
-            hit = in_keys[pos] == keys
+            # so shifted is the previous offset's keys plus one.  The keys are
+            # distinct and sorted: key + 1 can only sit at pos + hit
+            pos = np.minimum(pos + hit, keys.size - 1)
+            hit = keys[pos] == shifted
         else:
-            pos, hit = lookup(in_keys, keys)
-        pairs.append((pos[hit], dst_rows[hit]))
+            pos, hit = lookup(keys, shifted)
+        pairs.append((pos[hit], rows[hit]))
     return pairs
 
 
@@ -261,11 +265,8 @@ def sparse_conv(
     else:
         init = _initial((1, spec.out_channels), bias, dtype)
         out = _accumulate(_cached_plan(x, out_coords, spec), x.feats, w, init)
-    if same:
-        return SparseTensor(x.coords, out, x.scale, _coords_of=x)
-    if target is not None:
-        return SparseTensor(None, out, _out_scale(spec, x.scale), _coords_of=target)
-    return SparseTensor(out_coords, out, _out_scale(spec, x.scale), _trusted=True)
+    return SparseTensor(out_coords, out, _out_scale(spec, x.scale),
+                        _coords_of=x if same else target)
 
 
 def _initial(shape, bias, dtype):
@@ -388,5 +389,4 @@ def adaptive_prune(x: SparseTensor, probs: np.ndarray, keep: int) -> SparseTenso
     m = min(int(keep), x.n)
     order = np.argsort(-probs, kind="stable")[:m]
     order = np.sort(order)
-    return SparseTensor(np.take(x.coords, order, axis=0), np.take(x.feats, order, axis=0),
-                        x.scale, _trusted=True)
+    return SparseTensor(np.take(x.coords, order, axis=0), np.take(x.feats, order, axis=0), x.scale)

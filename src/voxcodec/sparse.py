@@ -50,6 +50,11 @@ def lookup(sorted_keys: np.ndarray, keys: np.ndarray):
     return pos, sorted_keys[pos] == keys
 
 
+def increasing(keys: np.ndarray) -> bool:
+    """Whether a key array is strictly increasing: distinct rows in lex order."""
+    return bool(np.all(keys[1:] > keys[:-1]))
+
+
 def unpack_keys(keys: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pack_keys`; returns int32 (N, 3) coordinates."""
     k = np.asarray(keys, dtype=np.uint64)
@@ -66,16 +71,21 @@ class SparseTensor:
     Immutable after construction; all operations return new tensors.
     ``kernel_maps`` is a memo of the kernel maps built on these coordinates,
     held as running-sum plans (filled by :mod:`voxcodec.nn`); tensors made
-    from another tensor's coordinates (``_coords_of``) share its packed keys
-    and this memo.
+    from another tensor's coordinates (``_coords_of``) share its coordinates,
+    packed keys and this memo.  Any other tensor checks that its coordinates
+    fit the 21-bit lattice and are strictly increasing.
     """
 
     __slots__ = ("coords", "feats", "scale", "_keys", "kernel_maps")
 
-    def __init__(self, coords, feats, scale=0, _trusted=False, _coords_of=None):
+    def __init__(self, coords, feats, scale=0, _coords_of=None):
         if _coords_of is not None:
-            coords = _coords_of.coords
+            coords, keys, memo = _coords_of.coords, _coords_of._keys, _coords_of.kernel_maps
         else:
+            # packed before the int32 cast, so no coordinate wraps unchecked
+            keys, memo = pack_keys(coords), {}
+            if not increasing(keys):
+                raise ContractViolation("coordinates must be strictly increasing lexicographically")
             coords = np.ascontiguousarray(coords, dtype=np.int32).reshape(-1, 3)
         feats = np.ascontiguousarray(feats)
         if feats.ndim == 1:
@@ -90,12 +100,6 @@ class SparseTensor:
             raise ContractViolation("feature width must be >= 1")
         if scale < 0:
             raise ContractViolation("scale must be >= 0")
-        if _coords_of is not None:
-            keys, memo = _coords_of._keys, _coords_of.kernel_maps
-        else:
-            keys, memo = pack_keys(coords), {}
-            if not _trusted and keys.size > 1 and not np.all(keys[1:] > keys[:-1]):
-                raise ContractViolation("coordinates must be strictly increasing lexicographically")
         self.coords = coords
         self.feats = feats
         self.scale = int(scale)
@@ -112,20 +116,11 @@ class SparseTensor:
         if feats.ndim == 1:
             feats = feats.reshape(-1, 1)
         order = lex_order(coords)
-        coords = coords[order]
-        keys = pack_keys(coords)
-        if keys.size > 1 and not np.all(keys[1:] > keys[:-1]):
-            raise ContractViolation("duplicate coordinates")
-        return cls(coords, feats[order], scale, _trusted=True)
+        return cls(coords[order], feats[order], scale)
 
     @classmethod
     def empty(cls, channels: int, scale: int = 0, dtype=np.float32):
-        return cls(
-            np.empty((0, 3), dtype=np.int32),
-            np.empty((0, channels), dtype=dtype),
-            scale,
-            _trusted=True,
-        )
+        return cls(np.empty((0, 3), dtype=np.int32), np.empty((0, channels), dtype=dtype), scale)
 
     @property
     def n(self) -> int:
@@ -159,7 +154,7 @@ def concatenate(a: SparseTensor, b: SparseTensor) -> SparseTensor:
     out = np.zeros((union.size, a.channels + b.channels), dtype=dtype)
     out[np.searchsorted(union, a.keys()), : a.channels] = a.feats
     out[np.searchsorted(union, b.keys()), a.channels :] = b.feats
-    return SparseTensor(unpack_keys(union), out, a.scale, _trusted=True)
+    return SparseTensor(unpack_keys(union), out, a.scale)
 
 
 def add_on_union(a: SparseTensor, b: SparseTensor) -> SparseTensor:
@@ -173,7 +168,7 @@ def add_on_union(a: SparseTensor, b: SparseTensor) -> SparseTensor:
     out = np.zeros((union.size, a.channels), dtype=dtype)
     out[np.searchsorted(union, a.keys())] = a.feats
     out[np.searchsorted(union, b.keys())] += b.feats
-    return SparseTensor(unpack_keys(union), out, a.scale, _trusted=True)
+    return SparseTensor(unpack_keys(union), out, a.scale)
 
 
 def stride_down_coords(coords: np.ndarray) -> np.ndarray:
@@ -209,12 +204,7 @@ class PointCloudFrame:
         """Build a frame from integer voxel coordinates, merging duplicates."""
         c = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
         keys = np.unique(pack_keys(c))
-        pts = SparseTensor(
-            unpack_keys(keys),
-            np.ones((keys.size, 1), dtype=np.float32),
-            scale=0,
-            _trusted=True,
-        )
+        pts = SparseTensor(unpack_keys(keys), np.ones((keys.size, 1), dtype=np.float32))
         return cls(pts, precision_bits)
 
     @property

@@ -183,6 +183,20 @@ class TestDecode:
                        "--output", str(tmp_path / "out")])
         assert rc == cli.EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("alpha", [float("nan"), -1.0, 0.0])
+    def test_alpha_not_positive_exit_3_before_any_frame(self, tmp_path, weights_file,
+                                                          encoded, alpha, capsys):
+        manifest = json.loads((encoded / "manifest.json").read_text())
+        manifest["alpha"] = alpha
+        path = encoded / "bad-alpha.json"
+        path.write_text(json.dumps(manifest))  # NaN is written as the token NaN
+        out = tmp_path / "out"
+        rc = cli.main(["decode", "--weights", str(weights_file), "--manifest", str(path),
+                       "--output", str(out)])
+        assert rc == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: alpha must be positive")
+        assert not out.exists()
+
     def test_alpha_and_latent_carry_come_from_manifest(self, tmp_path, weights_file,
                                                        store, models):
         from voxcodec import codec, synthetic
@@ -387,6 +401,14 @@ class TestRdcsv:
         b.write_text(b.read_text() + row + "\n")
         assert cli.main(["rdcsv", str(a), str(b)]) == cli.EXIT_BAD_INPUT
 
+    def test_non_utf8_curve_exit_3(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self.write_curve(a, 1.0)
+        b.write_bytes(a.read_bytes() + b"seq,4,3,\xff,70,71\n")
+        assert cli.main(["rdcsv", str(a), str(b)]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
     @pytest.mark.parametrize("row", ["seq,0,3,1.0,60", "seq,0,3,abc,60,61",
                                      "seq,0,3,1.0,60,61,9"])
     def test_malformed_row_exit_3(self, tmp_path, row):
@@ -494,6 +516,34 @@ class TestConfig:
                        "--synthetic", "rigid:100,1,0", "--precision", "6",
                        "--config", str(cfg), "--output", str(tmp_path / "x")])
         assert rc == cli.EXIT_BAD_INPUT
+
+    def test_non_utf8_config_exit_3(self, tmp_path, weights_file, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"alpha = 4.0\n# \xff\n")
+        rc = cli.main(["encode", "--weights", str(weights_file),
+                       "--synthetic", "rigid:100,1,0", "--precision", "6",
+                       "--config", str(cfg), "--output", str(tmp_path / "x")])
+        assert rc == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+    @pytest.mark.parametrize("alpha", [["--alpha", "nan"], ["--alpha", "-1"],
+                                       ["--config", "alpha = nan\n"],
+                                       ["--config", "alpha = 0\n"]],
+                             ids=["option-nan", "option-negative", "config-nan", "config-zero"])
+    def test_alpha_not_positive_exit_3_before_any_frame(self, tmp_path, weights_file,
+                                                          alpha, capsys):
+        if alpha[0] == "--config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(alpha[1])
+            alpha = ["--config", str(cfg)]
+        out = tmp_path / "x"
+        rc = cli.main(["encode", "--weights", str(weights_file),
+                       "--synthetic", "rigid:100,2,0", "--precision", "6",
+                       *alpha, "--output", str(out)])
+        assert rc == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: alpha must be positive")
+        assert not out.exists()
 
     @pytest.mark.parametrize("option", [["--workers", "1"], ["--transmit-c3"]])
     def test_removed_encode_options_rejected(self, tmp_path, weights_file, option):

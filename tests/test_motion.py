@@ -90,8 +90,15 @@ class TestAdaptiveInterpolate:
     def test_bad_alpha_rejected(self):
         ref = make([[0, 0, 0]], [[1.0]])
         m = make([[0, 0, 0]], np.zeros((1, 3), np.float32))
-        with pytest.raises(ContractViolation):
-            mo.adaptive_interpolate(m, ref, 0.0)
+        for alpha in (0.0, -1.0, float("nan"), float("-inf")):  # NaN fails "alpha > 0" too
+            with pytest.raises(ContractViolation):
+                mo.adaptive_interpolate(m, ref, alpha)
+
+    def test_prediction_shares_the_motion_coordinates(self):
+        ref = make([[0, 0, 0], [4, 0, 0]], [[1.0], [2.0]])
+        m = make([[0, 0, 0], [3, 0, 0]], np.zeros((2, 3), np.float32))
+        out = mo.adaptive_interpolate(m, ref, 3.0)
+        assert out.coords is m.coords and out.kernel_maps is m.kernel_maps
 
 
 class TestFlowEmbedding:

@@ -97,9 +97,19 @@ class TestKernelMap:
         assert touched == [0, 1]  # (3,3,3) is not 2*(0,0,0)+offset
 
     def test_stride2_requires_floor_div_set(self):
+        spec = ConvSpec(1, 1, 2, stride=2)
         with pytest.raises(ContractViolation):
-            build_kernel_map(np.array([[0, 0, 0]]), np.array([[1, 1, 1]]),
-                             ConvSpec(1, 1, 2, stride=2))
+            build_kernel_map(np.array([[0, 0, 0]]), np.array([[1, 1, 1]]), spec)
+        coords = np.array([[0, 0, 0], [1, 0, 1], [2, 3, 0], [4, 4, 4], [5, 4, 5]])
+        parents = stride_down_coords(coords)  # (0,0,0), (1,1,0), (2,2,2)
+        build_kernel_map(coords, parents, spec)
+        # every input row pairs once and every output row is paired on a
+        # permutation, so sortedness is part of the check
+        for out in (parents[[1, 0, 2]], parents[[0, 0, 1, 2]], parents[[0, 1, 1, 2]],
+                    parents[:2], parents[1:], np.vstack([parents, [[3, 3, 3]]]),
+                    np.vstack([[[-1, 0, 0]], parents])):
+            with pytest.raises(ContractViolation):
+                build_kernel_map(coords, out, spec)
 
     @pytest.mark.parametrize("edge", [(1 << 20) - 1, -(1 << 20)])
     def test_neighbour_outside_21_bits_rejected(self, edge):
@@ -313,6 +323,15 @@ class TestSparseConv:
         x = make([[0, 0, 0]], [[1.0]])
         with pytest.raises(ContractViolation):
             sparse_conv(x, ConvSpec(1, 1, 3), np.ones((5, 1, 1)), None)
+
+    @pytest.mark.parametrize("spec", [ConvSpec(1, 1, 3), ConvSpec(1, 1, 1),
+                                      ConvSpec(1, 1, 2, stride=2, transposed=True)])
+    def test_unsorted_or_duplicate_target_rejected(self, spec):
+        x = make([[0, 0, 0], [0, 0, 1]], [[1.0], [2.0]], scale=1)
+        w = np.ones(spec.weight_shape, np.float32)
+        for target in ([[0, 0, 3], [0, 0, 0], [0, 0, 1]], [[0, 0, 0], [0, 0, 1], [0, 0, 1]]):
+            with pytest.raises(ContractViolation):
+                sparse_conv(x, spec, w, None, np.array(target))
 
     @pytest.mark.parametrize("cin,cout", [(0, 3), (2, 0), (-1, 3), (2, -1)])
     def test_channel_widths_below_one_rejected(self, cin, cout):
