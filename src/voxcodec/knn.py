@@ -9,9 +9,12 @@ r is certified: only the candidates strictly inside it are ranked (all of
 them where the cube covers every occupied cell), and the query is done when
 at least k are.  The rest go round again with the cell side doubled, from a
 first level whose certified ball holds about k reference points on average.
-Results are exact squared Euclidean distances, with ties broken by reference
-index (lexicographic coordinate order for a lex-sorted reference).  Brute
-force is the test oracle.
+Results are exact squared Euclidean distances dx^2 + dy^2 + dz^2, added in
+that order from per-axis coordinate columns (the bytes of a brute-force
+``((ref - q) ** 2).sum(axis=1)``), with ties broken by reference index
+(lexicographic coordinate order for a lex-sorted reference).  Candidate pairs
+are ranked in blocks with one sort of a distinct int64 key: query, rank of
+d^2 among the block's values, reference row.  Brute force is the test oracle.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import numpy as np
 from .errors import ContractViolation
 from .sparse import SparseTensor, lookup, pack_keys
 
-PROBE_BLOCK = 256  # queries whose 27 neighbour cells are looked up at once
-PAIR_BLOCK = 2048  # candidate (query, reference) pairs ranked at once
+PROBE_BLOCK = 512  # queries whose 27 neighbour cells are looked up at once
+PAIR_BLOCK = 8192  # candidate (query, reference) pairs ranked at once
+MAX_POINTS = 1 << 31  # reference size that keeps the ranking key in int64
 FIRST_LEVEL = 1  # the finest cells probed are 2 lattice units wide
 # Cell 0 sits just above the bottom of the 21-bit key range, so the probes of
 # a query clamped to the occupied cells +-1 pack for any 21-bit reference.
@@ -39,7 +43,10 @@ class GridIndex:
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
         if coords.shape[0] == 0:
             raise ContractViolation("reference point set is empty")
-        self.coords = coords.astype(np.float64)
+        if coords.shape[0] > MAX_POINTS:
+            raise ContractViolation(f"reference point set exceeds {MAX_POINTS} points")
+        self.n = coords.shape[0]
+        self.cols = np.ascontiguousarray(coords.T, dtype=np.float64)  # x, y, z rows
         self.lo = coords.min(axis=0)
         self._rel = coords - self.lo
         self._levels = {}
@@ -64,7 +71,7 @@ class GridIndex:
         certified ball, at least one cell side in radius and so about 4.19
         (4/3 pi) occupied cells' worth of points, holds m of them."""
         level = FIRST_LEVEL
-        while 4.19 * self.coords.shape[0] < m * self.cells(level)[0].size:
+        while 4.19 * self.n < m * self.cells(level)[0].size:
             level += 1
         return level
 
@@ -80,9 +87,11 @@ def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
     """
     keys, starts, ends, order, top = index.cells(level)
     side = 1 << level
+    # a reference spans under 2**21 units and cells are at least 2 wide, so
+    # top + 1 <= 2**20 and the neighbourhood's high corner, cell + 1 + _CELL0,
+    # is at most 3 in key coordinates: only the low corner needs packing
     cell = np.clip(np.floor((q - index.lo) / side), -1, top + 1).astype(np.int64)
     low = pack_keys(cell + (_CELL0 - 1))
-    pack_keys(cell + (_CELL0 + 1))  # raises where the high corner leaves the key range
     pos, hit = lookup(keys, (low[:, None] + _STEPS).reshape(-1))
     count = np.where(hit, ends[pos] - starts[pos], 0)
     per_query = count.reshape(-1, 27).sum(axis=1)
@@ -94,6 +103,8 @@ def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
     done = np.zeros(q.shape[0], dtype=bool)
     idx = np.empty((q.shape[0], m), dtype=np.int64)
     d2 = np.empty((q.shape[0], m))
+    qx, qy, qz = np.ascontiguousarray(q.T)
+    x, y, z = index.cols
     cum = np.cumsum(per_query)
     a = 0
     while a < q.shape[0]:
@@ -102,12 +113,25 @@ def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
         n, cnt = count[27 * a : 27 * b], per_query[a:b]
         qid = np.repeat(np.arange(a, b), cnt)
         rid = order[np.repeat(starts[pos[27 * a : 27 * b]] - (np.cumsum(n) - n), n) + np.arange(qid.size)]
-        dist = ((np.take(index.coords, rid, axis=0) - np.take(q, qid, axis=0)) ** 2).sum(axis=1)
+        # dx^2 + dy^2 + dz^2 in this order: the bytes of ((ref - q) ** 2).sum(axis=1)
+        dist = (np.take(x, rid) - np.take(qx, qid)) ** 2
+        dist += (np.take(y, rid) - np.take(qy, qid)) ** 2
+        dist += (np.take(z, rid) - np.take(qz, qid)) ** 2
         # strict: a point on the cube's far face is r away and may win the tie on index
         inside = (dist < r2[qid]) | covers[qid]
         qid, rid, dist = qid[inside], rid[inside], dist[inside]
         cnt = np.bincount(qid - a, minlength=b - a)
-        ranked = np.lexsort((rid, dist, qid))
+        # one distinct key per pair orders it by (query, d2, index): the
+        # query's place among the block's queries with candidates (< Qc), the
+        # rank of its d2 among the block's distinct values (< U), its row
+        # (< N).  Each of the P pairs has a query and a value, so Qc, U <= P.
+        # A block of several queries has P <= PAIR_BLOCK, so key < 2**26 N;
+        # a block of one has Qc = 1 and its candidates are distinct rows, so
+        # key < U N <= N**2.  N <= MAX_POINTS = 2**31 keeps both below 2**63.
+        values, rank_d = np.unique(dist, return_inverse=True)
+        nz = cnt[cnt > 0]
+        qd = np.repeat(np.arange(nz.size) * values.size, nz) + rank_d
+        ranked = np.argsort(qd * index.n + rid)
         rank = np.arange(qid.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         enough = cnt >= m
         take = ranked[(rank < m) & np.repeat(enough, cnt)]
@@ -138,7 +162,7 @@ def knn(queries, reference, k: int):
     q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
     if not np.isfinite(q).all():
         raise ContractViolation("query positions must be finite")
-    m = min(k, index.coords.shape[0])
+    m = min(k, index.n)
     idx = np.empty((q.shape[0], m), dtype=np.int64)
     d2 = np.empty((q.shape[0], m), dtype=np.float64)
     first = index.first_level(m)

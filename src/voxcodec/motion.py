@@ -114,9 +114,9 @@ def interpolate_over(translated, coords, feats, idx, alpha):
     by the distances from ``translated[q]`` to ``coords[idx[q]]``.
 
     Returns (prediction, mix, s, d2, offset): the float64 prediction, the
-    weights w / max(s, alpha) with s = sum(w), the squared distances (in
-    knn's expression, so they equal knn's bit for bit), and the
-    neighbour-minus-query offsets.
+    weights w / max(s, alpha) with s = sum(w), the squared distances (the
+    squared offsets added x, y, z in that order, as knn adds them, so they
+    equal knn's bit for bit), and the neighbour-minus-query offsets.
     """
     offset = np.take(coords, idx, axis=0).astype(np.float64) - translated[:, None, :]
     d2 = (offset**2).sum(axis=2)

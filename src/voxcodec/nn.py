@@ -121,12 +121,14 @@ def _shifted_pairs(keys, base, offsets, same=False):
     searched once per kernel column.  ``same`` says the base rows are the
     rows of ``keys``.
     """
-    # offsets[0] and offsets[-1] are the extreme corners of the kernel, so
-    # packing both raises exactly when some base + offset leaves the 21-bit range
-    first = pack_keys(base + offsets[0])
-    pack_keys(base + offsets[-1])
-    d = (offsets - offsets[0]).astype(np.uint64)
-    steps = (d[:, 0] << np.uint64(42)) | (d[:, 1] << np.uint64(21)) | d[:, 2]
+    # every kernel is a cube: offsets[0] and offsets[-1] shift each axis by its
+    # lowest and highest step, so every base + offset stays in the 21-bit
+    # range exactly when the extremes of base shifted by them do
+    if base.size:
+        pack_keys(np.array([[base.min()], [base.max()]]) + offsets[[0, -1]])
+    packed = keys if same else pack_keys(base)
+    # in range the packed fields add: pack(c + o) = pack(c) + steps[o] modulo 2**64
+    steps = ((offsets[:, 0] << 42) + (offsets[:, 1] << 21) + offsets[:, 2]).astype(np.uint64)
     rows = np.arange(base.shape[0])
     n = len(offsets)
     mirror = same and np.array_equal(offsets[::-1], -offsets)
@@ -138,8 +140,8 @@ def _shifted_pairs(keys, base, offsets, same=False):
             pos, q = pairs[n - 1 - t]
             pairs.append((q, pos))
             continue
-        shifted = first + step
-        if d[t, 2] and keys.size:
+        shifted = packed + step
+        if offsets[t, 2] != offsets[0, 2] and keys.size:
             # the offsets of a column (dx, dy) are a run over dz in lex order,
             # so shifted is the previous offset's keys plus one.  The keys are
             # distinct and sorted: key + 1 can only sit at pos + hit

@@ -149,3 +149,40 @@ def test_scratch_memory_does_not_grow_with_queries():
         finally:
             tracemalloc.stop()
         assert peak - idx.nbytes - d2.nbytes < 2_000_000
+
+
+def test_reference_spanning_the_21_bit_range():
+    # cells reach the top of the key range: the probe's high corner packs at
+    # most 3 in key coordinates and its low corner exactly the bottom
+    rng = np.random.default_rng(5)
+    edge = np.array([-(1 << 20), (1 << 20) - 1])
+    corners = np.stack(np.meshgrid(edge, edge, edge, indexing="ij"), -1).reshape(-1, 3)
+    coords = np.unique(np.vstack([corners, rng.integers(-(1 << 20), 1 << 20, size=(200, 3))]), axis=0)
+    queries = np.vstack([
+        rng.uniform(-(1 << 20), 1 << 20, size=(40, 3)),  # inside
+        corners + rng.uniform(-3, 3, size=(8, 3)) + np.sign(corners) * 2,  # just outside the corners
+        rng.choice([-1e12, 1e12, 0.5], size=(12, 3)),  # far
+    ])
+    for k in (1, 3, 9):
+        gi, gd = knn(queries, coords, k)
+        bi, bd = brute_force_knn(queries, coords, k)
+        assert np.array_equal(gi, bi) and gd.tobytes() == bd.tobytes()
+
+
+def test_one_query_beyond_the_pair_block():
+    # on a full 24^3 lattice a far query's covering cube holds all 13,824
+    # points, more than one pair block: the query is ranked alone, with the
+    # largest sort keys knn makes (rows times distinct distances)
+    coords = np.stack(np.meshgrid(*[np.arange(24)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    queries = [[1e6, 1e6, 1e6], [-500.5, 11.5, 12.0], [12.0, 3e4, -7.25], [11.5, 11.5, 11.5]]
+    for k in (16, 9000):
+        gi, gd = knn(queries, coords, k)
+        bi, bd = brute_force_knn(queries, coords, k)
+        assert np.array_equal(gi, bi) and gd.tobytes() == bd.tobytes()
+
+
+def test_reference_beyond_the_sort_key_budget_rejected():
+    # a zero-stride view: the size is rejected before any memory is used
+    huge = np.broadcast_to(np.zeros(3, np.int64), ((1 << 31) + 1, 3))
+    with pytest.raises(ContractViolation, match="exceeds"):
+        knn([[0.0, 0.0, 0.0]], huge, 1)

@@ -5,6 +5,7 @@ from oracles import dense_conv_oracle
 from voxcodec import entropy as ent
 from voxcodec import motion as mo
 from voxcodec.errors import ContractViolation
+from voxcodec.knn import knn
 from voxcodec.nn import ConvSpec
 from voxcodec.sparse import SparseTensor, stride_down_coords
 
@@ -22,6 +23,18 @@ def zero_weights(names_specs):
 
 
 class TestAdaptiveInterpolate:
+    def test_distances_equal_knn_bytes(self):
+        # interpolate_over recomputes the squared distances of knn's
+        # neighbours; both add the squared x, y, z offsets in the same order
+        rng = np.random.default_rng(3)
+        coords = np.unique(rng.integers(-40, 40, size=(600, 3)), axis=0)
+        motion = rng.normal(0, 3, size=(400, 3)).astype(np.float32)
+        translated = rng.integers(-40, 40, size=(400, 3)) + motion.astype(np.float64)
+        idx, d2 = knn(translated, coords, 3)
+        feats = rng.normal(size=(len(coords), 4))
+        d2_over = mo.interpolate_over(translated, coords, feats, idx, 3.0)[3]
+        assert d2_over.tobytes() == d2.tobytes()
+
     def test_coincident_point_limit(self):
         ref = make([[0, 0, 0], [4, 0, 0], [0, 4, 0]], [[10.0], [20.0], [30.0]])
         m = make([[0, 0, 0]], np.zeros((1, 3), np.float32))

@@ -113,11 +113,20 @@ class TestKernelMap:
 
     @pytest.mark.parametrize("edge", [(1 << 20) - 1, -(1 << 20)])
     def test_neighbour_outside_21_bits_rejected(self, edge):
-        coords = np.array([[0, edge, 0]])
-        build_kernel_map(coords, coords, ConvSpec(1, 1, 1))  # the voxel itself is in range
-        for build in (build_kernel_map, kernel_map_oracle):
+        fine = np.array([[0, edge, 0]])
+        parent = stride_down_coords(fine)
+        beyond = parent + [[0, 1 if edge > 0 else -1, 0]]  # a parent whose children leave the range
+        down = ConvSpec(1, 1, 2, stride=2)
+        up = ConvSpec(1, 1, 2, stride=2, transposed=True)
+        # the voxels themselves are in range
+        build_kernel_map(fine, fine, ConvSpec(1, 1, 1))
+        build_kernel_map(fine, parent, down)
+        build_kernel_map(parent, fine, up)
+        for args in ((fine, fine, ConvSpec(1, 1, 3)), (fine, beyond, down), (beyond, fine, up)):
+            with pytest.raises(ContractViolation, match="21-bit"):
+                build_kernel_map(*args)
             with pytest.raises(ContractViolation):
-                build(coords, coords, ConvSpec(1, 1, 3))
+                kernel_map_oracle(*args)
 
     @pytest.mark.parametrize("spec", [
         ConvSpec(1, 1, 1), ConvSpec(1, 1, 3), ConvSpec(1, 1, 2, stride=2),
