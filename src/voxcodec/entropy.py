@@ -8,6 +8,7 @@ out-of-range symbols are escape-coded followed by 32 raw bits (zig-zag).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -39,14 +40,17 @@ class EntropyModel:
         self.cdfs = [np.asarray(c, dtype=np.int64) for c in cdfs]
         if self.offsets.shape[0] != len(self.cdfs):
             raise ContractViolation("offset/table channel count mismatch")
-        for c in self.cdfs:
-            if c.ndim != 1 or c.size < 3 or c[0] != 0 or c[-1] != TOTAL:
-                raise ContractViolation("malformed CDF table")
-            if np.any(np.diff(c) < 0):
-                raise ContractViolation("CDF must be monotone")
-            if np.any(np.diff(c)[:-1] < 1):
-                raise ContractViolation("in-range symbols need probability >= 1/65536")
+        if any(c.ndim != 1 for c in self.cdfs):
+            raise ContractViolation("malformed CDF table")
         self.tables = [tuple(c.tolist()) for c in self.cdfs]
+        for t in self.tables:
+            if len(t) < 3 or t[0] != 0 or t[-1] != TOTAL:
+                raise ContractViolation("malformed CDF table")
+            # in-range slots are at least 1 wide; the escape slot, last, may be empty
+            if not all(map(operator.lt, t[:-2], t[1:-1])) or t[-2] > t[-1]:
+                if any(map(operator.gt, t[:-1], t[1:])):
+                    raise ContractViolation("CDF must be monotone")
+                raise ContractViolation("in-range symbols need probability >= 1/65536")
 
     @property
     def channels(self) -> int:

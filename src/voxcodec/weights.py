@@ -10,6 +10,9 @@ specs; the weight file is therefore self-describing for tests.
 
 from __future__ import annotations
 
+import functools
+import math
+import os
 import struct
 
 import numpy as np
@@ -50,8 +53,10 @@ def _rn_layers(prefix: str, channels: int):
     ]
 
 
-def conv_layout() -> list[tuple[str, ConvSpec]]:
-    """Every convolution layer in the pipeline, as (name, spec)."""
+@functools.cache
+def conv_layout() -> tuple[tuple[str, ConvSpec], ...]:
+    """Every convolution layer in the pipeline, as (name, spec).  Built once;
+    every call returns the same tuple."""
     layers: list[tuple[str, ConvSpec]] = []
 
     def block(prefix, cin, cout, transposed=False):
@@ -90,7 +95,7 @@ def conv_layout() -> list[tuple[str, ConvSpec]]:
     layers.append(("rec.up1.cls", ConvSpec(REC_C1, 1, 1)))
     block("rec.up2", REC_C1, REC_C0, transposed=True)
     layers.append(("rec.up2.cls", ConvSpec(REC_C0, 1, 1)))
-    return layers
+    return tuple(layers)
 
 
 class WeightStore:
@@ -137,34 +142,61 @@ class WeightStore:
 
     @classmethod
     def load(cls, path) -> "WeightStore":
+        """Read a DPCW file into one read-only float32 block.
+
+        A first pass reads every header and checks each payload against the
+        bytes left in the file, so nothing is allocated from a header field
+        alone; the second pass reads each payload into its slice of the block.
+        Trailing bytes and duplicate names are rejected."""
         with open(path, "rb") as fh:
-            data = fh.read()
-        if data[:4] != MAGIC:
-            raise DecodeError("not a DPCW weight file")
-        if len(data) < 16:
-            raise DecodeError("DPCW file shorter than its 16-byte header")
-        version, seed, count = struct.unpack_from("<III", data, 4)
-        if version != VERSION:
-            raise DecodeError(f"unsupported DPCW version {version}")
-        pos = 16
-        tensors = {}
-        try:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(16)
+            if head[:4] != MAGIC:
+                raise DecodeError("not a DPCW weight file")
+            if len(head) < 16:
+                raise DecodeError("DPCW file shorter than its 16-byte header")
+            version, seed, count = struct.unpack_from("<III", head, 4)
+            if version != VERSION:
+                raise DecodeError(f"unsupported DPCW version {version}")
+            entries = {}  # name -> (dims, payload position, element count)
             for _ in range(count):
-                (nlen,) = struct.unpack_from("<H", data, pos)
-                pos += 2
-                name = data[pos : pos + nlen].decode("utf-8")
-                pos += nlen
-                (rank,) = struct.unpack_from("<B", data, pos)
-                pos += 1
-                dims = struct.unpack_from(f"<{rank}I", data, pos)
-                pos += 4 * rank
-                n = int(np.prod(dims)) if rank else 1
-                arr = np.frombuffer(data, dtype="<f4", count=n, offset=pos).reshape(dims)
-                pos += 4 * n
-                tensors[name] = arr.copy()
-        except (struct.error, ValueError) as exc:
-            raise DecodeError(f"truncated DPCW file: {exc}") from None
+                (nlen,) = struct.unpack("<H", _read(fh, 2))
+                try:
+                    name = _read(fh, nlen).decode("utf-8")
+                except UnicodeDecodeError:
+                    raise DecodeError("DPCW tensor name is not UTF-8") from None
+                (rank,) = _read(fh, 1)
+                dims = struct.unpack(f"<{rank}I", _read(fh, 4 * rank))
+                n = math.prod(dims)
+                pos = fh.tell()
+                if 4 * n > size - pos:
+                    raise DecodeError(f"truncated DPCW file: tensor '{name}' needs {4 * n} bytes")
+                if name in entries:
+                    raise DecodeError(f"DPCW file holds tensor '{name}' twice")
+                entries[name] = (dims, pos, n)
+                fh.seek(4 * n, os.SEEK_CUR)
+            if fh.tell() != size:
+                raise DecodeError(f"{size - fh.tell()} trailing bytes after the last DPCW tensor")
+            block = np.empty(sum(n for _, _, n in entries.values()), dtype="<f4")
+            tensors = {}
+            start = 0
+            for name, (dims, pos, n) in entries.items():
+                view = block[start : start + n]
+                fh.seek(pos)
+                if fh.readinto(view) != 4 * n:
+                    raise DecodeError(f"truncated DPCW file: tensor '{name}' ends early")
+                tensors[name] = view.reshape(dims)
+                start += n
+        block.flags.writeable = False
         return cls(tensors, seed)
+
+
+def _read(fh, n: int) -> bytes:
+    """Exactly n bytes from fh, or DecodeError."""
+    data = fh.read(n)
+    if len(data) != n:
+        raise DecodeError("truncated DPCW file")
+    return data
 
 
 def _peaked_pmf(nsym: int, width: float) -> np.ndarray:

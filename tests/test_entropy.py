@@ -99,6 +99,20 @@ class TestTables:
         with pytest.raises(ContractViolation):
             ent.build_table_from_pmf([[]], [0])
 
+    @pytest.mark.parametrize("cdf, match", [
+        ([1, 30000, 65536, 65536], "malformed"),          # does not start at 0
+        ([0, 30000, 65535, 65535], "malformed"),          # wrong total
+        ([0, 40000, 30000, 65536, 65536], "monotone"),    # decreases in range
+        ([0, 30000, 65537, 65536], "monotone"),           # decreases at the escape
+        ([0, 30000, 30000, 65536, 65536], "probability"),  # zero-width in-range slot
+        ([0, 65536], "malformed"),                        # no room for a symbol
+    ])
+    def test_each_table_rule_rejected(self, cdf, match):
+        good = [0, 30000, 65536, 65536]  # a zero-width escape slot is allowed
+        ent.EntropyModel([0], [good])
+        with pytest.raises(ContractViolation, match=match):
+            ent.EntropyModel([0, 0], [good, cdf])
+
 
 class TestRangeCoding:
     def test_empty_symbol_list(self):

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,76 @@ def test_truncated_file_rejected(tmp_path, store):
     short.write_bytes(path.read_bytes()[:200])
     with pytest.raises(DecodeError):
         WeightStore.load(short)
+
+
+def _dpcw(tensors):
+    """DPCW bytes for (name, dims, payload) entries, written as given."""
+    out = [b"DPCW", struct.pack("<III", 1, 0, len(tensors))]
+    for name, dims, payload in tensors:
+        nb = name.encode("utf-8")
+        out += [struct.pack("<H", len(nb)), nb, struct.pack("<B", len(dims)),
+                struct.pack(f"<{len(dims)}I", *dims), payload]
+    return b"".join(out)
+
+
+def _traced_peak(fn):
+    """fn()'s result and the tracemalloc peak while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trailing_bytes_rejected(tmp_path, store):
+    path = tmp_path / "w.dpcw"
+    store.save(path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(DecodeError, match="trailing"):
+        WeightStore.load(path)
+
+
+def test_duplicate_name_rejected(tmp_path):
+    path = tmp_path / "w.dpcw"
+    one = struct.pack("<f", 1.0)
+    path.write_bytes(_dpcw([("a", (1,), one), ("a", (1,), one)]))
+    with pytest.raises(DecodeError, match="twice"):
+        WeightStore.load(path)
+
+
+def test_load_peaks_at_one_copy_of_its_payload(tmp_path):
+    store = make_weights(5)
+    path = tmp_path / "w.dpcw"
+    store.save(path)
+    payload = sum(store[n].nbytes for n in store.names())
+    back, peak = _traced_peak(lambda: WeightStore.load(path))
+    assert peak <= payload + 256 * 1024
+    assert back.names() == store.names()
+
+
+@pytest.mark.parametrize("dims", [(2**20, 2**13), (2**16,) * 4, (2**32 - 1,) * 8])
+def test_huge_declared_tensor_rejected_without_allocating(tmp_path, dims):
+    # (2**16,)*4 is 2**64 elements: an int64 product of the dims wraps to 0
+    path = tmp_path / "bomb.dpcw"
+    path.write_bytes(_dpcw([("big", dims, bytes(256))]))
+    assert path.stat().st_size < 512
+    _, peak = _traced_peak(lambda: pytest.raises(DecodeError, WeightStore.load, path))
+    assert peak < 1 << 20
+
+
+def test_loaded_tensors_are_aligned_read_only_views(tmp_path):
+    store = make_weights(5)
+    path = tmp_path / "w.dpcw"
+    store.save(path)
+    back = WeightStore.load(path)
+    for name in store.names():
+        a = back[name]
+        assert a.dtype == np.float32 and a.flags.c_contiguous and a.flags.aligned
+        assert not a.flags.writeable
+        assert a.shape == store[name].shape and a.tobytes() == store[name].tobytes()
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
 
 
 def test_generator_reproducible():
@@ -87,6 +160,7 @@ def test_unknown_profile_rejected():
 
 
 def test_expected_conv_specs_consistent():
+    assert isinstance(conv_layout(), tuple) and conv_layout() is conv_layout()
     for name, spec in conv_layout():
         assert isinstance(spec, ConvSpec)
         if spec.transposed:
