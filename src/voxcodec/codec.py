@@ -286,20 +286,20 @@ def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=F
                           "cannot belong to one frame")
     c2 = oc.octree_decode(tree)
     c3 = stride_down_coords(c2)
+    # every substream is range-decoded before any network runs, so a corrupt
+    # one fails before the motion path's work
+    rsym = ent.range_decode(bs.get(SUB_RESIDUAL), models["residual"], c3.shape[0])
+    motion_symbols = None
     if bs.frame_type == FRAME_P:
         _, mc3, mc4 = mo.motion_coord_sets(c2, prev_latent.coords)
-        msym = ent.range_decode(bs.get(SUB_MOTION), models["motion"], mc4.shape[0])
-        e_hat = mo.decode_motion_latent(msym, mc4, mc3, 3, w)
+        motion_symbols = ent.range_decode(bs.get(SUB_MOTION), models["motion"], mc4.shape[0])
+        e_hat = mo.decode_motion_latent(motion_symbols, mc4, mc3, 3, w)
         m_t = mo.recover_motion(e_hat, c2, w)
         predicted = mo.adaptive_interpolate(m_t, prev_latent, alpha)
-        rsym = ent.range_decode(bs.get(SUB_RESIDUAL), models["residual"], c3.shape[0])
         r_hat = _residual_decode(rsym, c3, c2, w)
         y_prime = r_hat.with_feats(predicted.feats + r_hat.feats)
-        motion_symbols = msym
     else:
-        rsym = ent.range_decode(bs.get(SUB_RESIDUAL), models["residual"], c3.shape[0])
         y_prime = _residual_decode(rsym, c3, c2, w)
-        motion_symbols = None
     return _finish_frame(y_prime, bs, models, w, latent_carry=latent_carry,
                          motion_symbols=motion_symbols, residual_symbols=rsym)
 

@@ -13,7 +13,10 @@ searched once per kernel column and stepped along the column's ``dz`` run
 from there.  Each map is turned once into a running-sum plan: per offset,
 the input rows to gather and a contiguous block of a sums table that
 receives those rows' running sums, so a conv writes blocks and reads each
-output row's final sum with one gather.
+output row's final sum with one gather.  The plan is cut into segments,
+and between segments every output row's running sum is gathered back to the
+head of the table, so one table of at most ``_TABLE_ROWS`` times the output
+rows serves the whole conv.  Plan indices are int32.
 """
 
 from __future__ import annotations
@@ -153,56 +156,98 @@ def _shifted_pairs(keys, base, offsets, same=False):
     return pairs
 
 
-class _Plan:
-    """A kernel map laid out for running sums.
+# Rows of a conv's sums table per output row: the output rows' carried sums
+# plus one segment's blocks, so a segment holds at most _TABLE_ROWS - 1 block
+# rows per output row.  At least 2, since one offset pairs each output row.
+# At 4 the extra checkpoints cost cycle time, and the traced peak of a 10k- or
+# 40k-point I encode+decode stayed the same: it is set outside the tables.
+_TABLE_ROWS = 8
 
-    One sums table per conv: slot 0 holds the initial row (the bias) and
+
+class _Plan:
+    """A kernel map laid out for running sums, cut into segments.
+
+    ``pairs`` are a kernel map's, increasing in both rows within an offset.
+    One sums table per conv.  ``segments`` is a list of ``(steps, last)``;
     pair ``t`` of step ``(o, rows, lo, hi, prev)`` gets slot ``lo + t``.
     ``rows`` are the offset's input rows; ``prev[t]`` is the slot holding
     the running sum of that pair's output row before offset ``o``, and
-    ``last[j]`` the slot holding output row ``j``'s final sum (0 for a row
-    with no pairs).  Offsets with no pairs have no step.
+    ``last[j]`` the slot holding output row ``j``'s sum at the end of the
+    segment.  The first segment's blocks start at slot 1 and slot 0 holds
+    the initial row (the bias), which is every row's sum before its first
+    pair.  Every later segment starts from slots ``0..n_out-1``, which then
+    hold each output row's sum carried from the segment before, and puts
+    its blocks after them.  Offsets with no pairs have no step.
+
+    A segment ends before the offset that would take its blocks past
+    ``cap`` rows, ``(_TABLE_ROWS - 1) * n_out`` by default (each segment
+    takes at least one offset).  Within one offset each output row appears
+    at most once, so the table, ``size`` rows, is at most ``n_out + cap``
+    rows once ``cap >= n_out``.  All indices are int32: a plan whose table or
+    input would pass ``2**31`` rows raises ContractViolation.
     """
 
-    __slots__ = ("steps", "last", "size")
+    __slots__ = ("segments", "size")
 
-    def __init__(self, pairs, n_out):
-        last = np.zeros(n_out, dtype=np.intp)
-        steps = []
-        lo = 1
+    def __init__(self, pairs, n_out, cap=None):
+        if cap is None:
+            cap = (_TABLE_ROWS - 1) * n_out
+        last = np.zeros(n_out, dtype=np.int32)
+        segments, steps = [], []
+        start = lo = size = 1
         for o, (i, j) in enumerate(pairs):
-            if i.size:
-                hi = lo + i.size
-                steps.append((o, i, lo, hi, last[j]))
-                # within one offset each output row appears at most once
-                last[j] = np.arange(lo, hi)
-                lo = hi
-        self.steps = steps
-        self.last = last
-        self.size = lo
+            if not i.size:
+                continue
+            if steps and lo - start + i.size > cap:
+                segments.append((steps, last))
+                size = max(size, lo)
+                steps, last = [], np.arange(n_out, dtype=np.int32)
+                start = lo = n_out
+            hi = lo + i.size
+            if hi > 2**31 or i[-1] >= 2**31:
+                raise ContractViolation("a conv plan's table or input passes 2**31 rows")
+            steps.append((o, i.astype(np.int32), lo, hi, last[j]))
+            # within one offset each output row appears at most once
+            last[j] = np.arange(lo, hi, dtype=np.int32)
+            lo = hi
+        segments.append((steps, last))
+        self.segments = segments
+        self.size = max(size, lo)
 
 
 def _accumulate(plan: _Plan, feats, weight, init):
     """Row ``j`` of the result is ``init`` plus, offset by offset in order,
     ``feats[i] @ weight[o]`` for each pair ``(i, j)`` of the plan's map.
+    ``feats``, ``weight`` and ``init`` share one dtype.
 
     Each offset takes its rows' running sums into its own block of the
     sums table and adds its product in place: per row, the same in-place
     adds on the same operands as ``out[j] += feats[i] @ weight[o]`` on an
     ``out`` filled with ``init``, so the same bytes, NaN payloads included.
+    One output-sized carry buffer receives each product, then at the end
+    of every segment each row's sum (an exact gather), which goes back to
+    the head of the table; the last one is the result.  So a conv holds
+    the table, the carry and one offset's gathered input rows.
     """
-    sums = np.empty((plan.size, init.shape[-1]), dtype=init.dtype)
-    sums[:1] = init
-    for o, rows, lo, hi, prev in plan.steps:
-        acc = sums[lo:hi]
-        # prev < lo: reading only sums[:lo] keeps the source apart from acc,
-        # and "clip" (the slots are in range by construction) spares numpy
-        # a buffered copy of out
-        np.take(sums[:lo], prev, axis=0, out=acc, mode="clip")
-        # pairs are increasing in i, so an offset using every input row
-        # takes them in order: the operand is feats itself
-        acc += (feats if rows.size == feats.shape[0] else np.take(feats, rows, axis=0)) @ weight[o]
-    return np.take(sums, plan.last, axis=0)
+    n_out, width = plan.segments[-1][1].size, init.shape[-1]
+    table = np.empty((plan.size, width), dtype=init.dtype)
+    table[:1] = init
+    carry = np.empty((n_out, width), dtype=init.dtype)
+    for s, (steps, last) in enumerate(plan.segments):
+        if s:
+            table[:n_out] = carry
+        for o, rows, lo, hi, prev in steps:
+            acc = table[lo:hi]
+            # prev < lo: reading only table[:lo] keeps the source apart from
+            # acc, and "clip" (the slots are in range by construction) spares
+            # numpy a buffered copy of out
+            np.take(table[:lo], prev, axis=0, out=acc, mode="clip")
+            # pairs are increasing in i, so an offset using every input row
+            # takes them in order: the operand is feats itself
+            x = feats if rows.size == feats.shape[0] else np.take(feats, rows, axis=0)
+            acc += np.matmul(x, weight[o], out=carry[:hi - lo])
+        np.take(table, last, axis=0, out=carry, mode="clip")
+    return carry
 
 
 def _cached_plan(x: SparseTensor, out_coords, spec: ConvSpec) -> _Plan:

@@ -104,7 +104,8 @@ class WeightStore:
     def __init__(self, tensors: dict, seed: int = 0):
         self._tensors = {}
         for name, arr in tensors.items():
-            a = np.ascontiguousarray(arr, dtype=np.float32)
+            # asarray, not ascontiguousarray, which gives a rank-0 tensor shape (1,)
+            a = np.asarray(arr, dtype=np.float32, order="C")
             a.flags.writeable = False
             self._tensors[name] = a
         self.seed = int(seed)

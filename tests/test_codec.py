@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,27 @@ class TestEndToEnd:
         with pytest.raises(MissingReference):
             codec.decode(bs1, SparseTensor.empty(64, 2), models, store)
 
+    def test_p_frame_residual_checked_before_motion_networks(self, store, models,
+                                                            small_frames, monkeypatch):
+        f0, f1 = small_frames
+        bs0, _ = codec.encode_intra(f0, models, store)
+        dec0 = codec.decode(bs0, None, models, store)
+        bs1, _ = codec.encode_inter(f1, dec0.reference_latent, models, store)
+        residual = bs1.get(codec.SUB_RESIDUAL)
+        assert len(residual) > 2
+        truncated = codec.FrameBitstream(
+            codec.FRAME_P, bs1.precision_bits, bs1.lam, bs1.n0, bs1.n1,
+            [(sid, residual[:len(residual) // 2] if sid == codec.SUB_RESIDUAL else data)
+             for sid, data in bs1.substreams])
+
+        def decode_motion_latent(*args):
+            raise AssertionError("motion networks ran before the residual was decoded")
+
+        monkeypatch.setattr(codec.mo, "decode_motion_latent", decode_motion_latent)
+        with pytest.raises(DecodeError):
+            codec.decode(codec.parse(codec.serialize(truncated)), dec0.reference_latent,
+                         models, store)
+
     @pytest.mark.parametrize("extra", [
         pytest.param((codec.SUB_MOTION, b"\x00\x00"), id="motion"),
         pytest.param((4, b""), id="id4"),
@@ -321,3 +344,19 @@ class TestRate:
             expect = eager_rate(bs, models, prev.reference_latent if prev else None)
             assert rate.breakdown == expect
             assert rate.total_bits == sum(expect.values())
+
+
+class TestMemory:
+    def test_traced_peak_per_point(self, store, models):
+        # a seeded 10k-point 7-bit I encode+decode measured 4.3 kB/pt; a sums
+        # table of up to 27x the output with int64 plan indices takes 6.2
+        frame = synthetic.make_rigid_sequence(10_000, 1, 2, 7, seed=6)[0]
+        tracemalloc.start()
+        try:
+            bs, _ = codec.encode_intra(frame, models, store)
+            dec = codec.decode(codec.parse(codec.serialize(bs)), None, models, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.decoded.n == frame.n
+        assert peak <= 4800 * frame.n

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -444,6 +446,62 @@ class TestSparseConv:
         expect = sparse_conv_backward_oracle(x, spec, w, out, grad_out)
         for g, e in zip(got, expect):
             assert g.dtype == np.float64 and g.tobytes() == e.tobytes()
+
+
+class TestSumsTable:
+    def test_traced_peak_within_table_bound(self):
+        rng = np.random.default_rng(21)
+        lattice = cube(0, 20)
+        x = make(lattice, rng.normal(size=(len(lattice), 4)).astype(np.float32))
+        spec = ConvSpec(4, 16, 3)
+        w = rng.normal(size=spec.weight_shape).astype(np.float32)
+        b = rng.normal(size=16).astype(np.float32)
+        sparse_conv(x, spec, w, b)  # memoizes the plan
+        tracemalloc.start()
+        try:
+            out = sparse_conv(x, spec, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the table, the carry, and one offset's gathered input rows and intp
+        # index copies, which at a quarter of the output's width fit in one output
+        assert peak <= (nn._TABLE_ROWS + 2) * out.feats.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("geometry", ["solid", "k3-other-out", "stride2", "children"])
+    def test_split_at_every_offset_matches_one_table(self, dtype, geometry):
+        rng = np.random.default_rng(31)
+        coords = cube(-3, 6) if geometry == "solid" else coord_set(rng, 120, 7, -3)
+        feats = rng.normal(size=(len(coords), 3)).astype(dtype)
+        feats[rng.random(feats.shape) < 0.2] = TestSparseConv._nan(dtype, 2)
+        spec, out = {
+            "solid": (ConvSpec(3, 5, 3), coords),
+            "k3-other-out": (ConvSpec(3, 5, 3), coord_set(rng, 80, 9, -4)),
+            "stride2": (ConvSpec(3, 5, 2, stride=2), stride_down_coords(coords)),
+            "children": (ConvSpec(3, 5, 2, stride=2, transposed=True), _children(coords)),
+        }[geometry]
+        pairs = build_kernel_map(coords, out, spec).pairs
+        w = rng.normal(size=spec.weight_shape).astype(dtype)
+        init = np.full((1, 5), TestSparseConv._nan(dtype, 1))
+        split = nn._Plan(pairs, len(out), cap=0)
+        whole = nn._Plan(pairs, len(out), cap=sum(i.size for i, _ in pairs))
+        assert len(split.segments) == sum(i.size > 0 for i, _ in pairs) > 1
+        assert len(whole.segments) == 1
+        for plan in (split, whole):
+            for steps, last in plan.segments:
+                assert last.dtype == np.int32
+                assert all(r.dtype == p.dtype == np.int32 for _, r, _, _, p in steps)
+        got = nn._accumulate(split, feats, w, init)
+        assert got.dtype == dtype
+        assert got.tobytes() == nn._accumulate(whole, feats, w, init).tobytes()
+
+    def test_table_past_int32_rejected(self):
+        # 2**31 pairs in one offset, broadcast from one element: no allocation
+        rows = np.broadcast_to(np.intp(0), (2**31,))
+        with pytest.raises(ContractViolation, match="2\\*\\*31"):
+            nn._Plan([(rows, rows)], 1)
+        with pytest.raises(ContractViolation, match="2\\*\\*31"):
+            nn._Plan([(np.array([2**31]), np.array([0]))], 1)
 
 
 class TestActivationsAndBlocks:

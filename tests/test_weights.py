@@ -28,6 +28,15 @@ def test_file_roundtrip_bit_exact(tmp_path, store):
         assert a.tobytes() == b.tobytes()
 
 
+def test_rank0_tensor_keeps_its_rank(tmp_path):
+    path = tmp_path / "w.dpcw"
+    WeightStore({"scalar": np.float32(2.5)}).save(path)
+    # saved as rank 0: no dims, one element
+    assert path.read_bytes()[16:] == _dpcw([("scalar", (), struct.pack("<f", 2.5))])[16:]
+    back = WeightStore.load(path)
+    assert back["scalar"].shape == () and back["scalar"] == 2.5
+
+
 def test_header_magic(tmp_path, store):
     path = tmp_path / "w.dpcw"
     store.save(path)
