@@ -10,6 +10,5 @@ from .sparse import (  # noqa: F401
     concatenate,
     stride_down_coords,
 )
-from .knn import knn  # noqa: F401
 from .ply import load_ply, write_ply  # noqa: F401
 from .weights import WeightStore, make_weights  # noqa: F401

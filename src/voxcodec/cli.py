@@ -94,6 +94,8 @@ def _apply_config(args):
         vars(args).update(_load_config(args.config))
     if args.lam not in codec.LAMBDA_TAGS:
         raise VoxCodecError(f"lambda must be one of {codec.LAMBDA_TAGS}")
+    if getattr(args, "gop", 0) < 0:  # eval has no --gop, but may read a config's
+        raise VoxCodecError(f"gop must be non-negative, got {args.gop}")
 
 
 def _input_frames(args):
@@ -124,30 +126,23 @@ def cmd_encode(args) -> int:
         "latent_carry": bool(args.latent_carry),
         "frames": [],
     }
-    prev_latent = None
     total_bits = 0.0
     total_points = 0
-    for i, frame in enumerate(frames):
-        intra = (i % gop == 0) or prev_latent is None
-        if intra:
-            bs, result = codec.encode_intra(
-                frame, models, store, lam=args.lam, latent_carry=args.latent_carry)
-        else:
-            bs, result = codec.encode_inter(
-                frame, prev_latent, models, store, alpha=args.alpha, lam=args.lam,
-                latent_carry=args.latent_carry)
-        prev_latent = result.reference_latent
+    coded = codec.encode_sequence(frames, models, store, gop=gop, alpha=args.alpha,
+                                  lam=args.lam, latent_carry=args.latent_carry)
+    for i, (frame, (bs, _)) in enumerate(zip(frames, coded)):
+        ftype = "P" if bs.frame_type == codec.FRAME_P else "I"
         name = f"frame{i:04d}.ddpc"
         (outdir / name).write_bytes(codec.serialize(bs))
         frame_bits = 8 * bs.payload_bytes()
         frame_bpp = metrics.bpp(frame_bits, frame.n)
         manifest["frames"].append(
-            {"file": name, "type": "I" if intra else "P",
+            {"file": name, "type": ftype,
              "n_points": frame.n, "payload_bytes": bs.payload_bytes(),
              "bpp": frame_bpp})
         total_bits += frame_bits
         total_points += frame.n
-        print(f"frame {i:4d} {'I' if intra else 'P'} points={frame.n} bpp={frame_bpp:.6f}")
+        print(f"frame {i:4d} {ftype} points={frame.n} bpp={frame_bpp:.6f}")
     manifest["total_bpp"] = total_bits / total_points
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -179,16 +174,15 @@ def cmd_decode(args) -> int:
     carry = bool(manifest.get("latent_carry", False))
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    prev_latent = None
-    for i, entry in enumerate(manifest["frames"]):
-        name = str(entry["file"])
+    names = [str(entry["file"]) for entry in manifest["frames"]]
+    bitstreams = (codec.parse((Path(args.manifest).parent / name).read_bytes())
+                  for name in names)
+    results = codec.decode_sequence(bitstreams, models, store, alpha=alpha, latent_carry=carry)
+    for i, name in enumerate(names):
         try:
-            bs = codec.parse((Path(args.manifest).parent / name).read_bytes())
-            result = codec.decode(bs, prev_latent, models, store, alpha=alpha,
-                                  latent_carry=carry)
+            result = next(results)
         except (OSError, VoxCodecError) as exc:
             raise type(exc)(f"frame {i}: {exc}") from None
-        prev_latent = result.reference_latent
         out = outdir / (Path(name).stem + ".ply")
         write_frame(out, result.decoded)
         print(f"frame {i:4d} -> {out.name} points={result.decoded.n}")

@@ -7,6 +7,11 @@ integer-symbol path the decoder uses, so encoder- and decoder-side latents
 are bit-identical, and the next frame's reference latent is re-extracted from
 the decoded geometry (Fig-level dataflow; a carry-forward variant reuses the
 decoded latent directly).
+
+``encode_sequence`` and ``decode_sequence`` own the group-of-pictures policy:
+which frames are I frames, and which reference latent each P frame is coded
+against.  ``encode_intra``, ``encode_inter`` and ``decode`` code one frame,
+for callers that choose frame types and references themselves.
 """
 
 from __future__ import annotations
@@ -302,6 +307,33 @@ def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=F
         y_prime = _residual_decode(rsym, c3, c2, w)
     return _finish_frame(y_prime, bs, models, w, latent_carry=latent_carry,
                          motion_symbols=motion_symbols, residual_symbols=rsym)
+
+
+def encode_sequence(frames, models, w, gop=0, alpha=3.0, lam=3, latent_carry=False):
+    """Encode ``frames`` in order, yielding (FrameBitstream, FrameResult) per
+    frame.  Frame 0 and every ``gop``-th frame after it are I frames (``gop``
+    0: frame 0 only); every other frame is a P frame against the previous
+    frame's reference latent."""
+    if gop < 0:
+        raise ContractViolation(f"gop must be non-negative, got {gop}")
+    reference = None
+    for i, frame in enumerate(frames):
+        if i == 0 or (gop and i % gop == 0):
+            bs, result = encode_intra(frame, models, w, lam, latent_carry)
+        else:
+            bs, result = encode_inter(frame, reference, models, w, alpha, lam, latent_carry)
+        reference = result.reference_latent
+        yield bs, result
+
+
+def decode_sequence(bitstreams, models, w, alpha=3.0, latent_carry=False):
+    """Decode ``bitstreams`` in order, yielding a FrameResult per frame; each
+    P frame is decoded against the previous frame's reference latent."""
+    reference = None
+    for bs in bitstreams:
+        result = decode(bs, reference, models, w, alpha, latent_carry)
+        reference = result.reference_latent
+        yield result
 
 
 def bce_occupancy(probs: np.ndarray, candidates: np.ndarray, truth: np.ndarray) -> float:

@@ -397,7 +397,10 @@ def irn_block(x: SparseTensor, w) -> SparseTensor:
     if sum(widths) != x.channels:
         raise ContractViolation(f"IRN branch widths {widths} do not add up to {x.channels}")
     inception = np.concatenate([b0.feats, b1.feats, b2.feats], axis=1)
-    return x.with_feats(x.feats + inception)
+    # the sum overwrites the concatenated branches instead of taking a new
+    # array; x.feats stays the first operand, so the bytes, NaN payloads
+    # included, are those of x.feats + inception
+    return x.with_feats(np.add(x.feats, inception, out=inception))
 
 
 def rn_block(x: SparseTensor, w) -> SparseTensor:

@@ -153,12 +153,9 @@ def test_criterion_6_closed_loop_codec():
     store = make_weights(0)
     models = entropy_models(store)
     frames = synthetic.make_rigid_sequence(10_000, 2, 2, 7, seed=6)
-    bs0, enc0 = codec.encode_intra(frames[0], models, store)
-    bs1, enc1 = codec.encode_inter(frames[1], enc0.reference_latent, models, store,
-                                   alpha=3.0)
-    dec0 = codec.decode(codec.parse(codec.serialize(bs0)), None, models, store)
-    dec1 = codec.decode(codec.parse(codec.serialize(bs1)), dec0.reference_latent,
-                        models, store, alpha=3.0)
+    (bs0, enc0), (bs1, enc1) = codec.encode_sequence(frames, models, store)
+    dec0, dec1 = codec.decode_sequence(
+        (codec.parse(codec.serialize(bs)) for bs in (bs0, bs1)), models, store)
     counts_ok = (enc0.decoded.n == frames[0].n == dec0.decoded.n
                  and enc1.decoded.n == frames[1].n == dec1.decoded.n)
     latents_ok = (np.array_equal(dec0.decoded_latent.feats, enc0.decoded_latent.feats)

@@ -204,16 +204,17 @@ class TestDecode:
 
         enc, dec = tmp_path / "enc", tmp_path / "dec"
         assert cli.main(["encode", "--weights", str(weights_file), "--synthetic",
-                         "rigid:300,2,1", "--precision", "6", "--alpha", "5",
-                         "--latent-carry", "--output", str(enc)]) == 0
+                         "rigid:300,3,1", "--precision", "6", "--alpha", "5",
+                         "--gop", "2", "--latent-carry", "--output", str(enc)]) == 0
+        manifest = json.loads((enc / "manifest.json").read_text())
+        assert [f["type"] for f in manifest["frames"]] == ["I", "P", "I"]
         assert cli.main(["decode", "--weights", str(weights_file),
                          "--manifest", str(enc / "manifest.json"),
                          "--output", str(dec)]) == 0
-        prev = None
-        for name in ("frame0000", "frame0001"):
-            bs = codec.parse((enc / f"{name}.ddpc").read_bytes())
-            res = codec.decode(bs, prev, models, store, alpha=5.0, latent_carry=True)
-            prev = res.reference_latent
+        names = ("frame0000", "frame0001", "frame0002")
+        bitstreams = (codec.parse((enc / f"{name}.ddpc").read_bytes()) for name in names)
+        results = codec.decode_sequence(bitstreams, models, store, alpha=5.0, latent_carry=True)
+        for name, res in zip(names, results):
             write_frame(tmp_path / "api.ply", res.decoded)
             assert (dec / f"{name}.ply").read_bytes() == (tmp_path / "api.ply").read_bytes()
 
@@ -543,6 +544,22 @@ class TestConfig:
                        *alpha, "--output", str(out)])
         assert rc == cli.EXIT_BAD_INPUT
         assert capsys.readouterr().err.startswith("error: alpha must be positive")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gop", [["--gop", "-2"], ["--config", "gop = -5\n"]],
+                             ids=["option", "config"])
+    def test_negative_gop_exit_3_before_any_frame(self, tmp_path, weights_file, gop,
+                                                  capsys):
+        if gop[0] == "--config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(gop[1])
+            gop = ["--config", str(cfg)]
+        out = tmp_path / "x"
+        rc = cli.main(["encode", "--weights", str(weights_file),
+                       "--synthetic", "rigid:100,3,0", "--precision", "6",
+                       *gop, "--output", str(out)])
+        assert rc == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: gop must be non-negative")
         assert not out.exists()
 
     @pytest.mark.parametrize("option", [["--workers", "1"], ["--transmit-c3"]])

@@ -177,12 +177,10 @@ class TestEndToEnd:
             8 * bs.payload_bytes() / frame.n)
 
     def test_two_frame_closed_loop(self, store, models, small_frames):
-        f0, f1 = small_frames
-        bs0, enc0 = codec.encode_intra(f0, models, store)
-        bs1, enc1 = codec.encode_inter(f1, enc0.reference_latent, models, store, alpha=3.0)
-        dec0 = codec.decode(codec.parse(codec.serialize(bs0)), None, models, store)
-        dec1 = codec.decode(codec.parse(codec.serialize(bs1)), dec0.reference_latent,
-                            models, store, alpha=3.0)
+        f1 = small_frames[1]
+        (bs0, enc0), (bs1, enc1) = codec.encode_sequence(small_frames, models, store)
+        dec0, dec1 = codec.decode_sequence(
+            (codec.parse(codec.serialize(bs)) for bs in (bs0, bs1)), models, store)
         # encoder- and decoder-side latents agree bit-exactly
         assert np.array_equal(dec0.decoded_latent.feats, enc0.decoded_latent.feats)
         assert np.array_equal(dec1.decoded_latent.feats, enc1.decoded_latent.feats)
@@ -274,13 +272,46 @@ class TestEndToEnd:
             codec.decode(codec.parse(codec.serialize(crafted)), None, models, store)
 
     def test_latent_carry_variant_closed_loop(self, store, models, small_frames):
-        f0, f1 = small_frames
-        bs0, enc0 = codec.encode_intra(f0, models, store, latent_carry=True)
-        bs1, enc1 = codec.encode_inter(f1, enc0.reference_latent, models, store,
-                                       latent_carry=True)
-        dec0 = codec.decode(bs0, None, models, store, latent_carry=True)
-        dec1 = codec.decode(bs1, dec0.reference_latent, models, store, latent_carry=True)
+        (bs0, _), (bs1, enc1) = codec.encode_sequence(small_frames, models, store,
+                                                      latent_carry=True)
+        _, dec1 = codec.decode_sequence([bs0, bs1], models, store, latent_carry=True)
         assert np.array_equal(dec1.decoded_latent.feats, enc1.decoded_latent.feats)
+
+
+class TestSequence:
+    @pytest.fixture(scope="class")
+    def frames(self):
+        return synthetic.make_rigid_sequence(200, 5, 1, 6, seed=9)
+
+    @pytest.mark.parametrize("latent_carry", [False, True], ids=["re-extract", "carry"])
+    @pytest.mark.parametrize("gop, types", [(0, "IPPPP"), (1, "IIIII"), (2, "IPIPI"),
+                                            (3, "IPPIP")])
+    def test_gop_policy_and_closed_loop(self, store, models, frames, gop, types,
+                                        latent_carry):
+        encoded = list(codec.encode_sequence(frames, models, store, gop=gop,
+                                             latent_carry=latent_carry))
+        assert "".join("IP"[bs.frame_type] for bs, _ in encoded) == types
+        decoded = codec.decode_sequence([bs for bs, _ in encoded], models, store,
+                                        latent_carry=latent_carry)
+        for (_, enc), dec in zip(encoded, decoded, strict=True):
+            assert np.array_equal(dec.decoded.points.coords, enc.decoded.points.coords)
+            assert np.array_equal(dec.reference_latent.coords, enc.reference_latent.coords)
+            assert dec.reference_latent.feats.tobytes() == enc.reference_latent.feats.tobytes()
+        # every frame's bytes are those of the per-frame calls, threaded by hand
+        reference = None
+        for frame, ftype, (bs, _) in zip(frames, types, encoded):
+            if ftype == "I":
+                expect, result = codec.encode_intra(frame, models, store,
+                                                    latent_carry=latent_carry)
+            else:
+                expect, result = codec.encode_inter(frame, reference, models, store,
+                                                    latent_carry=latent_carry)
+            reference = result.reference_latent
+            assert codec.serialize(bs) == codec.serialize(expect)
+
+    def test_negative_gop_rejected(self, store, models, frames):
+        with pytest.raises(ContractViolation, match="gop"):
+            next(codec.encode_sequence(frames, models, store, gop=-2))
 
 
 class TestLoss:
@@ -327,11 +358,8 @@ class TestRate:
         estimate = ent.estimate_bits
         monkeypatch.setattr(ent, "estimate_bits",
                             lambda *args: calls.append(1) or estimate(*args))
-        f0, f1 = small_frames
-        bs0, enc0 = codec.encode_intra(f0, models, store)
-        bs1, enc1 = codec.encode_inter(f1, enc0.reference_latent, models, store)
-        dec0 = codec.decode(bs0, None, models, store)
-        dec1 = codec.decode(bs1, dec0.reference_latent, models, store)
+        (bs0, enc0), (bs1, enc1) = codec.encode_sequence(small_frames, models, store)
+        dec0, dec1 = codec.decode_sequence([bs0, bs1], models, store)
         assert calls == []
         for result, bs, prev, n_coded in ((enc0, bs0, None, 1), (enc1, bs1, enc0, 2),
                                           (dec0, bs0, None, 1), (dec1, bs1, dec0, 2)):

@@ -70,10 +70,9 @@ def test_dpcw_file(tmp_path, store):
 
 
 def test_ddpc_i_and_p_frames(store, models):
-    f0, f1 = synthetic.make_rigid_sequence(100, 2, 1, 5, seed=1)
-    bs0, enc0 = codec.encode_intra(f0, models, store)
-    bs1, _ = codec.encode_inter(f1, enc0.reference_latent, models, store)
-    ref = codec.decode(bs0, None, models, store).reference_latent
+    frames = synthetic.make_rigid_sequence(100, 2, 1, 5, seed=1)
+    (bs0, _), (bs1, _) = codec.encode_sequence(frames, models, store)
+    ref = next(codec.decode_sequence([bs0], models, store)).reference_latent
     out_i = decodes_or_rejects(
         lambda d: codec.decode(codec.parse(d), None, models, store),
         codec.serialize(bs0), seed=6, count=60)

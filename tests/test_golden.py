@@ -45,14 +45,11 @@ def _sha(*chunks) -> str:
 @pytest.fixture(scope="module")
 def digests(store, models):
     frames = synthetic.make_rigid_sequence(1500, 2, 2, 7, seed=5)
-    bs0, enc0 = codec.encode_intra(frames[0], models, store)
-    bs1, _ = codec.encode_inter(frames[1], enc0.reference_latent, models, store, alpha=3.0)
-    data = [codec.serialize(bs0), codec.serialize(bs1)]
-    dec0 = codec.decode(codec.parse(data[0]), None, models, store)
-    dec1 = codec.decode(codec.parse(data[1]), dec0.reference_latent, models, store, alpha=3.0)
+    data = [codec.serialize(bs) for bs, _ in codec.encode_sequence(frames, models, store)]
+    dec = list(codec.decode_sequence(map(codec.parse, data), models, store))
     decoded = [np.ascontiguousarray(d.decoded.points.coords, dtype=np.int64).tobytes()
-               for d in (dec0, dec1)]
-    ref = dec1.reference_latent
+               for d in dec]
+    ref = dec[-1].reference_latent
     return {
         "ddpc": _sha(*data),
         "decoded": _sha(*decoded),

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,12 @@ from voxcodec import synthetic
 from voxcodec.errors import ContractViolation
 from voxcodec.knn import knn
 from voxcodec.sparse import SparseTensor
+
+
+def test_package_attribute_is_the_module():
+    from voxcodec import knn as attr
+
+    assert attr is importlib.import_module("voxcodec.knn")
 
 
 def ref(coords):

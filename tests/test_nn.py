@@ -522,6 +522,36 @@ class TestActivationsAndBlocks:
         assert np.array_equal(y.feats, x.feats)
         assert np.array_equal(y.coords, x.coords)
 
+    @pytest.mark.parametrize("dtype, nan_bits", [
+        (np.float32, (np.uint32, 0x7FC00000, 1 << 22)),
+        (np.float64, (np.uint64, 0x7FF8000000000000, 1 << 51)),
+    ], ids=["float32", "float64"])
+    def test_irn_residual_add_keeps_bytes(self, store, dtype, nan_bits):
+        # rec.up1.irn1 on seeded features, some rows holding two NaNs with
+        # different payloads, so that a branch output carries a payload other
+        # than the input's: the output is byte for byte the input plus its
+        # concatenated branches, in that order, and the input is unchanged
+        rng = np.random.default_rng(17)
+        coords = coord_set(rng, 400, 12, 0)
+        feats = rng.normal(size=(len(coords), 32)).astype(dtype)
+        uint, quiet, payloads = nan_bits
+        bits = feats.view(uint)
+        rows = np.arange(0, len(coords), 37)
+        for cols in (rows % 32, (rows + 11) % 32):
+            bits[rows, cols] = quiet + rng.integers(1, payloads, rows.size).astype(uint)
+        bits[rows[::2], rows[::2] % 32] |= uint(1) << uint(8 * bits.itemsize - 1)
+        x = make(coords, feats, 1)
+        before = x.feats.tobytes()
+        w = nn.prefixed(store, "rec.up1.irn1")
+        branches = [nn._conv(nn._conv(x, w, "b0c1"), w, "b0c2"),
+                    nn._conv(nn._conv(x, w, "b1c1"), w, "b1c2"),
+                    nn._conv(x, w, "b2c1")]
+        expect = x.feats + np.concatenate([b.feats for b in branches], axis=1)
+        y = irn_block(x, w)
+        assert y.feats.dtype == dtype and np.isnan(y.feats).any()
+        assert y.feats.tobytes() == expect.tobytes()
+        assert x.feats.tobytes() == before
+
     def test_irn_matches_dense_composite(self):
         rng = np.random.default_rng(2)
         x = random_tensor(rng, 10, 6, 8)

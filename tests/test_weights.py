@@ -199,9 +199,7 @@ def test_every_layer_runs_with_its_layout_spec(store, models, monkeypatch):
         return original(x, spec, weight, bias, out_coords)
 
     monkeypatch.setattr(nn, "sparse_conv", recording)
-    f0, f1 = synthetic.make_rigid_sequence(300, 2, 1, 6, seed=3)
-    bs0, enc0 = codec.encode_intra(f0, models, store)
-    bs1, _ = codec.encode_inter(f1, enc0.reference_latent, models, store)
-    dec0 = codec.decode(bs0, None, models, store)
-    codec.decode(bs1, dec0.reference_latent, models, store)
+    frames = synthetic.make_rigid_sequence(300, 2, 1, 6, seed=3)
+    bitstreams = [bs for bs, _ in codec.encode_sequence(frames, models, store)]
+    list(codec.decode_sequence(bitstreams, models, store))
     assert used == {name: {spec} for name, spec in conv_layout()}
