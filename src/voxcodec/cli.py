@@ -166,12 +166,18 @@ def _read_manifest(path, entry_key):
 def cmd_decode(args) -> int:
     store, models = _resolve_weights(args)
     manifest = _read_manifest(args.manifest, "file")
+    alpha = manifest.get("alpha", DEFAULT_ALPHA)
+    carry = manifest.get("latent_carry", False)
+    # JSON true is a Python int, and float() and bool() take strings
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise VoxCodecError("bad manifest: \"alpha\" is not a number")
+    if not isinstance(carry, bool):
+        raise VoxCodecError("bad manifest: \"latent_carry\" is not true or false")
     try:
-        alpha = float(manifest.get("alpha", DEFAULT_ALPHA))
-    except (TypeError, ValueError):
-        raise VoxCodecError("bad manifest: \"alpha\" is not a number") from None
+        alpha = float(alpha)
+    except OverflowError:
+        raise VoxCodecError("bad manifest: \"alpha\" is out of range") from None
     _check_alpha(alpha)
-    carry = bool(manifest.get("latent_carry", False))
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     names = [str(entry["file"]) for entry in manifest["frames"]]

@@ -2,10 +2,11 @@
 reconstruction with adaptive pruning, the "DDPC" container, and the
 rate-distortion loss.
 
-Closed decoding loop: the encoder reconstructs every frame through the same
-integer-symbol path the decoder uses, so encoder- and decoder-side latents
-are bit-identical, and the next frame's reference latent is re-extracted from
-the decoded geometry (Fig-level dataflow; a carry-forward variant reuses the
+Closed decoding loop: the encoder's analysis stops at integer symbols, and
+both codec sides synthesize each frame from its symbols through one path,
+``motion.compensate`` then ``_finish_frame``, so their latents are
+bit-identical.  The next frame's reference latent is re-extracted from the
+decoded geometry (Fig-level dataflow; a carry-forward variant reuses the
 decoded latent directly).
 
 ``encode_sequence`` and ``decode_sequence`` own the group-of-pictures policy:
@@ -143,7 +144,7 @@ def _block(x, w, prefix, up_to=None) -> SparseTensor:
     """A PCGCv2 scale block: a stride-2 conv, transposed onto ``up_to`` (target
     coordinates, or a tensor whose coordinates and kernel maps to share) when
     that is given, then three IRN blocks."""
-    x = _conv(x, w, f"{prefix}.conv", up_to, transposed=up_to is not None)
+    x = _conv(x, w, f"{prefix}.conv", up_to)
     for i in (1, 2, 3):
         x = irn_block(x, prefixed(w, f"{prefix}.irn{i}"))
     return x
@@ -158,22 +159,20 @@ def feature_extract(frame: PointCloudFrame, w) -> SparseTensor:
 
 def _residual_decode(symbols: np.ndarray, latent_coords, c2, w) -> SparseTensor:
     """The scale-2 residual on ``c2``: coordinates, or on the encoder the
-    residual tensor itself, whose kernel maps the IRN blocks then reuse."""
+    latent tensor itself, whose kernel maps the IRN blocks then reuse."""
     lat = SparseTensor(latent_coords, symbols.astype(np.float32), scale=3)
     return _block(lat, w, "res.dec.up", up_to=c2)
 
 
 def compress_residual(r: SparseTensor, model: ent.EntropyModel, w):
-    """Encode the scale-2 residual; returns (bytes, reconstruction, symbols).
+    """Encode the scale-2 residual; returns (bytes, symbols).
 
     The latent coordinate set is the floor-div of the residual's coordinates
     and is derived, not coded.
     """
     latent = _conv(_block(r, w, "res.enc.down"), w, "res.enc.head")
     symbols = ent.quantize(latent.feats)
-    data = ent.range_encode(symbols, model)
-    r_hat = _residual_decode(symbols, latent.coords, r, w)
-    return data, r_hat, symbols
+    return ent.range_encode(symbols, model), symbols
 
 
 def _children(coords: np.ndarray) -> np.ndarray:
@@ -217,8 +216,13 @@ def _coords_substream(c2: np.ndarray, precision_bits: int) -> bytes:
     return oc.serialize_stream(oc.octree_encode(c2, depth))
 
 
-def _finish_frame(y_prime, bs, models, w, latent_carry=False,
-                  motion_symbols=None, residual_symbols=None):
+def _finish_frame(bs, c2, c3, residual_symbols, predicted, models, w, latent_carry,
+                  motion_symbols=None):
+    """Both codec sides' synthesis: the residual decoded from its symbols on
+    ``c3`` onto ``c2``, plus the prediction if any, is y'; from y' come the
+    decoded frame and the next frame's reference latent."""
+    r_hat = _residual_decode(residual_symbols, c3, c2, w)
+    y_prime = r_hat if predicted is None else r_hat.with_feats(predicted.feats + r_hat.feats)
     decoded, probs = reconstruct(y_prime, bs.n1, bs.n0, w, bs.precision_bits)
     if latent_carry:
         reference = y_prime
@@ -229,8 +233,7 @@ def _finish_frame(y_prime, bs, models, w, latent_carry=False,
     coded = {}
     if motion_symbols is not None:
         coded["motion"] = (motion_symbols, models["motion"])
-    if residual_symbols is not None:
-        coded["residual"] = (residual_symbols, models["residual"])
+    coded["residual"] = (residual_symbols, models["residual"])
     return FrameResult(decoded, y_prime, reference, probs, 8.0 * len(bs.get(SUB_COORDS)), coded)
 
 
@@ -240,11 +243,11 @@ def encode_intra(frame: PointCloudFrame, models, w, lam=3, latent_carry=False):
     y = feature_extract(frame, w)
     n0, n1 = _frame_counts(frame)
     coords_sub = _coords_substream(y.coords, frame.precision_bits)
-    res_bytes, r_hat, symbols = compress_residual(y, models["residual"], w)
+    res_bytes, symbols = compress_residual(y, models["residual"], w)
     bs = FrameBitstream(FRAME_I, frame.precision_bits, lam, n0, n1,
                         [(SUB_COORDS, coords_sub), (SUB_RESIDUAL, res_bytes)])
-    result = _finish_frame(r_hat, bs, models, w, latent_carry, residual_symbols=symbols)
-    return bs, result
+    return bs, _finish_frame(bs, y, stride_down_coords(y.coords), symbols, None, models, w,
+                             latent_carry)
 
 
 def encode_inter(frame: PointCloudFrame, prev_latent: SparseTensor, models, w,
@@ -260,16 +263,13 @@ def encode_inter(frame: PointCloudFrame, prev_latent: SparseTensor, models, w,
     if not np.array_equal(predicted.coords, y.coords):
         raise ContractViolation("prediction is not aligned with the current latent")
     r = y.with_feats(y.feats - predicted.feats)
-    res_bytes, r_hat, residual_symbols = compress_residual(r, models["residual"], w)
-    y_prime = y.with_feats(predicted.feats + r_hat.feats)
+    res_bytes, residual_symbols = compress_residual(r, models["residual"], w)
     coords_sub = _coords_substream(y.coords, frame.precision_bits)
     bs = FrameBitstream(FRAME_P, frame.precision_bits, lam, n0, n1,
                         [(SUB_COORDS, coords_sub), (SUB_MOTION, motion_bytes),
                          (SUB_RESIDUAL, res_bytes)])
-    result = _finish_frame(y_prime, bs, models, w, latent_carry,
-                           motion_symbols=motion_symbols,
-                           residual_symbols=residual_symbols)
-    return bs, result
+    return bs, _finish_frame(bs, y, stride_down_coords(y.coords), residual_symbols,
+                             predicted, models, w, latent_carry, motion_symbols)
 
 
 def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=False):
@@ -294,19 +294,12 @@ def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=F
     # every substream is range-decoded before any network runs, so a corrupt
     # one fails before the motion path's work
     rsym = ent.range_decode(bs.get(SUB_RESIDUAL), models["residual"], c3.shape[0])
-    motion_symbols = None
+    predicted = motion_symbols = None
     if bs.frame_type == FRAME_P:
-        _, mc3, mc4 = mo.motion_coord_sets(c2, prev_latent.coords)
-        motion_symbols = ent.range_decode(bs.get(SUB_MOTION), models["motion"], mc4.shape[0])
-        e_hat = mo.decode_motion_latent(motion_symbols, mc4, mc3, 3, w)
-        m_t = mo.recover_motion(e_hat, c2, w)
-        predicted = mo.adaptive_interpolate(m_t, prev_latent, alpha)
-        r_hat = _residual_decode(rsym, c3, c2, w)
-        y_prime = r_hat.with_feats(predicted.feats + r_hat.feats)
-    else:
-        y_prime = _residual_decode(rsym, c3, c2, w)
-    return _finish_frame(y_prime, bs, models, w, latent_carry=latent_carry,
-                         motion_symbols=motion_symbols, residual_symbols=rsym)
+        sets = mo.motion_coord_sets(c2, prev_latent.coords)  # the union, C3 and C4
+        motion_symbols = ent.range_decode(bs.get(SUB_MOTION), models["motion"], len(sets[2]))
+        predicted = mo.compensate(motion_symbols, c2, prev_latent, w, alpha, sets)
+    return _finish_frame(bs, c2, c3, rsym, predicted, models, w, latent_carry, motion_symbols)
 
 
 def encode_sequence(frames, models, w, gop=0, alpha=3.0, lam=3, latent_carry=False):

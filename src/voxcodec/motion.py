@@ -44,7 +44,7 @@ def fuse_flow(e_o: SparseTensor, w) -> SparseTensor:
     """
     coarse = _conv(e_o, w, "fuse.down.conv")
     coarse = rn_block(rn_block(coarse, prefixed(w, "fuse.rn1")), prefixed(w, "fuse.rn2"))
-    up = _conv(coarse, w, "fuse.up.conv", e_o.coords, transposed=True)
+    up = _conv(coarse, w, "fuse.up.conv", e_o.coords)
     residual = e_o.with_feats(e_o.feats - up.feats)
     fine = _conv(residual, w, "fuse.fine.conv")
     return add_on_union(coarse, fine)
@@ -53,20 +53,18 @@ def fuse_flow(e_o: SparseTensor, w) -> SparseTensor:
 def compress_motion(e_t: SparseTensor, model: ent.EntropyModel, w):
     """Quantize and range-code the downsampled motion embedding.
 
-    Returns (substream bytes, reconstructed embedding on e_t's coordinates,
-    integer latent symbols).
+    Returns (substream bytes, integer latent symbols); :func:`compensate`
+    turns the symbols back into a prediction.
     """
     latent = _conv(e_t, w, "mot.enc.conv")
     symbols = ent.quantize(latent.feats)
-    data = ent.range_encode(symbols, model)
-    e_hat = decode_motion_latent(symbols, latent.coords, e_t.coords, e_t.scale, w)
-    return data, e_hat, symbols
+    return ent.range_encode(symbols, model), symbols
 
 
 def decode_motion_latent(symbols, latent_coords, target_coords, target_scale, w):
-    """Shared encoder/decoder reconstruction of the flow embedding."""
+    """The flow embedding on ``target_coords`` from its integer symbols."""
     latent = SparseTensor(latent_coords, symbols.astype(np.float32), target_scale + 1)
-    return _conv(latent, w, "mot.dec.conv", target_coords, transposed=True)
+    return _conv(latent, w, "mot.dec.conv", target_coords)
 
 
 def recover_motion(e_hat: SparseTensor, target_coords: np.ndarray, w) -> SparseTensor:
@@ -78,9 +76,9 @@ def recover_motion(e_hat: SparseTensor, target_coords: np.ndarray, w) -> SparseT
     """
     coarse = rn_block(rn_block(e_hat, prefixed(w, "mfield.rn1")), prefixed(w, "mfield.rn2"))
     m_coarse = _conv(coarse, w, "mfield.coarse_head")
-    fine = _conv(e_hat, w, "mfield.up.conv", target_coords, transposed=True)
+    fine = _conv(e_hat, w, "mfield.up.conv", target_coords)
     m_fine = _conv(fine, w, "mfield.fine_head")
-    m_up = _conv(m_coarse, w, "mfield.coarse_up.conv", target_coords, transposed=True)
+    m_up = _conv(m_coarse, w, "mfield.coarse_up.conv", target_coords)
     return m_up.with_feats(m_up.feats + m_fine.feats)
 
 
@@ -165,6 +163,14 @@ def motion_coord_sets(c2_current: np.ndarray, prev_coords: np.ndarray):
     return c_union, c3, c4
 
 
+def compensate(symbols, c2, reference: SparseTensor, w, alpha: float, coord_sets=None):
+    """Both codec sides' prediction on ``c2`` from the motion symbols; pass
+    ``coord_sets`` if ``motion_coord_sets(c2, reference.coords)`` is known."""
+    _, c3, c4 = coord_sets or motion_coord_sets(c2, reference.coords)
+    e_hat = decode_motion_latent(symbols, c4, c3, reference.scale + 1, w)
+    return adaptive_interpolate(recover_motion(e_hat, c2, w), reference, alpha)
+
+
 def predict_latent(
     y_t: SparseTensor,
     y_prev: SparseTensor,
@@ -172,7 +178,7 @@ def predict_latent(
     w,
     alpha: float,
 ):
-    """Full inter-prediction: estimate, compress, reconstruct, compensate.
+    """Full inter-prediction: estimate, compress, compensate.
 
     Returns (predicted latent on y_t's coordinates, motion substream bytes,
     integer latent symbols).
@@ -181,7 +187,5 @@ def predict_latent(
         raise ContractViolation("previous latent is empty; encode intra instead")
     e_o = flow_embedding(y_t, y_prev, w)
     e_t = fuse_flow(e_o, w)
-    data, e_hat, symbols = compress_motion(e_t, model, w)
-    m_t = recover_motion(e_hat, y_t.coords, w)
-    predicted = adaptive_interpolate(m_t, y_prev, alpha)
-    return predicted, data, symbols
+    data, symbols = compress_motion(e_t, model, w)
+    return compensate(symbols, y_t.coords, y_prev, w, alpha), data, symbols

@@ -369,19 +369,21 @@ def relu(x: SparseTensor) -> SparseTensor:
 _GEOMETRY = {1: (1, 1), 27: (3, 1), 8: (2, 2)}
 
 
-def _weight_spec(weight, transposed=False) -> ConvSpec:
-    """The ConvSpec a (offsets, cin, cout) weight tensor implies."""
+def _weight_spec(weight, targeted=False) -> ConvSpec:
+    """The ConvSpec a (offsets, cin, cout) weight tensor implies: a stride-2
+    kernel is transposed when it is given target coordinates."""
     shape = np.shape(weight)
     if len(shape) != 3 or shape[0] not in _GEOMETRY:
         raise ContractViolation(f"weight shape {shape} names no supported kernel")
     kernel_size, stride = _GEOMETRY[shape[0]]
-    return ConvSpec(shape[1], shape[2], kernel_size, stride, transposed)
+    return ConvSpec(shape[1], shape[2], kernel_size, stride, targeted and stride == 2)
 
 
-def _conv(x, w, name, out_coords=None, transposed=False):
+def _conv(x, w, name, out_coords=None):
     """Layer ``name`` of the weights ``w``, its geometry read from the weight."""
     weight = w[name + ".weight"]
-    return sparse_conv(x, _weight_spec(weight, transposed), weight, w[name + ".bias"], out_coords)
+    spec = _weight_spec(weight, out_coords is not None)
+    return sparse_conv(x, spec, weight, w[name + ".bias"], out_coords)
 
 
 def irn_block(x: SparseTensor, w) -> SparseTensor:

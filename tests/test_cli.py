@@ -197,6 +197,26 @@ class TestDecode:
         assert capsys.readouterr().err.startswith("error: alpha must be positive")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("latent_carry", "false", id="carry-string"),
+        pytest.param("latent_carry", 0, id="carry-int"),
+        pytest.param("alpha", True, id="alpha-bool"),
+        pytest.param("alpha", "3.0", id="alpha-string"),
+        pytest.param("alpha", 10**400, id="alpha-overflow"),
+    ])
+    def test_manifest_field_of_wrong_type_exit_3_before_any_frame(
+            self, tmp_path, weights_file, encoded, key, value, capsys):
+        manifest = json.loads((encoded / "manifest.json").read_text())
+        manifest[key] = value
+        path = encoded / "bad-type.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        rc = cli.main(["decode", "--weights", str(weights_file), "--manifest", str(path),
+                       "--output", str(out)])
+        assert rc == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith(f"error: bad manifest: \"{key}\"")
+        assert not out.exists()
+
     def test_alpha_and_latent_carry_come_from_manifest(self, tmp_path, weights_file,
                                                        store, models):
         from voxcodec import codec, synthetic

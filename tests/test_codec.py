@@ -87,16 +87,17 @@ class TestResidualCompression:
     def test_zero_residual_minimal_stream(self, store, models, small_frames):
         y = codec.feature_extract(small_frames[0], store)
         zero = y.with_feats(np.zeros_like(y.feats))
-        data, r_hat, symbols = codec.compress_residual(zero, models["residual"], store)
+        data, symbols = codec.compress_residual(zero, models["residual"], store)
         # encoder is linear, so a zero residual maps to all-zero symbols
         assert np.all(symbols == 0)
+        r_hat = codec._residual_decode(symbols, stride_down_coords(y.coords), zero, store)
         assert np.array_equal(r_hat.coords, y.coords)
 
     def test_latent_roundtrip_exact(self, store, models, small_frames):
         from voxcodec import entropy as ent
 
         y = codec.feature_extract(small_frames[0], store)
-        data, r_hat, symbols = codec.compress_residual(y, models["residual"], store)
+        data, symbols = codec.compress_residual(y, models["residual"], store)
         back = ent.range_decode(data, models["residual"], symbols.shape[0])
         assert np.array_equal(back, symbols)
 
@@ -104,9 +105,33 @@ class TestResidualCompression:
         from voxcodec import entropy as ent
 
         y = codec.feature_extract(small_frames[0], store)
-        data, _, symbols = codec.compress_residual(y, models["residual"], store)
+        data, symbols = codec.compress_residual(y, models["residual"], store)
         est = ent.estimate_bits(symbols, models["residual"])
         assert abs(len(data) * 8 - est) <= 0.01 * est + 16 * 8
+
+
+class TestSharedSynthesis:
+    @pytest.mark.parametrize("latent_carry", [False, True])
+    def test_compensate_on_decoded_symbols_reproduces_prediction(self, store, models,
+                                                                 latent_carry):
+        frames = synthetic.make_rigid_sequence(600, 3, 2, 7, seed=17)
+        coded = codec.encode_sequence(frames, models, store, latent_carry=latent_carry)
+        reference, p_frames = None, 0
+        for frame, (bs, result) in zip(frames, coded):
+            if bs.frame_type == codec.FRAME_P:
+                p_frames += 1
+                y = codec.feature_extract(frame, store)
+                pred, data, _ = mo.predict_latent(y, reference, models["motion"], store, 3.0)
+                assert data == bs.get(codec.SUB_MOTION)
+                # the decoder's view: C2 from the octree, symbols from the stream
+                c2 = oc.octree_decode(oc.parse_stream(bs.get(codec.SUB_COORDS)))
+                c4 = mo.motion_coord_sets(c2, reference.coords)[2]
+                symbols = ent.range_decode(data, models["motion"], c4.shape[0])
+                again = mo.compensate(symbols, c2, reference, store, 3.0)
+                assert np.array_equal(again.coords, pred.coords)
+                assert again.feats.tobytes() == pred.feats.tobytes()
+            reference = result.reference_latent
+        assert p_frames == 2
 
 
 class TestReconstruct:

@@ -581,20 +581,20 @@ class TestActivationsAndBlocks:
     def test_conv_geometry_comes_from_the_weight(self):
         rng = np.random.default_rng(6)
         x = random_tensor(rng, 20, 6, 2, scale=1)
-        for offsets, spec, out, transposed in [
-            (1, ConvSpec(2, 3, 1), None, False),
-            (27, ConvSpec(2, 3, 3), None, False),
-            (8, ConvSpec(2, 3, 2, stride=2), None, False),
-            (8, ConvSpec(2, 3, 2, stride=2, transposed=True), _children(x.coords), True),
+        # an 8-offset kernel is transposed exactly when it is given targets
+        for offsets, spec, out in [
+            (1, ConvSpec(2, 3, 1), None),
+            (27, ConvSpec(2, 3, 3), None),
+            (8, ConvSpec(2, 3, 2, stride=2), None),
+            (8, ConvSpec(2, 3, 2, stride=2, transposed=True), _children(x.coords)),
         ]:
             w = {"l.weight": rng.normal(size=(offsets, 2, 3)), "l.bias": rng.normal(size=3)}
-            got = nn._conv(x, w, "l", out, transposed=transposed)
+            got = nn._conv(x, w, "l", out)
             expect = sparse_conv(x, spec, w["l.weight"], w["l.bias"], out)
             assert got.feats.tobytes() == expect.feats.tobytes()
-        for offsets, transposed in [(5, False), (27, True)]:
-            w = {"l.weight": np.zeros((offsets, 2, 3)), "l.bias": np.zeros(3)}
-            with pytest.raises(ContractViolation):
-                nn._conv(x, w, "l", x.coords, transposed=transposed)
+        w = {"l.weight": np.zeros((5, 2, 3)), "l.bias": np.zeros(3)}
+        with pytest.raises(ContractViolation):
+            nn._conv(x, w, "l", x.coords)
 
     def test_rn_zero_weights_identity(self):
         rng = np.random.default_rng(3)
