@@ -4,6 +4,9 @@ The factorized prior is frozen into per-channel quantized CDF tables (u16
 resolution, total 65536).  Channel i models integer symbols
 ``offset[i] .. offset[i] + nsym[i] - 1`` plus one trailing escape slot;
 out-of-range symbols are escape-coded followed by 32 raw bits (zig-zag).
+This module owns that escape format both ways: the 32 bits are four
+big-endian bytes, each a symbol of the uniform table ``RAW_CDF``, where byte
+b is the slot [256 b, 256 (b + 1)) of 2^16.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ContractViolation, DecodeError
-from .rangecoder import RAW_CDF, RangeDecoder, RangeEncoder
+from .rangecoder import RangeDecoder, RangeEncoder, check_table
 
 TOTAL = 1 << 16
+RAW_CDF = tuple(range(0, TOTAL + 1, 1 << 8))
 _LOG2_TOTAL = 16.0
 
 
@@ -159,18 +163,19 @@ def range_encode(symbols: np.ndarray, model: EntropyModel) -> bytes:
 
 
 def range_decode(data: bytes, model: EntropyModel, count: int) -> np.ndarray:
-    """Inverse of range_encode; returns an int64 (count, channels) array."""
+    """Inverse of range_encode; returns an int64 (count, channels) array.
+    Each table, the raw one included, is checked once per call."""
     dec = RangeDecoder(data)
+    raw = check_table(RAW_CDF)
     out = np.empty((count, model.channels), dtype=np.int64)
     for c, cdf in enumerate(model.tables):
-        offset = int(model.offsets[c])
-        nsym = len(cdf) - 2
+        table, offset, nsym = check_table(cdf), int(model.offsets[c]), len(cdf) - 2
         column = []
         while len(column) < count:
-            column += dec.decode_run(cdf, count - len(column), nsym)
+            column += dec.run(table, count - len(column), nsym)
             if column[-1] == nsym:
                 # the escaped value, less the offset added to the whole column
-                column[-1] = _unzigzag(dec.decode_raw_u32()) - offset
+                column[-1] = _unzigzag(int.from_bytes(bytes(dec.run(raw, 4)), "big")) - offset
         out[:, c] = column
         out[:, c] += offset
     dec.finish()

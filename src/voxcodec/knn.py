@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .sparse import SparseTensor, lookup, pack_keys
+from .sparse import SparseTensor, key_steps, lookup, pack_keys
 
 PROBE_BLOCK = 512  # queries whose 27 neighbour cells are looked up at once
 PAIR_BLOCK = 8192  # candidate (query, reference) pairs ranked at once
@@ -32,8 +32,7 @@ FIRST_LEVEL = 1  # the finest cells probed are 2 lattice units wide
 # a query clamped to the occupied cells +-1 pack for any 21-bit reference.
 _CELL0 = 2 - (1 << 20)
 # packed key steps from the low corner of a 3x3x3 neighbourhood to its cells
-_D = np.stack(np.meshgrid(*[np.arange(3, dtype=np.uint64)] * 3, indexing="ij"), -1).reshape(-1, 3)
-_STEPS = (_D[:, 0] << np.uint64(42)) | (_D[:, 1] << np.uint64(21)) | _D[:, 2]
+_STEPS = key_steps(np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), -1))
 
 
 class GridIndex:

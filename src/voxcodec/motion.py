@@ -163,10 +163,11 @@ def motion_coord_sets(c2_current: np.ndarray, prev_coords: np.ndarray):
     return c_union, c3, c4
 
 
-def compensate(symbols, c2, reference: SparseTensor, w, alpha: float, coord_sets=None):
-    """Both codec sides' prediction on ``c2`` from the motion symbols; pass
-    ``coord_sets`` if ``motion_coord_sets(c2, reference.coords)`` is known."""
-    _, c3, c4 = coord_sets or motion_coord_sets(c2, reference.coords)
+def compensate(symbols, c2, reference: SparseTensor, w, alpha: float, coord_sets):
+    """Both codec sides' prediction on ``c2`` from the motion symbols, given
+    ``coord_sets``, the union, C3 and C4 of motion_coord_sets(c2,
+    reference.coords)."""
+    _, c3, c4 = coord_sets
     e_hat = decode_motion_latent(symbols, c4, c3, reference.scale + 1, w)
     return adaptive_interpolate(recover_motion(e_hat, c2, w), reference, alpha)
 
@@ -188,4 +189,6 @@ def predict_latent(
     e_o = flow_embedding(y_t, y_prev, w)
     e_t = fuse_flow(e_o, w)
     data, symbols = compress_motion(e_t, model, w)
-    return compensate(symbols, y_t.coords, y_prev, w, alpha), data, symbols
+    # the embeddings already sit on the union, C3 and C4: nothing to derive again
+    sets = e_o.coords, e_t.coords, stride_down_coords(e_t.coords)
+    return compensate(symbols, y_t.coords, y_prev, w, alpha, sets), data, symbols

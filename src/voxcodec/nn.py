@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ContractViolation
-from .sparse import SparseTensor, increasing, lookup, pack_keys, stride_down_coords
+from .sparse import SparseTensor, increasing, key_steps, lookup, pack_keys, stride_down_coords
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,7 @@ def _shifted_pairs(keys, base, offsets, same=False):
     if base.size:
         pack_keys(np.array([[base.min()], [base.max()]]) + offsets[[0, -1]])
     packed = keys if same else pack_keys(base)
-    # in range the packed fields add: pack(c + o) = pack(c) + steps[o] modulo 2**64
-    steps = ((offsets[:, 0] << 42) + (offsets[:, 1] << 21) + offsets[:, 2]).astype(np.uint64)
+    steps = key_steps(offsets)
     rows = np.arange(base.shape[0])
     n = len(offsets)
     mirror = same and np.array_equal(offsets[::-1], -offsets)

@@ -8,19 +8,18 @@ decoding is deterministic and platform independent.
 The coder works in runs, each one loop that keeps the interval, the code and
 the read position in locals and writes them back once.  The encoder codes a
 run of steps, slot [lo, hi) of a total; a latent column and an octree
-payload are one run each.  The decoder has one loop for a cumulative table
-(cdf[0] = 0, total cdf[-1] at most 2^16), which returns symbol indices, and
-one for the adaptive byte model, whose two-level count table holds no flat
-table.  Raw u32s are four big-endian bytes, each a symbol of the uniform
-table RAW_CDF: byte b is the slot [256 b, 256 (b + 1)) of 2^16.
-``encode_symbol``, ``decode_symbol`` and the raw u32 calls are runs of
-length one or four.  The flush writes exactly two bytes: the shortest prefix
-of a value inside the final interval (the post-normalization range is always
->= 2^16, so a multiple of 2^16 exists in it).  The decoder mirrors the
-encoder's renormalization byte for byte, so on a valid stream it runs
-exactly two bytes past the physical stream end (the flush it never sees in
-full): any further read means the stream was truncated, and ending short of
-them means trailing bytes.
+payload are one run each.  The decoder has one loop too: it finds each slot
+by bisection on a cumulative table (cdf[0] = 0, total cdf[-1] at most 2^16)
+or from the adaptive byte model, whose two-level count table holds no flat
+table, and returns symbol indices.  ``encode_symbol`` and ``decode_symbol``
+are checked runs of length one.  The coder knows no escape format: raw
+bytes are symbols of a uniform table the entropy module owns.  The flush
+writes exactly two bytes: the shortest prefix of a value inside the final
+interval (the post-normalization range is always >= 2^16, so a multiple of
+2^16 exists in it).  The decoder mirrors the encoder's renormalization byte
+for byte, so on a valid stream it runs exactly two bytes past the physical
+stream end (the flush it never sees in full): any further read means the
+stream was truncated, and ending short of them means trailing bytes.
 """
 
 from __future__ import annotations
@@ -35,10 +34,9 @@ _BOTTOM = 1 << 16
 _MASK = (1 << 32) - 1
 MAX_TOTAL = 1 << 16
 _VIRTUAL_ALLOWANCE = 2
-RAW_CDF = tuple(range(0, MAX_TOTAL + 1, 1 << 8))
 
 
-def _check_table(cdf) -> tuple:
+def check_table(cdf) -> tuple:
     """A decoder table as a tuple of ints, or ContractViolation: it must start
     at 0, never decrease and total 1 .. 2^16, so that every target falls in a
     slot [lo, hi) the encoder could have coded."""
@@ -65,20 +63,12 @@ class RangeEncoder:
             raise ContractViolation(f"bad coder step [{lo}, {hi}) of total {total}")
         self.encode_steps((lo,), (hi,), (total,))
 
-    def encode_raw_u32(self, value: int) -> None:
-        """Encode 32 raw bits as four uniform bytes (used for escapes)."""
-        if not 0 <= value < (1 << 32):
-            raise ContractViolation("raw value out of u32 range")
-        raw = int(value).to_bytes(4, "big")
-        self.encode_steps([RAW_CDF[b] for b in raw], [RAW_CDF[b + 1] for b in raw],
-                          (MAX_TOTAL,) * 4)
-
     def encode_steps(self, los, his, totals) -> None:
         """Narrow to [lo, hi) of total for each step in turn, emitting every
         settled byte (bytes settle only once the range is below 2^24).  The
         steps are not checked: they must satisfy 0 <= lo < hi <= total <=
-        2^16, as the slots of a validated table, raw bytes and the adaptive
-        model's slots do."""
+        2^16, as the slots of a validated table and the adaptive model's
+        slots do."""
         low, rng, out = self._low, self._range, self._out
         for lo, hi, total in zip(los, his, totals):
             r = rng // total
@@ -126,13 +116,10 @@ class RangeDecoder:
         returns the index s with cdf[s] <= target < cdf[s + 1]."""
         return self.decode_run(cdf, 1)[0]
 
-    def decode_raw_u32(self) -> int:
-        return int.from_bytes(bytes(self._decode(RAW_CDF, 4, -1)), "big")
-
     def decode_run(self, cdf, n: int, stop: int = -1) -> list:
         """Decode up to n symbols of the table cdf, checked once (see
-        _check_table); the run ends early after a symbol equal to stop."""
-        return self._decode(_check_table(cdf), n, stop)
+        check_table); the run ends early after a symbol equal to stop."""
+        return self.run(check_table(cdf), n, stop)
 
     def finish(self) -> None:
         """Check that the stream ended exactly: a valid stream leaves the
@@ -140,12 +127,20 @@ class RangeDecoder:
         if self._pos - len(self._data) != _VIRTUAL_ALLOWANCE:
             raise DecodeError("trailing bytes after range-coded stream")
 
-    def _decode(self, cdf: tuple, n: int, stop: int) -> list:
-        """The table decoder's loop, mirroring RangeEncoder.encode_steps: find
+    def run(self, slots, n: int, stop: int = -1) -> list:
+        """The decoder's one loop, mirroring RangeEncoder.encode_steps: find
         the slot holding the target, narrow to it, then read one byte for
-        each byte the encoder emitted."""
+        each byte the encoder emitted.  ``slots`` is a table as check_table
+        returns it, searched by bisection, or an AdaptiveByteModel, which
+        locates the slot and then learns the symbol.  Returns up to n symbol
+        indices, ending early after a symbol equal to stop."""
+        model = slots if isinstance(slots, AdaptiveByteModel) else None
+        if model is None:
+            total = slots[-1]
+        else:
+            locate, update, total = model.locate, model.update, model.total
         low, rng, code, pos = self._low, self._range, self._code, self._pos
-        data, end, total = self._data, len(self._data), cdf[-1]
+        data, end = self._data, len(self._data)
         out = []
         for _ in range(n):
             r = rng // total
@@ -153,10 +148,17 @@ class RangeDecoder:
             if t < 0:
                 raise DecodeError("range-coded stream is corrupt")
             t //= r
-            s = bisect_right(cdf, t if t < total else total - 1) - 1
-            lo = cdf[s]
+            if t >= total:
+                t = total - 1
+            if model is None:
+                s = bisect_right(slots, t) - 1
+                lo, hi = slots[s], slots[s + 1]
+            else:
+                s, lo, hi = locate(t)
+                update(s)
+                total = model.total
             low += lo * r
-            rng = (cdf[s + 1] - lo) * r
+            rng = (hi - lo) * r
             while rng < _TOP:
                 if (low ^ (low + rng)) >= _TOP:
                     if rng >= _BOTTOM:
@@ -253,38 +255,4 @@ class AdaptiveByteDecoder(RangeDecoder):
         self._model = AdaptiveByteModel()
 
     def read(self, n: int) -> bytes:
-        """The adaptive decoder's loop: the table decoder's, with the model
-        locating the target and learning each byte."""
-        model = self._model
-        locate, update = model.locate, model.update
-        low, rng, code, pos = self._low, self._range, self._code, self._pos
-        data, end = self._data, len(self._data)
-        out = bytearray(n)
-        for i in range(n):
-            total = model.total
-            r = rng // total
-            t = code - low
-            if t < 0:
-                raise DecodeError("range-coded stream is corrupt")
-            t //= r
-            b, lo, hi = locate(t if t < total else total - 1)
-            low += lo * r
-            rng = (hi - lo) * r
-            while rng < _TOP:
-                if (low ^ (low + rng)) >= _TOP:
-                    if rng >= _BOTTOM:
-                        break
-                    rng = -low & (_BOTTOM - 1)
-                if pos < end:
-                    code = ((code << 8) | data[pos]) & _MASK
-                elif pos - end >= _VIRTUAL_ALLOWANCE:
-                    raise DecodeError("range-coded stream is truncated")
-                else:
-                    code = (code << 8) & _MASK
-                pos += 1
-                low = (low << 8) & _MASK
-                rng <<= 8
-            update(b)
-            out[i] = b
-        self._low, self._range, self._code, self._pos = low, rng, code, pos
-        return bytes(out)
+        return bytes(self.run(self._model, n))

@@ -37,6 +37,14 @@ def pack_keys(coords: np.ndarray) -> np.ndarray:
     return (b[:, 0] << np.uint64(42)) | (b[:, 1] << np.uint64(21)) | b[:, 2]
 
 
+def key_steps(offsets: np.ndarray) -> np.ndarray:
+    """The uint64 step each integer offset (dx, dy, dz) adds to a packed key:
+    where c and c + o are in range, pack_keys(c + o) = pack_keys(c) + step
+    modulo 2^64."""
+    o = np.asarray(offsets, dtype=np.int64).reshape(-1, 3)
+    return ((o[:, 0] << 42) + (o[:, 1] << 21) + o[:, 2]).astype(np.uint64)
+
+
 def lookup(sorted_keys: np.ndarray, keys: np.ndarray):
     """Find ``keys`` in a strictly increasing key array.
 

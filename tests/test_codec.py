@@ -125,13 +125,27 @@ class TestSharedSynthesis:
                 assert data == bs.get(codec.SUB_MOTION)
                 # the decoder's view: C2 from the octree, symbols from the stream
                 c2 = oc.octree_decode(oc.parse_stream(bs.get(codec.SUB_COORDS)))
-                c4 = mo.motion_coord_sets(c2, reference.coords)[2]
-                symbols = ent.range_decode(data, models["motion"], c4.shape[0])
-                again = mo.compensate(symbols, c2, reference, store, 3.0)
+                sets = mo.motion_coord_sets(c2, reference.coords)
+                symbols = ent.range_decode(data, models["motion"], sets[2].shape[0])
+                again = mo.compensate(symbols, c2, reference, store, 3.0, sets)
                 assert np.array_equal(again.coords, pred.coords)
                 assert again.feats.tobytes() == pred.feats.tobytes()
             reference = result.reference_latent
         assert p_frames == 2
+
+    def test_encoder_takes_motion_sets_from_the_embeddings(self, store, models,
+                                                           small_frames, monkeypatch):
+        # the flow embedding sits on the union and the fused one on C3, so the
+        # encoder derives no motion coordinate set of its own
+        _, enc0 = codec.encode_intra(small_frames[0], models, store)
+        bs, _ = codec.encode_inter(small_frames[1], enc0.reference_latent, models, store)
+
+        def derive(*args):
+            raise AssertionError("the encoder derived the motion sets again")
+
+        monkeypatch.setattr(mo, "motion_coord_sets", derive)
+        again, _ = codec.encode_inter(small_frames[1], enc0.reference_latent, models, store)
+        assert codec.serialize(again) == codec.serialize(bs)
 
 
 class TestReconstruct:

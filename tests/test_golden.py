@@ -1,9 +1,10 @@
 """Golden digests of the bytes contract: the serialized DDPC frames, the
 decoded coordinates and the decoder's reference latent of one seeded 7-bit
 I+P sequence under ``make_weights(0)``, plus two coder streams that sequence
-never reaches: escape-coded entropy symbols and an adaptive byte stream long
-enough for its model to halve.  The D1 and D2 PSNR of one seeded 7-bit cloud
-against a coarse-to-fine resample of it are pinned to the bit.
+never reaches, each also decoded back to its input: escape-coded entropy
+symbols and an adaptive byte stream long enough for its model to halve.  The
+D1 and D2 PSNR of one seeded 7-bit cloud against a coarse-to-fine resample of
+it are pinned to the bit.
 
 A change that moves any digest changes what the codec emits; such a change
 must be deliberate and named in CHANGES.md, with the literals below updated
@@ -67,7 +68,7 @@ def test_bytes_contract(digests, key):
         "contract changed, which must be deliberate and named in CHANGES.md")
 
 
-def _escape_stream() -> bytes:
+def _escape_stream():
     # escape mass 0.3 and symbols far outside the 9-symbol range: most
     # symbols escape, including the u32 extremes 2^32 - 2 and 2^32 - 1
     rng = np.random.default_rng(11)
@@ -76,22 +77,29 @@ def _escape_stream() -> bytes:
     symbols = rng.integers(-12, 16, size=(700, 3))
     symbols[::37, 1] = 2**31 - 1
     symbols[::41, 2] = -(2**31)
-    return entropy.range_encode(symbols, model)
+    data = entropy.range_encode(symbols, model)
+    return data, symbols, entropy.range_decode(data, model, len(symbols))
 
 
-def _adaptive_stream() -> bytes:
+def _adaptive_stream():
     # 6,000 bytes: the model halves after about 2,040 of them
     rng = np.random.default_rng(12)
     payload = rng.geometric(0.08, size=6000).clip(0, 255).astype(np.uint8)
-    return rangecoder.encode_bytes_adaptive(bytes(payload))
+    data = rangecoder.encode_bytes_adaptive(bytes(payload))
+    dec = rangecoder.AdaptiveByteDecoder(data)
+    back = np.frombuffer(dec.read(payload.size), dtype=np.uint8)
+    dec.finish()
+    return data, payload, back
 
 
 @pytest.mark.parametrize("key, stream", [("escapes", _escape_stream),
                                          ("adaptive", _adaptive_stream)])
 def test_coder_stream_contract(key, stream):
-    assert _sha(stream()) == CODER_GOLDEN[key], (
+    data, source, decoded = stream()
+    assert _sha(data) == CODER_GOLDEN[key], (
         f"the {key} coder stream changed: the range coder's bytes changed, which "
         "must be deliberate and named in CHANGES.md")
+    assert np.array_equal(decoded, source), f"the {key} coder stream does not decode back"
 
 
 def _coarse_to_fine(coords, seed):

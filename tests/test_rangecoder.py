@@ -1,3 +1,5 @@
+from itertools import repeat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from oracles import (
     numpy_decode_bytes_adaptive,
     numpy_encode_bytes_adaptive,
 )
+from voxcodec.entropy import RAW_CDF
 from voxcodec.errors import ContractViolation, DecodeError
 from voxcodec.rangecoder import (
     MAX_TOTAL,
@@ -89,13 +92,23 @@ def test_decode_symbol_rejects_bad_tables(cdf):
         RangeDecoder(b"\x12\x34\x56\x78\x9a").decode_run(tuple(cdf), 3)
 
 
+def encode_raw(enc, raw: bytes):
+    """Code raw bytes as the entropy module does: symbols of RAW_CDF."""
+    enc.encode_steps([RAW_CDF[b] for b in raw], [RAW_CDF[b + 1] for b in raw],
+                     repeat(MAX_TOTAL))
+
+
+def decode_raw_u32(dec) -> int:
+    return int.from_bytes(bytes(dec.decode_run(RAW_CDF, 4)), "big")
+
+
 def test_raw_u32():
-    enc = RangeEncoder()
     values = [0, 1, 0xDEADBEEF, 0xFFFFFFFF, 12345]
+    enc = RangeEncoder()
     for v in values:
-        enc.encode_raw_u32(v)
+        encode_raw(enc, v.to_bytes(4, "big"))
     dec = RangeDecoder(enc.finish())
-    assert [dec.decode_raw_u32() for _ in values] == values
+    assert [decode_raw_u32(dec) for _ in values] == values
     dec.finish()
 
 
@@ -205,12 +218,14 @@ def test_table_coder_matches_numpy_oracle(case):
         for kind, v in ops:
             if kind == "symbol":
                 enc.encode_symbol(cdf, v)
+            elif enc is encoders[0]:
+                encode_raw(enc, v.to_bytes(4, "big"))
             else:
                 enc.encode_raw_u32(v)
     data, expect = (enc.finish() for enc in encoders)
     assert data == expect
     dec = RangeDecoder(data)
-    back = [(kind, dec.decode_symbol(tuple(cdf)) if kind == "symbol" else dec.decode_raw_u32())
+    back = [(kind, dec.decode_symbol(tuple(cdf)) if kind == "symbol" else decode_raw_u32(dec))
             for kind, _ in ops]
     dec.finish()
     assert back == ops

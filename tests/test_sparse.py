@@ -10,6 +10,7 @@ from voxcodec.sparse import (
     SparseTensor,
     add_on_union,
     concatenate,
+    key_steps,
     lookup,
     pack_keys,
     stride_down_coords,
@@ -38,6 +39,18 @@ class TestSparseTensor:
     def test_key_roundtrip_signed(self):
         coords = np.array([[-5, 0, 3], [0, -1, 2], [7, 7, 7]])
         assert np.array_equal(unpack_keys(pack_keys(coords)), coords)
+
+    def test_key_steps_shift_packed_keys(self):
+        # a step adds the offset to each 21-bit field, borrowing across fields
+        # for negative components, so in range it equals packing c + o
+        rng = np.random.default_rng(2)
+        coords = rng.integers(-(1 << 20) + 3, (1 << 20) - 3, size=(200, 3))
+        coords[:3] = [[-(1 << 20) + 3] * 3, [(1 << 20) - 4] * 3, [0, 0, 0]]
+        offsets = rng.integers(-3, 4, size=(40, 3))
+        steps = key_steps(offsets)
+        assert steps.dtype == np.uint64
+        for o, step in zip(offsets, steps):
+            assert np.array_equal(pack_keys(coords + o), pack_keys(coords) + step)
 
     def test_lookup_hits_and_misses(self):
         sorted_keys = np.array([2, 5, 9], dtype=np.uint64)
