@@ -25,7 +25,7 @@ from .nn import ConvSpec, sparse_conv
 from .motion import adaptive_interpolate
 from .ply import load_ply, write_frame
 from .sparse import SparseTensor
-from .weights import WeightStore, entropy_models, make_weights, validate_store
+from .weights import WeightStore, check_seed, entropy_models, make_weights, validate_store
 
 EXIT_OK = 0
 EXIT_NO_WEIGHTS = 2
@@ -462,6 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if hasattr(args, "seed"):
+            check_seed(args.seed)
         return args.fn(args)
     except SystemExit as exc:  # argparse errors and hard exits carry the code
         return int(exc.code or 0)

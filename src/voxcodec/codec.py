@@ -9,6 +9,9 @@ bit-identical.  The next frame's reference latent is re-extracted from the
 decoded geometry (Fig-level dataflow; a carry-forward variant reuses the
 decoded latent directly).
 
+Only C2 is coded; every other coordinate set is derived once, on first use,
+and shared with its kernel-map plans by analysis and synthesis alike.
+
 ``encode_sequence`` and ``decode_sequence`` own the group-of-pictures policy:
 which frames are I frames, and which reference latent each P frame is coded
 against.  ``encode_intra``, ``encode_inter`` and ``decode`` code one frame,
@@ -28,7 +31,7 @@ from . import motion as mo
 from . import octree as oc
 from .errors import ContractViolation, DecodeError, MissingReference
 from .nn import _conv, adaptive_prune, classify_occupancy, irn_block, prefixed
-from .sparse import PointCloudFrame, SparseTensor, lookup, pack_keys, stride_down_coords
+from .sparse import CoordSet, PointCloudFrame, SparseTensor, lookup, pack_keys, unpack_keys
 
 MAGIC = b"DDPC"
 VERSION = 1
@@ -141,9 +144,8 @@ class FrameResult:
 
 
 def _block(x, w, prefix, up_to=None) -> SparseTensor:
-    """A PCGCv2 scale block: a stride-2 conv, transposed onto ``up_to`` (target
-    coordinates, or a tensor whose coordinates and kernel maps to share) when
-    that is given, then three IRN blocks."""
+    """A PCGCv2 scale block: a stride-2 conv, transposed onto ``up_to`` (a
+    CoordSet or coordinate rows) when that is given, then three IRN blocks."""
     x = _conv(x, w, f"{prefix}.conv", up_to)
     for i in (1, 2, 3):
         x = irn_block(x, prefixed(w, f"{prefix}.irn{i}"))
@@ -157,10 +159,9 @@ def feature_extract(frame: PointCloudFrame, w) -> SparseTensor:
     return _block(_block(frame.points, w, "fe.down1"), w, "fe.down2")
 
 
-def _residual_decode(symbols: np.ndarray, latent_coords, c2, w) -> SparseTensor:
-    """The scale-2 residual on ``c2``: coordinates, or on the encoder the
-    latent tensor itself, whose kernel maps the IRN blocks then reuse."""
-    lat = SparseTensor(latent_coords, symbols.astype(np.float32), scale=3)
+def _residual_decode(symbols: np.ndarray, c2: CoordSet, w) -> SparseTensor:
+    """The scale-2 residual on ``c2`` from its latent symbols on ``c2.down()``."""
+    lat = SparseTensor(c2.down(), symbols.astype(np.float32), scale=3)
     return _block(lat, w, "res.dec.up", up_to=c2)
 
 
@@ -178,11 +179,7 @@ def compress_residual(r: SparseTensor, model: ent.EntropyModel, w):
 def _children(coords: np.ndarray) -> np.ndarray:
     """All eight children of each voxel, lexicographically sorted."""
     offs = np.array([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=np.int64)
-    kids = (2 * coords.astype(np.int64))[:, None, :] + offs[None, :, :]
-    kids = kids.reshape(-1, 3)
-    keys = pack_keys(kids)
-    order = np.argsort(keys)
-    return kids[order].astype(np.int32)
+    return unpack_keys(np.sort(pack_keys((2 * coords.astype(np.int64))[:, None, :] + offs)))
 
 
 def reconstruct(y_prime: SparseTensor, n1: int, n0: int, w, precision_bits: int):
@@ -206,22 +203,17 @@ def reconstruct(y_prime: SparseTensor, n1: int, n0: int, w, precision_bits: int)
     return frame, probs_out
 
 
-def _frame_counts(frame: PointCloudFrame):
-    c1 = stride_down_coords(frame.points.coords)
-    return frame.n, c1.shape[0]
-
-
 def _coords_substream(c2: np.ndarray, precision_bits: int) -> bytes:
     depth = precision_bits - 2
     return oc.serialize_stream(oc.octree_encode(c2, depth))
 
 
-def _finish_frame(bs, c2, c3, residual_symbols, predicted, models, w, latent_carry,
+def _finish_frame(bs, c2, residual_symbols, predicted, models, w, latent_carry,
                   motion_symbols=None):
-    """Both codec sides' synthesis: the residual decoded from its symbols on
-    ``c3`` onto ``c2``, plus the prediction if any, is y'; from y' come the
+    """Both codec sides' synthesis: the residual decoded from its symbols onto
+    the set ``c2``, plus the prediction if any, is y'; from y' come the
     decoded frame and the next frame's reference latent."""
-    r_hat = _residual_decode(residual_symbols, c3, c2, w)
+    r_hat = _residual_decode(residual_symbols, c2, w)
     y_prime = r_hat if predicted is None else r_hat.with_feats(predicted.feats + r_hat.feats)
     decoded, probs = reconstruct(y_prime, bs.n1, bs.n0, w, bs.precision_bits)
     if latent_carry:
@@ -240,14 +232,14 @@ def _finish_frame(bs, c2, c3, residual_symbols, predicted, models, w, latent_car
 def encode_intra(frame: PointCloudFrame, models, w, lam=3, latent_carry=False):
     """Encode a frame without prediction: octree(C2) plus the latent of the
     frame's own features through the residual path."""
+    # on a set of its own, so the sets and plans derived from it go with the call
+    frame = PointCloudFrame.from_coords(frame.points.coords, frame.precision_bits)
     y = feature_extract(frame, w)
-    n0, n1 = _frame_counts(frame)
     coords_sub = _coords_substream(y.coords, frame.precision_bits)
     res_bytes, symbols = compress_residual(y, models["residual"], w)
-    bs = FrameBitstream(FRAME_I, frame.precision_bits, lam, n0, n1,
+    bs = FrameBitstream(FRAME_I, frame.precision_bits, lam, frame.n, frame.points.cset.down().n,
                         [(SUB_COORDS, coords_sub), (SUB_RESIDUAL, res_bytes)])
-    return bs, _finish_frame(bs, y, stride_down_coords(y.coords), symbols, None, models, w,
-                             latent_carry)
+    return bs, _finish_frame(bs, y.cset, symbols, None, models, w, latent_carry)
 
 
 def encode_inter(frame: PointCloudFrame, prev_latent: SparseTensor, models, w,
@@ -255,8 +247,9 @@ def encode_inter(frame: PointCloudFrame, prev_latent: SparseTensor, models, w,
     """Encode a frame against the previous decoded latent."""
     if prev_latent is None or prev_latent.n == 0:
         raise ContractViolation("inter frame requires a non-empty previous latent")
+    # on a set of its own, as in encode_intra
+    frame = PointCloudFrame.from_coords(frame.points.coords, frame.precision_bits)
     y = feature_extract(frame, w)
-    n0, n1 = _frame_counts(frame)
     predicted, motion_bytes, motion_symbols = mo.predict_latent(
         y, prev_latent, models["motion"], w, alpha
     )
@@ -265,11 +258,11 @@ def encode_inter(frame: PointCloudFrame, prev_latent: SparseTensor, models, w,
     r = y.with_feats(y.feats - predicted.feats)
     res_bytes, residual_symbols = compress_residual(r, models["residual"], w)
     coords_sub = _coords_substream(y.coords, frame.precision_bits)
-    bs = FrameBitstream(FRAME_P, frame.precision_bits, lam, n0, n1,
+    bs = FrameBitstream(FRAME_P, frame.precision_bits, lam, frame.n, frame.points.cset.down().n,
                         [(SUB_COORDS, coords_sub), (SUB_MOTION, motion_bytes),
                          (SUB_RESIDUAL, res_bytes)])
-    return bs, _finish_frame(bs, y, stride_down_coords(y.coords), residual_symbols,
-                             predicted, models, w, latent_carry, motion_symbols)
+    return bs, _finish_frame(bs, y.cset, residual_symbols, predicted, models, w, latent_carry,
+                             motion_symbols)
 
 
 def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=False):
@@ -289,17 +282,17 @@ def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=F
     if not (tree.count <= bs.n1 <= bs.n0 and bs.n1 <= 8 * tree.count and bs.n0 <= 8 * bs.n1):
         raise DecodeError(f"point counts n0={bs.n0}, n1={bs.n1}, n2={tree.count} "
                           "cannot belong to one frame")
-    c2 = oc.octree_decode(tree)
-    c3 = stride_down_coords(c2)
+    c2 = CoordSet(oc.octree_decode(tree))
     # every substream is range-decoded before any network runs, so a corrupt
     # one fails before the motion path's work
-    rsym = ent.range_decode(bs.get(SUB_RESIDUAL), models["residual"], c3.shape[0])
+    rsym = ent.range_decode(bs.get(SUB_RESIDUAL), models["residual"], c2.down().n)
     predicted = motion_symbols = None
     if bs.frame_type == FRAME_P:
-        sets = mo.motion_coord_sets(c2, prev_latent.coords)  # the union, C3 and C4
-        motion_symbols = ent.range_decode(bs.get(SUB_MOTION), models["motion"], len(sets[2]))
-        predicted = mo.compensate(motion_symbols, c2, prev_latent, w, alpha, sets)
-    return _finish_frame(bs, c2, c3, rsym, predicted, models, w, latent_carry, motion_symbols)
+        union = mo.motion_coord_sets(c2, prev_latent.cset)  # its C4 holds the motion latent
+        motion_symbols = ent.range_decode(bs.get(SUB_MOTION), models["motion"],
+                                          union.down().down().n)
+        predicted = mo.compensate(motion_symbols, c2, prev_latent, w, alpha, union)
+    return _finish_frame(bs, c2, rsym, predicted, models, w, latent_carry, motion_symbols)
 
 
 def encode_sequence(frames, models, w, gop=0, alpha=3.0, lam=3, latent_carry=False):
@@ -342,7 +335,7 @@ def eval_loss(frame: PointCloudFrame, result: FrameResult, lam: float) -> LossRe
     """Rate-distortion loss: estimated bits per point plus lambda times the
     two-scale mean candidate BCE."""
     rate_bpp = result.rate.total_bits / frame.n
-    truth = {0: frame.points.coords, 1: stride_down_coords(frame.points.coords)}
+    truth = {0: frame.points.coords, 1: frame.points.cset.down().coords}
     terms = []
     for probs, candidates, scale in result.scale_probs:
         terms.append(bce_occupancy(probs, candidates, truth[scale]))

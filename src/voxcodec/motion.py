@@ -3,7 +3,9 @@ motion-embedding compression, and adaptively weighted interpolation.
 
 All coordinate sets on the motion path derive deterministically from the
 union of the current scale-2 coordinate set and the reference latent's
-coordinates, so no motion coordinates are ever coded.
+coordinates, so no motion coordinates are ever coded: C3 and C4 are the
+union set's stride-down sets, derived once and shared by the encoder's
+analysis and both sides' synthesis.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ from . import entropy as ent
 from .errors import ContractViolation
 from .knn import knn
 from .nn import _conv, prefixed, relu, rn_block
-from .sparse import (
-    SparseTensor,
-    add_on_union,
-    concatenate,
-    pack_keys,
-    stride_down_coords,
-    unpack_keys,
-)
+from .sparse import CoordSet, SparseTensor, concatenate, unpack_keys
 
 DIST_EPS = 1e-8  # squared-distance clamp realizing the coincident-point limit
 
@@ -40,14 +35,15 @@ def fuse_flow(e_o: SparseTensor, w) -> SparseTensor:
     """Coarse/fine fusion of the flow embedding, one scale down.
 
     coarse = RN(RN(down(e_o))); residual = e_o - up(coarse) on e_o's coords;
-    fine = down(residual); fused = coarse + fine (identical coordinates).
+    fine = down(residual); fused = coarse + fine.  Both downs are stride-2
+    convs of e_o's set, so coarse and fine share its stride-down set.
     """
     coarse = _conv(e_o, w, "fuse.down.conv")
     coarse = rn_block(rn_block(coarse, prefixed(w, "fuse.rn1")), prefixed(w, "fuse.rn2"))
-    up = _conv(coarse, w, "fuse.up.conv", e_o.coords)
+    up = _conv(coarse, w, "fuse.up.conv", e_o.cset)
     residual = e_o.with_feats(e_o.feats - up.feats)
     fine = _conv(residual, w, "fuse.fine.conv")
-    return add_on_union(coarse, fine)
+    return coarse.with_feats(coarse.feats + fine.feats)
 
 
 def compress_motion(e_t: SparseTensor, model: ent.EntropyModel, w):
@@ -67,7 +63,7 @@ def decode_motion_latent(symbols, latent_coords, target_coords, target_scale, w)
     return _conv(latent, w, "mot.dec.conv", target_coords)
 
 
-def recover_motion(e_hat: SparseTensor, target_coords: np.ndarray, w) -> SparseTensor:
+def recover_motion(e_hat: SparseTensor, target_coords, w) -> SparseTensor:
     """Decode the motion field on the current frame's scale-2 coordinates.
 
     Mirrors the fusion stage: a coarse 3-channel field predicted one scale
@@ -154,21 +150,16 @@ def interpolate_gradients(motion, reference, alpha, grad_out):
     return grad_ref, grad_motion, idx, d2
 
 
-def motion_coord_sets(c2_current: np.ndarray, prev_coords: np.ndarray):
-    """Scale-2/3/4 coordinate sets both codec sides derive identically."""
-    union = np.union1d(pack_keys(c2_current), pack_keys(prev_coords))
-    c_union = unpack_keys(union)
-    c3 = stride_down_coords(c_union)
-    c4 = stride_down_coords(c3)
-    return c_union, c3, c4
+def motion_coord_sets(c2_current: CoordSet, prev: CoordSet) -> CoordSet:
+    """The scale-2 union both codec sides derive; C3 and C4 are its down() sets."""
+    return CoordSet(unpack_keys(np.union1d(c2_current.keys, prev.keys)))
 
 
-def compensate(symbols, c2, reference: SparseTensor, w, alpha: float, coord_sets):
-    """Both codec sides' prediction on ``c2`` from the motion symbols, given
-    ``coord_sets``, the union, C3 and C4 of motion_coord_sets(c2,
-    reference.coords)."""
-    _, c3, c4 = coord_sets
-    e_hat = decode_motion_latent(symbols, c4, c3, reference.scale + 1, w)
+def compensate(symbols, c2, reference: SparseTensor, w, alpha: float, union: CoordSet):
+    """Both codec sides' prediction on ``c2`` from the motion symbols, which
+    sit on C4 of ``union``, the set of motion_coord_sets(c2, reference.cset)."""
+    c3 = union.down()
+    e_hat = decode_motion_latent(symbols, c3.down(), c3, reference.scale + 1, w)
     return adaptive_interpolate(recover_motion(e_hat, c2, w), reference, alpha)
 
 
@@ -189,6 +180,5 @@ def predict_latent(
     e_o = flow_embedding(y_t, y_prev, w)
     e_t = fuse_flow(e_o, w)
     data, symbols = compress_motion(e_t, model, w)
-    # the embeddings already sit on the union, C3 and C4: nothing to derive again
-    sets = e_o.coords, e_t.coords, stride_down_coords(e_t.coords)
-    return compensate(symbols, y_t.coords, y_prev, w, alpha, sets), data, symbols
+    # the flow embedding sits on the union, whose C3 and C4 the analysis derived
+    return compensate(symbols, y_t.cset, y_prev, w, alpha, e_o.cset), data, symbols

@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ContractViolation
-from .sparse import SparseTensor, increasing, key_steps, lookup, pack_keys, stride_down_coords
+from .sparse import CoordSet, SparseTensor, increasing, key_steps, lookup, pack_keys
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def build_kernel_map(in_coords, out_coords, spec: ConvSpec) -> KernelMap:
     floor-division set of the input.  Within one offset the pairs are in
     increasing output-row order, which is also increasing input-row order.
     This is the uncached primitive; :func:`sparse_conv` memoizes the
-    running-sum plan made from its result on the input tensor.
+    running-sum plan made from its result on the input's coordinate set.
     """
     in_coords = np.asarray(in_coords, dtype=np.int64).reshape(-1, 3)
     out_coords = np.asarray(out_coords, dtype=np.int64).reshape(-1, 3)
@@ -249,19 +249,20 @@ def _accumulate(plan: _Plan, feats, weight, init):
     return carry
 
 
-def _cached_plan(x: SparseTensor, out_coords, spec: ConvSpec) -> _Plan:
-    """The running-sum plan of the kernel map from x onto out_coords, built
-    once per coordinate set.
+def _cached_plan(source: CoordSet, target: CoordSet, spec: ConvSpec) -> _Plan:
+    """The running-sum plan of the kernel map from ``source`` onto ``target``,
+    built once per pair of coordinate sets.
 
-    The memo lives on x (and every tensor sharing x's coordinates); entries
-    are keyed by kernel geometry and compared on the output coordinates.
+    The memo lives on ``source``; entries are keyed by kernel geometry and
+    compared on the target's rows.  An entry keeps those rows, not the target
+    set, so the plans built on a target set go when that set does.
     """
-    entries = x.kernel_maps.setdefault((spec.kernel_size, spec.stride, spec.transposed), [])
+    entries = source.plans.setdefault((spec.kernel_size, spec.stride, spec.transposed), [])
     for coords, plan in entries:
-        if coords is out_coords or np.array_equal(coords, out_coords):
+        if coords is target.coords or np.array_equal(coords, target.coords):
             return plan
-    plan = _Plan(build_kernel_map(x.coords, out_coords, spec).pairs, out_coords.shape[0])
-    entries.append((out_coords if out_coords is x.coords else out_coords.copy(), plan))
+    plan = _Plan(build_kernel_map(source.coords, target.coords, spec).pairs, target.n)
+    entries.append((target.coords, plan))
     return plan
 
 
@@ -284,35 +285,34 @@ def sparse_conv(
 
     out[j] = bias + sum over offsets o and pairs (i, j) of x[i] @ weight[o].
     Output rows with no contributing pairs equal the bias.  ``out_coords``
-    may be a tensor: the output then shares its coordinates, and with them
-    the kernel maps already built on them.
+    is a CoordSet for the output to share, or rows; by default a stride-1
+    conv keeps x's set and a stride-2 conv takes its stride-down set.
     """
     weight = np.asarray(weight)
     if weight.shape != spec.weight_shape:
         raise ContractViolation(f"weight shape {weight.shape} != {spec.weight_shape}")
     if x.channels != spec.in_channels:
         raise ContractViolation(f"input channels {x.channels} != {spec.in_channels}")
-    target = out_coords if isinstance(out_coords, SparseTensor) else None
     if out_coords is None:
         if spec.transposed:
             raise ContractViolation("transposed convolution requires target coordinates")
-        out_coords = x.coords if spec.stride == 1 else stride_down_coords(x.coords)
-    elif target is not None:
-        out_coords = target.coords
+        target = x.cset if spec.stride == 1 else x.cset.down()
+    elif isinstance(out_coords, CoordSet):
+        target = out_coords
+    elif spec.stride == 1 and np.array_equal(out_coords, x.coords):
+        target = x.cset
     else:
-        out_coords = np.asarray(out_coords, dtype=np.int32).reshape(-1, 3)
-    same = spec.stride == 1 and (out_coords is x.coords or np.array_equal(out_coords, x.coords))
+        target = CoordSet(out_coords)
     dtype = x.feats.dtype
     w = weight.astype(dtype, copy=False)
-    if same and spec.kernel_size == 1:
+    if target is x.cset and spec.kernel_size == 1:
         # a 1x1 kernel on its own coordinates pairs every row with itself
         out = _initial((x.n, spec.out_channels), bias, dtype)
         out += x.feats @ w[0]
     else:
         init = _initial((1, spec.out_channels), bias, dtype)
-        out = _accumulate(_cached_plan(x, out_coords, spec), x.feats, w, init)
-    return SparseTensor(out_coords, out, _out_scale(spec, x.scale),
-                        _coords_of=x if same else target)
+        out = _accumulate(_cached_plan(x.cset, target, spec), x.feats, w, init)
+    return SparseTensor(target, out, _out_scale(spec, x.scale))
 
 
 def _initial(shape, bias, dtype):

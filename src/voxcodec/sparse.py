@@ -5,6 +5,8 @@ lattice spacing is ``2**k`` input units, i.e. the grid is x1/2**k of the
 input resolution).  Every tensor keeps its coordinate rows in strictly
 increasing lexicographic (x, y, z) order, so all set operations are
 deterministic merges and result bits are identical across runs and platforms.
+Tensors on one coordinate set share its :class:`CoordSet`, so each set is
+derived once and shared with the kernel-map plans built on it.
 """
 
 from __future__ import annotations
@@ -73,48 +75,56 @@ def unpack_keys(keys: np.ndarray) -> np.ndarray:
     return np.stack([x, y, z], axis=1).astype(np.int32)
 
 
+class CoordSet:
+    """``n`` strictly increasing int32 rows, their packed keys, the plans
+    :mod:`voxcodec.nn` builds from them and their stride-down set, made once."""
+
+    __slots__ = ("coords", "keys", "n", "plans", "_down")
+
+    def __init__(self, coords):
+        # packed before the int32 cast, so no coordinate wraps unchecked
+        self.keys = pack_keys(coords)
+        if not increasing(self.keys):
+            raise ContractViolation("coordinates must be strictly increasing lexicographically")
+        self.coords = np.ascontiguousarray(coords, dtype=np.int32).reshape(-1, 3)
+        self.coords.flags.writeable = self.keys.flags.writeable = False
+        self.n, self.plans, self._down = self.coords.shape[0], {}, None
+
+    def down(self) -> "CoordSet":
+        """The floor-division-by-two set, derived once and kept with this one."""
+        if self._down is None:
+            self._down = CoordSet(stride_down_coords(self.coords))
+        return self._down
+
+
 class SparseTensor:
-    """Sorted voxel coordinate list plus a per-voxel feature matrix.
+    """A coordinate set plus a per-voxel feature matrix.
 
     Immutable after construction; all operations return new tensors.
-    ``kernel_maps`` is a memo of the kernel maps built on these coordinates,
-    held as running-sum plans (filled by :mod:`voxcodec.nn`); tensors made
-    from another tensor's coordinates (``_coords_of``) share its coordinates,
-    packed keys and this memo.  Any other tensor checks that its coordinates
-    fit the 21-bit lattice and are strictly increasing.
+    ``coords`` is a :class:`CoordSet` to share, or rows that must fit the
+    21-bit lattice and be strictly increasing.
     """
 
-    __slots__ = ("coords", "feats", "scale", "_keys", "kernel_maps")
+    __slots__ = ("cset", "coords", "feats", "scale")
 
-    def __init__(self, coords, feats, scale=0, _coords_of=None):
-        if _coords_of is not None:
-            coords, keys, memo = _coords_of.coords, _coords_of._keys, _coords_of.kernel_maps
-        else:
-            # packed before the int32 cast, so no coordinate wraps unchecked
-            keys, memo = pack_keys(coords), {}
-            if not increasing(keys):
-                raise ContractViolation("coordinates must be strictly increasing lexicographically")
-            coords = np.ascontiguousarray(coords, dtype=np.int32).reshape(-1, 3)
+    def __init__(self, coords, feats, scale=0):
+        cset = coords if isinstance(coords, CoordSet) else CoordSet(coords)
         feats = np.ascontiguousarray(feats)
         if feats.ndim == 1:
             feats = feats.reshape(-1, 1)
         if feats.dtype not in (np.float32, np.float64):
             feats = feats.astype(np.float32)
-        if feats.shape[0] != coords.shape[0]:
-            raise ContractViolation(
-                f"feature rows ({feats.shape[0]}) != coordinates ({coords.shape[0]})"
-            )
+        if feats.shape[0] != cset.n:
+            raise ContractViolation(f"feature rows ({feats.shape[0]}) != coordinates ({cset.n})")
         if feats.shape[1] < 1:
             raise ContractViolation("feature width must be >= 1")
         if scale < 0:
             raise ContractViolation("scale must be >= 0")
-        self.coords = coords
+        self.cset = cset
+        self.coords = cset.coords
         self.feats = feats
         self.scale = int(scale)
-        self._keys = keys
-        self.kernel_maps = memo
-        for a in (self.coords, self.feats, self._keys):
-            a.flags.writeable = False
+        self.feats.flags.writeable = False
 
     @classmethod
     def build(cls, coords, feats, scale=0):
@@ -138,12 +148,9 @@ class SparseTensor:
     def channels(self) -> int:
         return self.feats.shape[1]
 
-    def keys(self) -> np.ndarray:
-        return self._keys
-
     def with_feats(self, feats) -> "SparseTensor":
         """Same coordinates and scale, new feature matrix."""
-        return SparseTensor(self.coords, feats, self.scale, _coords_of=self)
+        return SparseTensor(self.cset, feats, self.scale)
 
     def __repr__(self):
         return f"SparseTensor(n={self.n}, channels={self.channels}, scale={self.scale})"
@@ -157,11 +164,11 @@ def concatenate(a: SparseTensor, b: SparseTensor) -> SparseTensor:
     """
     if a.scale != b.scale:
         raise ContractViolation(f"scale mismatch: {a.scale} != {b.scale}")
-    union = np.union1d(a.keys(), b.keys())
+    union = np.union1d(a.cset.keys, b.cset.keys)
     dtype = np.promote_types(a.feats.dtype, b.feats.dtype)
     out = np.zeros((union.size, a.channels + b.channels), dtype=dtype)
-    out[np.searchsorted(union, a.keys()), : a.channels] = a.feats
-    out[np.searchsorted(union, b.keys()), a.channels :] = b.feats
+    out[np.searchsorted(union, a.cset.keys), : a.channels] = a.feats
+    out[np.searchsorted(union, b.cset.keys), a.channels :] = b.feats
     return SparseTensor(unpack_keys(union), out, a.scale)
 
 
@@ -171,21 +178,17 @@ def add_on_union(a: SparseTensor, b: SparseTensor) -> SparseTensor:
         raise ContractViolation(f"scale mismatch: {a.scale} != {b.scale}")
     if a.channels != b.channels:
         raise ContractViolation(f"channel mismatch: {a.channels} != {b.channels}")
-    union = np.union1d(a.keys(), b.keys())
+    union = np.union1d(a.cset.keys, b.cset.keys)
     dtype = np.promote_types(a.feats.dtype, b.feats.dtype)
     out = np.zeros((union.size, a.channels), dtype=dtype)
-    out[np.searchsorted(union, a.keys())] = a.feats
-    out[np.searchsorted(union, b.keys())] += b.feats
+    out[np.searchsorted(union, a.cset.keys)] = a.feats
+    out[np.searchsorted(union, b.cset.keys)] += b.feats
     return SparseTensor(unpack_keys(union), out, a.scale)
 
 
 def stride_down_coords(coords: np.ndarray) -> np.ndarray:
     """Unique floor-division of coordinates by two, lexicographically sorted."""
-    c = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-    if c.size == 0:
-        return np.empty((0, 3), dtype=np.int32)
-    keys = np.unique(pack_keys(c >> 1))
-    return unpack_keys(keys)
+    return unpack_keys(np.unique(pack_keys(np.asarray(coords, dtype=np.int64) >> 1)))
 
 
 class PointCloudFrame:
@@ -194,6 +197,8 @@ class PointCloudFrame:
     __slots__ = ("points", "precision_bits")
 
     def __init__(self, points: SparseTensor, precision_bits: int):
+        if precision_bits < 0:
+            raise ContractViolation(f"precision must be non-negative, got {precision_bits}")
         if points.scale != 0:
             raise ContractViolation("frame points must be at scale 0")
         if points.channels != 1 or (points.n and not np.all(points.feats == 1.0)):
@@ -210,8 +215,7 @@ class PointCloudFrame:
     @classmethod
     def from_coords(cls, coords, precision_bits: int) -> "PointCloudFrame":
         """Build a frame from integer voxel coordinates, merging duplicates."""
-        c = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-        keys = np.unique(pack_keys(c))
+        keys = np.unique(pack_keys(coords))
         pts = SparseTensor(unpack_keys(keys), np.ones((keys.size, 1), dtype=np.float32))
         return cls(pts, precision_bits)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .sparse import PointCloudFrame
+from .sparse import COORD_BITS, PointCloudFrame
 
 
 def make_blob(n_points: int, precision_bits: int, seed: int, margin: int = 0) -> np.ndarray:
@@ -18,8 +18,10 @@ def make_blob(n_points: int, precision_bits: int, seed: int, margin: int = 0) ->
 
     Voxels are drawn one at a time until n distinct ones are found; a blob
     the clusters cannot fill within ``64 n + 4096`` draws (sizes used in
-    practice take about 1.05 draws per point) is refused.
+    practice take about 1.05 draws per point) is refused, as is a cube past [0, 2^20).
     """
+    if precision_bits < 0 or (1 << precision_bits) - margin > 1 << (COORD_BITS - 1):
+        raise ContractViolation(f"a {precision_bits}-bit cube does not fit the key range")
     span = (1 << precision_bits) - 2 * margin
     if span <= 0 or n_points > span**3:
         raise ContractViolation("blob does not fit the requested cube")

@@ -24,6 +24,14 @@ from .nn import ConvSpec
 MAGIC = b"DPCW"
 VERSION = 1
 
+
+def check_seed(seed: int) -> int:
+    """``seed`` as an int, if it fits the header's u32 field."""
+    if not 0 <= seed < 1 << 32:
+        raise ContractViolation(f"seed must be in [0, 2^32), got {seed}")
+    return int(seed)
+
+
 # channels per stage: feature extraction 1->32->64, flow embedding 128->64->64,
 # motion/fusion internals 64, residual latent 8, reconstruction 64->32->16
 FE_C1 = 32
@@ -108,7 +116,7 @@ class WeightStore:
             a = np.asarray(arr, dtype=np.float32, order="C")
             a.flags.writeable = False
             self._tensors[name] = a
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
@@ -224,7 +232,7 @@ def make_weights(seed: int, profile: str = "random") -> WeightStore:
     """
     if profile not in ("random", "surrogate"):
         raise ContractViolation(f"unknown weight profile '{profile}'")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(check_seed(seed)))
     tensors = {}
     motion_prefixes = ("flow.", "fuse.", "mot.", "mfield.")
     for name, spec in conv_layout():

@@ -506,6 +506,67 @@ class TestFileErrors:
         assert capsys.readouterr().err.startswith("error: unusable weight file")
 
 
+class TestSeedAndPrecision:
+    """A seed outside the DPCW header's u32 field or a negative precision
+    exits 3 with one error line, before any file is written."""
+
+    @pytest.mark.parametrize("seed", ["-1", "4294967296"])
+    def test_make_weights_bad_seed_leaves_no_file(self, tmp_path, seed, capsys):
+        out = tmp_path / "bad.dpcw"
+        rc = cli.main(["make-weights", "--seed", seed, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_BAD_INPUT
+        assert len(err.splitlines()) == 1 and err.startswith("error: seed"), err
+        assert not out.exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        out = tmp_path / "w.dpcw"
+        assert cli.main(["make-weights", "--seed", "4294967295", "--output", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["encode", "--synthetic", "rigid:100,1,0", "--output", "out"],
+        ["eval", "--synthetic", "rigid:100,1,0", "--decoded", "dec", "--csv", "rd.csv"],
+        ["selftest"],
+        ["gradcheck", "--instances", "1"],
+    ], ids=["encode", "eval", "selftest", "gradcheck"])
+    def test_negative_seed_exit_3(self, tmp_path, weights_file, monkeypatch, command,
+                                  capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("DDPC_WEIGHTS", str(weights_file))
+        rc = cli.main([*command, "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_BAD_INPUT
+        assert len(err.splitlines()) == 1 and err.startswith("error: seed"), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["encode", "eval"])
+    @pytest.mark.parametrize("source,precision", [
+        ("ply", "-1"), ("synthetic", "-1"), ("synthetic", "300")])
+    def test_unfit_precision_exit_3(self, tmp_path, weights_file, command, source,
+                                    precision, capsys):
+        write_ply(tmp_path / "f0.ply", np.array([[1, 2, 3], [4, 5, 6]]))
+        inputs = (["--synthetic", "rigid:100,1,0"] if source == "synthetic"
+                  else [str(tmp_path / "f0.ply")])
+        argv = {"encode": ["encode", "--weights", str(weights_file),
+                           "--output", str(tmp_path / "out")],
+                "eval": ["eval", "--decoded", str(tmp_path), "--csv",
+                         str(tmp_path / "rd.csv")]}[command]
+        rc = cli.main([*argv, "--precision", precision, *inputs])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_BAD_INPUT
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+    def test_high_precision_ply_still_encodes(self, tmp_path, weights_file):
+        # 23 bits of precision, coordinates below the 2^20 key range
+        coords = np.array([[1, 2, 3], [4, 5, 6], [(1 << 20) - 1, 7, 8]])
+        write_ply(tmp_path / "f0.ply", coords)
+        out = tmp_path / "out"
+        assert cli.main(["encode", "--weights", str(weights_file), "--precision", "23",
+                         "--output", str(out), str(tmp_path / "f0.ply")]) == 0
+        assert json.loads((out / "manifest.json").read_text())["precision_bits"] == 23
+
+
 class TestConfig:
     def test_config_file_applies(self, tmp_path, weights_file):
         cfg = tmp_path / "run.cfg"

@@ -10,7 +10,7 @@ from voxcodec import motion as mo
 from voxcodec import octree as oc
 from voxcodec.errors import ContractViolation, DecodeError, MissingReference
 from voxcodec.nn import ConvSpec
-from voxcodec.sparse import PointCloudFrame, SparseTensor, stride_down_coords
+from voxcodec.sparse import CoordSet, PointCloudFrame, SparseTensor, stride_down_coords
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ class TestResidualCompression:
         data, symbols = codec.compress_residual(zero, models["residual"], store)
         # encoder is linear, so a zero residual maps to all-zero symbols
         assert np.all(symbols == 0)
-        r_hat = codec._residual_decode(symbols, stride_down_coords(y.coords), zero, store)
+        r_hat = codec._residual_decode(symbols, zero.cset, store)
         assert np.array_equal(r_hat.coords, y.coords)
 
     def test_latent_roundtrip_exact(self, store, models, small_frames):
@@ -124,10 +124,10 @@ class TestSharedSynthesis:
                 pred, data, _ = mo.predict_latent(y, reference, models["motion"], store, 3.0)
                 assert data == bs.get(codec.SUB_MOTION)
                 # the decoder's view: C2 from the octree, symbols from the stream
-                c2 = oc.octree_decode(oc.parse_stream(bs.get(codec.SUB_COORDS)))
-                sets = mo.motion_coord_sets(c2, reference.coords)
-                symbols = ent.range_decode(data, models["motion"], sets[2].shape[0])
-                again = mo.compensate(symbols, c2, reference, store, 3.0, sets)
+                c2 = CoordSet(oc.octree_decode(oc.parse_stream(bs.get(codec.SUB_COORDS))))
+                union = mo.motion_coord_sets(c2, reference.cset)
+                symbols = ent.range_decode(data, models["motion"], union.down().down().n)
+                again = mo.compensate(symbols, c2, reference, store, 3.0, union)
                 assert np.array_equal(again.coords, pred.coords)
                 assert again.feats.tobytes() == pred.feats.tobytes()
             reference = result.reference_latent
@@ -146,6 +146,61 @@ class TestSharedSynthesis:
         monkeypatch.setattr(mo, "motion_coord_sets", derive)
         again, _ = codec.encode_inter(small_frames[1], enc0.reference_latent, models, store)
         assert codec.serialize(again) == codec.serialize(bs)
+
+
+class TestDerivedOnce:
+    def test_no_set_or_map_is_derived_twice(self, store, models, monkeypatch):
+        # within one coded or decoded frame, every stride-down set and every
+        # kernel map comes from one derivation that all its users share
+        import sys
+
+        from voxcodec import nn, sparse
+
+        seen, repeats = set(), []
+
+        def record(fn, key):
+            """Wrap fn wherever a voxcodec module binds it, imported names too."""
+            def wrapper(*args):
+                k = (fn.__name__,) + key(*args)
+                if k in seen:
+                    repeats.append((current, fn.__name__))
+                seen.add(k)
+                return fn(*args)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("voxcodec"):
+                    for attr, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, attr, wrapper)
+
+        def rows(c):
+            return np.ascontiguousarray(c, dtype=np.int64).tobytes()
+
+        record(sparse.stride_down_coords, lambda c: (rows(c),))
+        record(nn.build_kernel_map, lambda i, o, spec: (spec, rows(i), rows(o)))
+
+        def once(op, *args):
+            nonlocal current
+            current = op.__name__
+            seen.clear()
+            return op(*args)
+
+        current = None
+        frames = synthetic.make_rigid_sequence(1000, 2, 2, 9, seed=7)
+        i_bs, i_enc = once(codec.encode_intra, frames[0], models, store)
+        p_bs, _ = once(codec.encode_inter, frames[1], i_enc.reference_latent, models, store)
+        i_dec = once(codec.decode, i_bs, None, models, store)
+        once(codec.decode, p_bs, i_dec.reference_latent, models, store)
+        assert p_bs.frame_type == codec.FRAME_P
+        assert repeats == []
+
+    def test_a_coded_frame_keeps_nothing_derived(self, store, models):
+        # the encoders code a frame on a set of its own, so a caller holding its
+        # frames does not also hold their stride-down sets and kernel-map plans
+        frames = synthetic.make_rigid_sequence(300, 2, 1, 6, seed=5)
+        _, enc0 = codec.encode_intra(frames[0], models, store)
+        codec.encode_inter(frames[1], enc0.reference_latent, models, store)
+        for frame in frames:
+            assert frame.points.cset._down is None and frame.points.cset.plans == {}
 
 
 class TestReconstruct:
@@ -382,7 +437,8 @@ def eager_rate(bs, models, prev_latent):
     c2 = oc.octree_decode(oc.parse_stream(bs.get(codec.SUB_COORDS)))
     breakdown = {"coords": 8.0 * len(bs.get(codec.SUB_COORDS))}
     if bs.frame_type == codec.FRAME_P:
-        mc4 = mo.motion_coord_sets(c2, prev_latent.coords)[2]
+        union = mo.motion_coord_sets(CoordSet(c2), prev_latent.cset)
+        mc4 = stride_down_coords(stride_down_coords(union.coords))
         msym = ent.range_decode(bs.get(codec.SUB_MOTION), models["motion"], mc4.shape[0])
         breakdown["motion"] = ent.estimate_bits(msym, models["motion"])
     count = stride_down_coords(c2).shape[0]

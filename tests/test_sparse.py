@@ -63,8 +63,8 @@ class TestSparseTensor:
     def test_with_feats_shares_coordinates(self):
         t = make([[0, 0, 0], [1, 2, 3]], [[1.0], [2.0]])
         u = t.with_feats(np.array([[3.0], [4.0]]))
-        assert u.coords is t.coords and u.keys() is t.keys()
-        assert u.kernel_maps is t.kernel_maps
+        assert u.cset is t.cset
+        assert u.coords is t.coords and u.cset.keys is t.cset.keys
         assert u.feats[:, 0].tolist() == [3.0, 4.0]
         with pytest.raises(ValueError):
             u.feats[0, 0] = 0.0
@@ -188,3 +188,8 @@ class TestPointCloudFrame:
     def test_bounds_checked(self):
         with pytest.raises(ContractViolation):
             PointCloudFrame.from_coords([[16, 0, 0]], 4)
+
+    def test_negative_precision_rejected(self):
+        for coords in ([[0, 0, 0]], np.empty((0, 3), np.int64)):
+            with pytest.raises(ContractViolation, match="precision"):
+                PointCloudFrame.from_coords(coords, -1)

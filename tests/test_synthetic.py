@@ -1,7 +1,10 @@
 import subprocess
 import sys
 
-from voxcodec import cli
+import pytest
+
+from voxcodec import cli, synthetic
+from voxcodec.errors import ContractViolation
 
 # the refusals below take under a second; a child still running after this
 # long is a rejection loop that does not end
@@ -36,3 +39,14 @@ def test_cli_unfillable_synthetic_exit_3(tmp_path):
     assert proc.stderr.startswith("error:") and "draws" in proc.stderr
     assert "Traceback" not in proc.stderr
 
+
+
+@pytest.mark.parametrize("bits,margin", [(-1, 0), (21, 0), (21, 5), (300, 1)])
+def test_cube_past_the_key_range_refused(bits, margin):
+    with pytest.raises(ContractViolation, match="key range"):
+        synthetic.make_blob(10, bits, 0, margin=margin)
+
+
+def test_largest_cube_in_the_key_range_accepted():
+    blob = synthetic.make_blob(10, 20, 0)
+    assert blob.shape == (10, 3) and blob.max() < 1 << 20

@@ -9,6 +9,7 @@ from voxcodec.errors import ContractViolation, DecodeError
 from voxcodec.nn import ConvSpec
 from voxcodec.weights import (
     WeightStore,
+    check_seed,
     conv_layout,
     entropy_models,
     make_weights,
@@ -132,6 +133,21 @@ def test_generator_reproducible():
     for name in a.names():
         assert np.array_equal(a[name], b[name])
     assert any(not np.array_equal(a[n], c[n]) for n in a.names())
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 32])
+def test_unfit_seed_rejected_before_any_file(seed):
+    with pytest.raises(ContractViolation):
+        make_weights(seed)
+    with pytest.raises(ContractViolation):
+        WeightStore({"a": np.zeros(2, np.float32)}, seed)
+
+
+def test_seed_range_is_the_header_field(tmp_path):
+    assert check_seed(0) == 0 and check_seed((1 << 32) - 1) == (1 << 32) - 1
+    path = tmp_path / "w.dpcw"
+    WeightStore({"a": np.zeros(2, np.float32)}, (1 << 32) - 1).save(path)
+    assert WeightStore.load(path).seed == (1 << 32) - 1
 
 
 def test_layout_covers_pipeline(store):
