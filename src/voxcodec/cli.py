@@ -99,50 +99,49 @@ def _apply_config(args):
 
 
 def _input_frames(args):
+    """The input frames in order; each PLY is loaded when it is asked for."""
     if args.synthetic:
         n, nframes, translation = synthetic.parse_synthetic_spec(args.synthetic)
         return synthetic.make_rigid_sequence(n, nframes, translation, args.precision, args.seed)
-    frames = []
-    for p in args.inputs:
-        frames.append(load_ply(p, args.precision))
-    if not frames:
+    if not args.inputs:
         raise VoxCodecError("no input frames")
-    return frames
+    return (load_ply(p, args.precision) for p in args.inputs)
 
 
 def cmd_encode(args) -> int:
     store, models = _resolve_weights(args)
     _apply_config(args)
     _check_alpha(args.alpha)
-    frames = _input_frames(args)
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    gop = args.gop if args.gop > 0 else len(frames)
     manifest = {
         "alpha": args.alpha,
         "lambda": args.lam,
         "precision_bits": args.precision,
-        "gop": gop,
         "latent_carry": bool(args.latent_carry),
         "frames": [],
     }
     total_bits = 0.0
     total_points = 0
-    coded = codec.encode_sequence(frames, models, store, gop=gop, alpha=args.alpha,
-                                  lam=args.lam, latent_carry=args.latent_carry)
-    for i, (frame, (bs, _)) in enumerate(zip(frames, coded)):
+    coded = codec.encode_sequence(_input_frames(args), models, store, gop=args.gop,
+                                  alpha=args.alpha, lam=args.lam,
+                                  latent_carry=args.latent_carry)
+    for i, (bs, _) in enumerate(coded):
+        if i == 0:  # no output until a frame is coded
+            outdir.mkdir(parents=True, exist_ok=True)
         ftype = "P" if bs.frame_type == codec.FRAME_P else "I"
         name = f"frame{i:04d}.ddpc"
         (outdir / name).write_bytes(codec.serialize(bs))
         frame_bits = 8 * bs.payload_bytes()
-        frame_bpp = metrics.bpp(frame_bits, frame.n)
+        frame_bpp = metrics.bpp(frame_bits, bs.n0)
         manifest["frames"].append(
             {"file": name, "type": ftype,
-             "n_points": frame.n, "payload_bytes": bs.payload_bytes(),
+             "n_points": bs.n0, "payload_bytes": bs.payload_bytes(),
              "bpp": frame_bpp})
         total_bits += frame_bits
-        total_points += frame.n
-        print(f"frame {i:4d} {ftype} points={frame.n} bpp={frame_bpp:.6f}")
+        total_points += bs.n0
+        print(f"frame {i:4d} {ftype} points={bs.n0} bpp={frame_bpp:.6f}")
+    # gop 0 codes frame 0 alone as an I frame: one period the whole sequence long
+    manifest["gop"] = args.gop or len(manifest["frames"])
     manifest["total_bpp"] = total_bits / total_points
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -210,7 +209,7 @@ def cmd_eval(args) -> int:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out.parent))
     if out.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
-    originals = _input_frames(args)
+    originals = list(_input_frames(args))
     decoded_paths = sorted(Path(args.decoded).glob("*.ply"))
     if len(decoded_paths) != len(originals):
         print(f"error: {len(originals)} originals vs {len(decoded_paths)} decoded frames",

@@ -15,7 +15,9 @@ and shared with its kernel-map plans by analysis and synthesis alike.
 ``encode_sequence`` and ``decode_sequence`` own the group-of-pictures policy:
 which frames are I frames, and which reference latent each P frame is coded
 against.  ``encode_intra``, ``encode_inter`` and ``decode`` code one frame,
-for callers that choose frame types and references themselves.
+for callers that choose frame types and references themselves; the two
+encoders share one body, which mirrors ``decode`` (an I frame without a
+reference, a P frame with one).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import motion as mo
 from . import octree as oc
 from .errors import ContractViolation, DecodeError, MissingReference
 from .nn import _conv, adaptive_prune, classify_occupancy, irn_block, prefixed
-from .sparse import CoordSet, PointCloudFrame, SparseTensor, lookup, pack_keys, unpack_keys
+from .sparse import CORNERS, CoordSet, PointCloudFrame, SparseTensor, lookup, pack_keys, unpack_keys
 
 MAGIC = b"DDPC"
 VERSION = 1
@@ -178,34 +180,25 @@ def compress_residual(r: SparseTensor, model: ent.EntropyModel, w):
 
 def _children(coords: np.ndarray) -> np.ndarray:
     """All eight children of each voxel, lexicographically sorted."""
-    offs = np.array([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=np.int64)
-    return unpack_keys(np.sort(pack_keys((2 * coords.astype(np.int64))[:, None, :] + offs)))
+    return unpack_keys(np.sort(pack_keys((2 * coords.astype(np.int64))[:, None, :] + CORNERS)))
 
 
 def reconstruct(y_prime: SparseTensor, n1: int, n0: int, w, precision_bits: int):
     """Two upsample blocks with occupancy classification and adaptive pruning.
 
-    Returns (decoded frame, [(probs, candidate coords, scale)]) with the
-    probability lists covering both reconstruction scales.
+    Returns (decoded frame, [(probs, candidate coords, scale)]) for each
+    scale reached; an empty prune ends the ladder.
     """
     probs_out = []
-    x = _block(y_prime, w, "rec.up1", up_to=_children(y_prime.coords))
-    p1 = classify_occupancy(x, prefixed(w, "rec.up1.cls"))
-    probs_out.append((p1, x.coords, 1))
-    x = adaptive_prune(x, p1, n1)
-    if x.n == 0:
-        return PointCloudFrame.from_coords(np.empty((0, 3), np.int64), precision_bits), probs_out
-    x = _block(x, w, "rec.up2", up_to=_children(x.coords))
-    p0 = classify_occupancy(x, prefixed(w, "rec.up2.cls"))
-    probs_out.append((p0, x.coords, 0))
-    x = adaptive_prune(x, p0, n0)
-    frame = PointCloudFrame.from_coords(x.coords, precision_bits)
-    return frame, probs_out
-
-
-def _coords_substream(c2: np.ndarray, precision_bits: int) -> bytes:
-    depth = precision_bits - 2
-    return oc.serialize_stream(oc.octree_encode(c2, depth))
+    x = y_prime
+    for prefix, kept, scale in (("rec.up1", n1, 1), ("rec.up2", n0, 0)):
+        x = _block(x, w, prefix, up_to=_children(x.coords))
+        probs = classify_occupancy(x, prefixed(w, f"{prefix}.cls"))
+        probs_out.append((probs, x.coords, scale))
+        x = adaptive_prune(x, probs, kept)
+        if x.n == 0:
+            break
+    return PointCloudFrame.from_coords(x.coords, precision_bits), probs_out
 
 
 def _finish_frame(bs, c2, residual_symbols, predicted, models, w, latent_carry,
@@ -229,17 +222,36 @@ def _finish_frame(bs, c2, residual_symbols, predicted, models, w, latent_carry,
     return FrameResult(decoded, y_prime, reference, probs, 8.0 * len(bs.get(SUB_COORDS)), coded)
 
 
-def encode_intra(frame: PointCloudFrame, models, w, lam=3, latent_carry=False):
-    """Encode a frame without prediction: octree(C2) plus the latent of the
-    frame's own features through the residual path."""
+def _encode(frame: PointCloudFrame, reference, models, w, alpha, lam, latent_carry):
+    """One frame's analysis, as ``decode`` is its synthesis: an I frame when
+    ``reference`` is None, else a P frame predicted from it."""
+    depth = frame.precision_bits - 2
+    if not 1 <= depth <= oc.MAX_DEPTH:
+        raise ContractViolation(f"precision {frame.precision_bits} outside [3, {oc.MAX_DEPTH + 2}]"
+                                " (the octree codes C2 at precision - 2 bits)")
     # on a set of its own, so the sets and plans derived from it go with the call
     frame = PointCloudFrame.from_coords(frame.points.coords, frame.precision_bits)
     y = feature_extract(frame, w)
-    coords_sub = _coords_substream(y.coords, frame.precision_bits)
-    res_bytes, symbols = compress_residual(y, models["residual"], w)
-    bs = FrameBitstream(FRAME_I, frame.precision_bits, lam, frame.n, frame.points.cset.down().n,
-                        [(SUB_COORDS, coords_sub), (SUB_RESIDUAL, res_bytes)])
-    return bs, _finish_frame(bs, y.cset, symbols, None, models, w, latent_carry)
+    ftype = FRAME_I if reference is None else FRAME_P
+    coded = {SUB_COORDS: oc.serialize_stream(oc.octree_encode(y.coords, depth))}
+    r, predicted, motion_symbols = y, None, None
+    if reference is not None:
+        predicted, coded[SUB_MOTION], motion_symbols = mo.predict_latent(
+            y, reference, models["motion"], w, alpha)
+        if predicted.cset is not y.cset:
+            raise ContractViolation("prediction is not aligned with the current latent")
+        r = y.with_feats(y.feats - predicted.feats)
+    coded[SUB_RESIDUAL], residual_symbols = compress_residual(r, models["residual"], w)
+    bs = FrameBitstream(ftype, frame.precision_bits, lam, frame.n, frame.points.cset.down().n,
+                        [(sid, coded[sid]) for sid in FRAME_SUBSTREAMS[ftype]])
+    return bs, _finish_frame(bs, y.cset, residual_symbols, predicted, models, w, latent_carry,
+                             motion_symbols)
+
+
+def encode_intra(frame: PointCloudFrame, models, w, lam=3, latent_carry=False):
+    """Encode a frame without prediction: octree(C2) plus the latent of the
+    frame's own features through the residual path."""
+    return _encode(frame, None, models, w, None, lam, latent_carry)
 
 
 def encode_inter(frame: PointCloudFrame, prev_latent: SparseTensor, models, w,
@@ -247,22 +259,7 @@ def encode_inter(frame: PointCloudFrame, prev_latent: SparseTensor, models, w,
     """Encode a frame against the previous decoded latent."""
     if prev_latent is None or prev_latent.n == 0:
         raise ContractViolation("inter frame requires a non-empty previous latent")
-    # on a set of its own, as in encode_intra
-    frame = PointCloudFrame.from_coords(frame.points.coords, frame.precision_bits)
-    y = feature_extract(frame, w)
-    predicted, motion_bytes, motion_symbols = mo.predict_latent(
-        y, prev_latent, models["motion"], w, alpha
-    )
-    if not np.array_equal(predicted.coords, y.coords):
-        raise ContractViolation("prediction is not aligned with the current latent")
-    r = y.with_feats(y.feats - predicted.feats)
-    res_bytes, residual_symbols = compress_residual(r, models["residual"], w)
-    coords_sub = _coords_substream(y.coords, frame.precision_bits)
-    bs = FrameBitstream(FRAME_P, frame.precision_bits, lam, frame.n, frame.points.cset.down().n,
-                        [(SUB_COORDS, coords_sub), (SUB_MOTION, motion_bytes),
-                         (SUB_RESIDUAL, res_bytes)])
-    return bs, _finish_frame(bs, y.cset, residual_symbols, predicted, models, w, latent_carry,
-                             motion_symbols)
+    return _encode(frame, prev_latent, models, w, alpha, lam, latent_carry)
 
 
 def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=False):

@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ContractViolation
-from .sparse import CoordSet, SparseTensor, increasing, key_steps, lookup, pack_keys
+from .sparse import CORNERS, CoordSet, SparseTensor, increasing, key_steps, lookup, pack_keys
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def _offset_table(rng):
     return offsets
 
 
-_OFFSETS = {1: _offset_table((0,)), 2: _offset_table((0, 1)), 3: _offset_table((-1, 0, 1))}
+_OFFSETS = {1: _offset_table((0,)), 2: CORNERS, 3: _offset_table((-1, 0, 1))}
 
 
 class KernelMap:

@@ -3,7 +3,9 @@
 Breadth-first occupancy bytes: one byte per internal node, bit ``0x80 >> b``
 set iff child ``b`` is non-empty, with child index b = 4*(x bit) + 2*(y bit)
 + (z bit).  The payload is that byte stream range-coded under an adaptive
-byte model.
+byte model.  The encoder levels Morton codes; the decoder walks the tree on
+coordinates, child b of voxel c being 2c + ``sparse.CORNERS[b]``, and sorts
+only the leaves, lexicographically.
 
 Substream layout: u8 depth, u8 flags, u32 point count, payload.  The flags
 byte is always 0x01 (range-coded); a decoder rejects any other value.
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import ContractViolation, DecodeError
 from .rangecoder import AdaptiveByteDecoder, encode_bytes_adaptive
-from .sparse import lex_order
+from .sparse import CORNERS, lex_order
 
 FLAG_RANGE_CODED = 0x01
 MAX_DEPTH = 21
@@ -41,15 +43,6 @@ def _morton(coords: np.ndarray, depth: int) -> np.ndarray:
         code |= ((c[:, 1] >> bb) & np.uint64(1)) << np.uint64(3 * b + 1)
         code |= ((c[:, 2] >> bb) & np.uint64(1)) << np.uint64(3 * b)
     return code
-
-
-def _unmorton(codes: np.ndarray, depth: int) -> np.ndarray:
-    out = np.zeros((codes.shape[0], 3), dtype=np.int64)
-    for b in range(depth):
-        out[:, 0] |= ((codes >> np.uint64(3 * b + 2)) & np.uint64(1)).astype(np.int64) << b
-        out[:, 1] |= ((codes >> np.uint64(3 * b + 1)) & np.uint64(1)).astype(np.int64) << b
-        out[:, 2] |= ((codes >> np.uint64(3 * b)) & np.uint64(1)).astype(np.int64) << b
-    return out
 
 
 def _levels(coords: np.ndarray, depth: int) -> tuple[int, bytes]:
@@ -95,25 +88,22 @@ def octree_decode(stream: OctreeStream) -> np.ndarray:
     if count < 1:
         raise DecodeError("octree stream declares zero points")
     # the byte count of each level is known only once the previous level
-    # is decoded, so the reader hands out bytes level by level
+    # is decoded, so the reader hands out bytes level by level.  Children
+    # come out in (parent, b) order, which is breadth-first order again.
     reader = AdaptiveByteDecoder(stream.payload)
-    nodes = np.zeros(1, dtype=np.uint64)
+    nodes = np.zeros((1, 3), dtype=np.int64)
     for _ in range(depth):
-        bits = np.frombuffer(reader.read(nodes.size), dtype=np.uint8)
+        bits = np.frombuffer(reader.read(len(nodes)), dtype=np.uint8)
         if np.any(bits == 0):
             raise DecodeError("empty occupancy byte in octree stream")
-        children = []
-        for b in range(8):
-            has = (bits & (0x80 >> b)) != 0
-            children.append((nodes[has] << np.uint64(3)) | np.uint64(b))
-        nodes = np.sort(np.concatenate(children))
-        if nodes.size > count:
-            raise DecodeError(f"octree level holds {nodes.size} nodes, header says {count} points")
+        child = np.flatnonzero(np.unpackbits(bits))  # 8 * parent + b
+        if child.size > count:
+            raise DecodeError(f"octree level holds {child.size} nodes, header says {count} points")
+        nodes = 2 * nodes[child >> 3] + CORNERS[child & 7]
     reader.finish()
-    if nodes.size != count:
-        raise DecodeError(f"decoded {nodes.size} points, header says {count}")
-    coords = _unmorton(nodes, depth)
-    return coords[lex_order(coords)].astype(np.int32)
+    if len(nodes) != count:
+        raise DecodeError(f"decoded {len(nodes)} points, header says {count}")
+    return nodes[lex_order(nodes)].astype(np.int32)
 
 
 def serialize_stream(stream: OctreeStream) -> bytes:

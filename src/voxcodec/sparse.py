@@ -20,6 +20,11 @@ _BIAS = np.int64(1 << (COORD_BITS - 1))
 _LO = -(1 << (COORD_BITS - 1))
 _HI = 1 << (COORD_BITS - 1)
 
+# the {0,1}^3 corners in lexicographic order, corner b = (x, y, z) with
+# b = 4x + 2y + z; the children of a voxel c are 2c + CORNERS
+CORNERS = np.array([(b >> 2, (b >> 1) & 1, b & 1) for b in range(8)], dtype=np.int64)
+CORNERS.flags.writeable = False
+
 
 def lex_order(coords: np.ndarray) -> np.ndarray:
     """Permutation sorting coordinate rows lexicographically by (x, y, z)."""

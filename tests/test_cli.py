@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from voxcodec import cli
+from voxcodec import cli, synthetic
 from voxcodec.ply import load_ply, write_ply
 
 
@@ -557,6 +558,23 @@ class TestSeedAndPrecision:
         assert rc == cli.EXIT_BAD_INPUT
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
+    @pytest.mark.parametrize("source,precision", [
+        ("ply", "2"), ("ply", "24"), ("synthetic", "2")])
+    def test_precision_outside_octree_range_exit_3(self, tmp_path, weights_file, source,
+                                                   precision, capsys):
+        # the octree codes C2 at precision - 2 bits, which must lie in [1, 21]
+        write_ply(tmp_path / "f0.ply", np.array([[0, 1, 2], [1, 2, 3]]))
+        inputs = (["--synthetic", "rigid:5,2,0"] if source == "synthetic"
+                  else [str(tmp_path / "f0.ply")])
+        out = tmp_path / "out"
+        rc = cli.main(["encode", "--weights", str(weights_file), "--output", str(out),
+                       "--precision", precision, *inputs])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_BAD_INPUT
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: precision {precision} outside [3, 23]"), err
+        assert not out.exists()
+
     def test_high_precision_ply_still_encodes(self, tmp_path, weights_file):
         # 23 bits of precision, coordinates below the 2^20 key range
         coords = np.array([[1, 2, 3], [4, 5, 6], [(1 << 20) - 1, 7, 8]])
@@ -565,6 +583,44 @@ class TestSeedAndPrecision:
         assert cli.main(["encode", "--weights", str(weights_file), "--precision", "23",
                          "--output", str(out), str(tmp_path / "f0.ply")]) == 0
         assert json.loads((out / "manifest.json").read_text())["precision_bits"] == 23
+
+
+class TestStreamedInput:
+    def test_encoder_holds_no_past_frame(self, tmp_path, weights_file):
+        # each PLY is loaded when the encoder asks for it, so four more frames
+        # must not raise the traced peak by one frame's 24 B per point
+        frame = synthetic.make_rigid_sequence(3000, 1, 0, 7, seed=8)[0]
+        ply = str(tmp_path / "f.ply")
+        write_ply(ply, frame.points.coords)
+
+        def encode(copies, name):
+            return cli.main(["encode", "--weights", str(weights_file), "--precision", "7",
+                             "--output", str(tmp_path / name), *[ply] * copies])
+
+        assert encode(1, "warm") == 0  # one-off allocations stay out of the peaks
+        peaks = {}
+        for copies in (4, 8):
+            tracemalloc.start()
+            try:
+                assert encode(copies, f"x{copies}") == 0
+                peaks[copies] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] - peaks[4] < 24 * frame.n
+
+    @pytest.mark.parametrize("gop", ["0", "2"])
+    def test_manifest_counts_come_from_the_coded_frames(self, tmp_path, weights_file, gop):
+        frames = synthetic.make_rigid_sequence(300, 3, 1, 6, seed=4)
+        plys = []
+        for i, frame in enumerate(frames):
+            plys.append(str(tmp_path / f"f{i}.ply"))
+            write_ply(plys[-1], frame.points.coords)
+        out = tmp_path / "out"
+        assert cli.main(["encode", "--weights", str(weights_file), "--precision", "6",
+                         "--gop", gop, "--output", str(out), *plys]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["gop"] == (int(gop) or 3)
+        assert [f["n_points"] for f in manifest["frames"]] == [f.n for f in frames]
 
 
 class TestConfig:

@@ -148,6 +148,47 @@ class TestSharedSynthesis:
         assert codec.serialize(again) == codec.serialize(bs)
 
 
+class TestOneEncoder:
+    def test_both_frame_types_share_the_frame_analysis(self, store, models, small_frames):
+        _, ref = codec.encode_intra(small_frames[0], models, store)
+        i_bs, _ = codec.encode_intra(small_frames[1], models, store)
+        p_bs, _ = codec.encode_inter(small_frames[1], ref.reference_latent, models, store)
+        assert (i_bs.frame_type, p_bs.frame_type) == (codec.FRAME_I, codec.FRAME_P)
+        assert i_bs.get(codec.SUB_COORDS) == p_bs.get(codec.SUB_COORDS)
+        assert (i_bs.n0, i_bs.n1) == (p_bs.n0, p_bs.n1)
+
+    def test_substreams_follow_the_frame_type_table(self, store, models):
+        frames = synthetic.make_rigid_sequence(300, 3, 1, 6, seed=3)
+        coded = list(codec.encode_sequence(frames, models, store, gop=2))
+        assert [bs.frame_type for bs, _ in coded] == [codec.FRAME_I, codec.FRAME_P,
+                                                      codec.FRAME_I]
+        for bs, _ in coded:
+            assert [sid for sid, _ in bs.substreams] == codec.FRAME_SUBSTREAMS[bs.frame_type]
+
+    @pytest.mark.parametrize("precision", [1, 2, 24, 30])
+    def test_precision_outside_the_octree_range_rejected(self, store, models, precision):
+        frame = PointCloudFrame.from_coords([[0, 0, 0], [1, 0, 1]], precision)
+        reference = SparseTensor.build([[0, 0, 0]], np.ones((1, 64), np.float32), 2)
+        with pytest.raises(ContractViolation, match=f"precision {precision} outside"):
+            codec.encode_intra(frame, models, store)
+        with pytest.raises(ContractViolation, match=f"precision {precision} outside"):
+            codec.encode_inter(frame, reference, models, store)
+
+    def test_prediction_on_another_set_rejected(self, store, models, small_frames,
+                                                monkeypatch):
+        # equal rows are not enough: the prediction must sit on y's own set
+        _, ref = codec.encode_intra(small_frames[0], models, store)
+        predict = mo.predict_latent
+
+        def on_a_copy(y, *args):
+            pred, data, symbols = predict(y, *args)
+            return SparseTensor(CoordSet(pred.coords), pred.feats, pred.scale), data, symbols
+
+        monkeypatch.setattr(mo, "predict_latent", on_a_copy)
+        with pytest.raises(ContractViolation, match="not aligned"):
+            codec.encode_inter(small_frames[1], ref.reference_latent, models, store)
+
+
 class TestDerivedOnce:
     def test_no_set_or_map_is_derived_twice(self, store, models, monkeypatch):
         # within one coded or decoded frame, every stride-down set and every

@@ -42,6 +42,14 @@ def test_roundtrip_4096_depth9():
     assert np.array_equal(oc.octree_decode(stream), sorted_coords(coords))
 
 
+def test_depth21_extremes_roundtrip():
+    # 2^21 - 1 lies past pack_keys' signed 21-bit range, so the decoder
+    # orders the leaves by their rows, not by packed keys
+    coords = np.array([[2**21 - 1, 0, 5], [0, 0, 0]])
+    stream = oc.octree_encode(coords, 21)
+    assert np.array_equal(oc.octree_decode(stream), sorted_coords(coords))
+
+
 def test_size_bound():
     rng = np.random.default_rng(1)
     coords = np.unique(rng.integers(0, 128, size=(500, 3)), axis=0)
