@@ -105,7 +105,16 @@ def _input_frames(args):
         return synthetic.make_rigid_sequence(n, nframes, translation, args.precision, args.seed)
     if not args.inputs:
         raise VoxCodecError("no input frames")
-    return (load_ply(p, args.precision) for p in args.inputs)
+    return _load_frames(args.inputs, args.precision)
+
+
+def _load_frames(paths, precision):
+    """Load each PLY in turn; a failure names the file and its frame number."""
+    for i, path in enumerate(paths):
+        try:
+            yield load_ply(path, precision)
+        except (OSError, VoxCodecError) as exc:
+            raise type(exc)(f"{path} (frame {i}): {exc}") from None
 
 
 def cmd_encode(args) -> int:

@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ContractViolation, DecodeError
-from .rangecoder import RangeDecoder, RangeEncoder, check_table
+from .rangecoder import RangeDecoder, RangeEncoder
 
 TOTAL = 1 << 16
 RAW_CDF = tuple(range(0, TOTAL + 1, 1 << 8))
@@ -164,18 +164,18 @@ def range_encode(symbols: np.ndarray, model: EntropyModel) -> bytes:
 
 def range_decode(data: bytes, model: EntropyModel, count: int) -> np.ndarray:
     """Inverse of range_encode; returns an int64 (count, channels) array.
-    Each table, the raw one included, is checked once per call."""
+    The tables are not checked here: EntropyModel checked each one when it was
+    built, and RAW_CDF is a constant."""
     dec = RangeDecoder(data)
-    raw = check_table(RAW_CDF)
     out = np.empty((count, model.channels), dtype=np.int64)
-    for c, cdf in enumerate(model.tables):
-        table, offset, nsym = check_table(cdf), int(model.offsets[c]), len(cdf) - 2
+    for c, table in enumerate(model.tables):
+        offset, nsym = int(model.offsets[c]), len(table) - 2
         column = []
         while len(column) < count:
             column += dec.run(table, count - len(column), nsym)
             if column[-1] == nsym:
                 # the escaped value, less the offset added to the whole column
-                column[-1] = _unzigzag(int.from_bytes(bytes(dec.run(raw, 4)), "big")) - offset
+                column[-1] = _unzigzag(int.from_bytes(bytes(dec.run(RAW_CDF, 4)), "big")) - offset
         out[:, c] = column
         out[:, c] += offset
     dec.finish()

@@ -3,9 +3,10 @@
 Breadth-first occupancy bytes: one byte per internal node, bit ``0x80 >> b``
 set iff child ``b`` is non-empty, with child index b = 4*(x bit) + 2*(y bit)
 + (z bit).  The payload is that byte stream range-coded under an adaptive
-byte model.  The encoder levels Morton codes; the decoder walks the tree on
-coordinates, child b of voxel c being 2c + ``sparse.CORNERS[b]``, and sorts
-only the leaves, lexicographically.
+byte model.  Both sides number child b of breadth-first node p as 8p + b: the
+encoder ranks those numbers level by level, and the decoder reads them back
+with ``unpackbits``, child b of voxel c being 2c + ``sparse.CORNERS[b]``, and
+sorts only the leaves, lexicographically.
 
 Substream layout: u8 depth, u8 flags, u32 point count, payload.  The flags
 byte is always 0x01 (range-coded); a decoder rejects any other value.
@@ -33,18 +34,6 @@ class OctreeStream:
     payload: bytes
 
 
-def _morton(coords: np.ndarray, depth: int) -> np.ndarray:
-    """Interleave coordinate bits, x most significant within each level."""
-    c = coords.astype(np.uint64)
-    code = np.zeros(coords.shape[0], dtype=np.uint64)
-    for b in range(depth):
-        bb = np.uint64(b)
-        code |= ((c[:, 0] >> bb) & np.uint64(1)) << np.uint64(3 * b + 2)
-        code |= ((c[:, 1] >> bb) & np.uint64(1)) << np.uint64(3 * b + 1)
-        code |= ((c[:, 2] >> bb) & np.uint64(1)) << np.uint64(3 * b)
-    return code
-
-
 def _levels(coords: np.ndarray, depth: int) -> tuple[int, bytes]:
     """(distinct point count, breadth-first occupancy bytes) of a coordinate
     set; all coords must lie in [0, 2^depth)^3."""
@@ -55,20 +44,18 @@ def _levels(coords: np.ndarray, depth: int) -> tuple[int, bytes]:
         raise ContractViolation(f"depth {depth} outside [1, {MAX_DEPTH}]")
     if coords.min() < 0 or coords.max() >= (1 << depth):
         raise ContractViolation(f"coordinates outside the depth-{depth} cube")
-    codes = np.unique(_morton(coords, depth))
-    occupancy = bytearray()
-    # level l has one byte per distinct prefix of 3l bits, in ascending
-    # (breadth-first) order; children pack into bits 0x80 >> child
-    for level in range(depth):
-        shift = np.uint64(3 * (depth - level - 1))
-        child_codes = np.unique(codes >> shift)
-        parents = child_codes >> np.uint64(3)
-        child = (child_codes & np.uint64(7)).astype(np.int64)
-        uniq_parents, parent_idx = np.unique(parents, return_inverse=True)
-        level_bytes = np.zeros(uniq_parents.size, dtype=np.uint8)
-        np.bitwise_or.at(level_bytes, parent_idx, (0x80 >> child).astype(np.uint8))
-        occupancy.extend(level_bytes.tobytes())
-    return int(codes.size), bytes(occupancy)
+    # the decoder's walk run in reverse: each point carries the breadth-first
+    # index of its node, and child b of node p is numbered 8p + b
+    node = np.zeros(coords.shape[0], dtype=np.int64)
+    n_nodes, occupancy = 1, bytearray()
+    for shift in range(depth - 1, -1, -1):
+        x, y, z = ((coords >> shift) & 1).T
+        child, node = np.unique(8 * node + 4 * x + 2 * y + z, return_inverse=True)
+        bits = np.zeros(8 * n_nodes, dtype=np.uint8)
+        bits[child] = 1
+        occupancy.extend(np.packbits(bits).tobytes())
+        n_nodes = child.size
+    return n_nodes, bytes(occupancy)
 
 
 def occupancy_bytes(coords: np.ndarray, depth: int) -> bytes:

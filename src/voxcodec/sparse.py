@@ -39,7 +39,8 @@ def pack_keys(coords: np.ndarray) -> np.ndarray:
     """
     c = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     if c.size and (c.min() < _LO or c.max() >= _HI):
-        raise ContractViolation("coordinate component outside the 21-bit range")
+        raise ContractViolation(f"coordinate component outside the {COORD_BITS}-bit range "
+                                f"[-2^{COORD_BITS - 1}, 2^{COORD_BITS - 1})")
     b = (c + _BIAS).astype(np.uint64)
     return (b[:, 0] << np.uint64(42)) | (b[:, 1] << np.uint64(21)) | b[:, 2]
 

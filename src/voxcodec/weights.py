@@ -215,9 +215,10 @@ def _peaked_pmf(nsym: int, width: float) -> np.ndarray:
     return np.exp(-np.abs(s) / width)
 
 
-def _entropy_tables(rng, channels, nsym, widths, escape_mass) -> entropy.EntropyModel:
+def _entropy_tables(nsym, widths, escape_mass) -> entropy.EntropyModel:
+    """One channel per width, each a peaked PMF over nsym centred symbols."""
     pmfs = [_peaked_pmf(nsym, w) for w in widths]
-    offsets = np.full(channels, -(nsym // 2), dtype=np.int64)
+    offsets = np.full(len(widths), -(nsym // 2), dtype=np.int64)
     return entropy.build_table_from_pmf(pmfs, offsets, escape_mass=escape_mass)
 
 
@@ -247,15 +248,11 @@ def make_weights(seed: int, profile: str = "random") -> WeightStore:
         tensors[name + ".bias"] = b.astype(np.float32)
 
     if profile == "surrogate":
-        motion_model = _entropy_tables(rng, MOTION_LATENT_C, 7, np.full(MOTION_LATENT_C, 0.05), 1e-4)
-        residual_model = _entropy_tables(rng, RESIDUAL_LATENT_C, 63, np.full(RESIDUAL_LATENT_C, 1.0), 1e-4)
+        motion_model = _entropy_tables(7, np.full(MOTION_LATENT_C, 0.05), 1e-4)
+        residual_model = _entropy_tables(63, np.full(RESIDUAL_LATENT_C, 1.0), 1e-4)
     else:
-        motion_model = _entropy_tables(
-            rng, MOTION_LATENT_C, 31, rng.uniform(1.0, 4.0, MOTION_LATENT_C), 1e-3
-        )
-        residual_model = _entropy_tables(
-            rng, RESIDUAL_LATENT_C, 31, rng.uniform(1.0, 4.0, RESIDUAL_LATENT_C), 1e-3
-        )
+        motion_model = _entropy_tables(31, rng.uniform(1.0, 4.0, MOTION_LATENT_C), 1e-3)
+        residual_model = _entropy_tables(31, rng.uniform(1.0, 4.0, RESIDUAL_LATENT_C), 1e-3)
     for stream, model in (("motion", motion_model), ("residual", residual_model)):
         for key, arr in entropy.model_to_tensors(model).items():
             tensors[f"entropy.{stream}.{key}"] = arr

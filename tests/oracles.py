@@ -4,7 +4,8 @@ These deliberately avoid the library's own fast paths: dense zero-padded
 convolution on a full grid, one sorted search per kernel offset, the sparse
 convolution's earlier fancy-index offset loops (forward and backward), O(N*Q)
 nearest-neighbour scans, per-element probability sums, a dense-grid set
-union, and the range coder's earlier numpy symbol step.
+union, the range coder's earlier numpy symbol step, and a breadth-first
+octree walk over Python sets.
 """
 
 import numpy as np
@@ -328,3 +329,20 @@ def numpy_decode_bytes_adaptive(data, n):
         model.update(b)
         out.append(b)
     return bytes(out)
+
+
+def occupancy_oracle(coords, depth):
+    """(distinct point count, occupancy bytes) of an octree, from the byte
+    spec alone: each point is the path of child indices b = 4x + 2y + z read
+    from its top bit down; level l has one byte per distinct l-step path
+    prefix, prefixes in ascending (breadth-first) order, with bit 0x80 >> b
+    set for each child b below it."""
+    paths = {tuple(4 * (int(x) >> s & 1) + 2 * (int(y) >> s & 1) + (int(z) >> s & 1)
+                   for s in range(depth - 1, -1, -1)) for x, y, z in coords}
+    out = bytearray()
+    for level in range(depth):
+        children = {}
+        for p in paths:
+            children.setdefault(p[:level], set()).add(p[level])
+        out += bytes(sum(0x80 >> b for b in children[node]) for node in sorted(children))
+    return len(paths), bytes(out)

@@ -585,6 +585,46 @@ class TestSeedAndPrecision:
         assert json.loads((out / "manifest.json").read_text())["precision_bits"] == 23
 
 
+class TestInputNamed:
+    """An input frame that fails to load names its file and frame number."""
+
+    @staticmethod
+    def inputs(tmp_path):
+        good, bad = tmp_path / "a.ply", tmp_path / "bad.ply"
+        write_ply(good, np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
+        bad.write_text("not a ply\n")
+        return str(good), str(bad)
+
+    def test_encode_names_the_bad_frame(self, tmp_path, weights_file, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["encode", "--weights", str(weights_file), "--precision", "8",
+                       "--output", str(out), *self.inputs(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_BAD_INPUT
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: {tmp_path / 'bad.ply'} (frame 1): missing 'ply'"), err
+        assert (out / "frame0000.ddpc").is_file()  # frame 0 was coded before the failure
+
+    def test_eval_names_the_bad_frame(self, tmp_path, capsys):
+        rc = cli.main(["eval", "--precision", "8", "--decoded", str(tmp_path),
+                       "--csv", str(tmp_path / "rd.csv"), *self.inputs(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_BAD_INPUT
+        assert err.startswith(f"error: {tmp_path / 'bad.ply'} (frame 1): missing 'ply'"), err
+
+    def test_coordinate_past_key_range_names_file_and_range(self, tmp_path, weights_file,
+                                                            capsys):
+        # 21 bits of precision admit 2^20, one past the signed 21-bit key range
+        ply = tmp_path / "f0.ply"
+        write_ply(ply, np.array([[1, 2, 3], [1 << 20, 5, 6]]))
+        rc = cli.main(["encode", "--weights", str(weights_file), "--precision", "21",
+                       "--output", str(tmp_path / "out"), str(ply)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_BAD_INPUT
+        assert err.startswith(f"error: {ply} (frame 0): "), err
+        assert "21-bit range [-2^20, 2^20)" in err, err
+
+
 class TestStreamedInput:
     def test_encoder_holds_no_past_frame(self, tmp_path, weights_file):
         # each PLY is loaded when the encoder asks for it, so four more frames

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import occupancy_oracle
 from voxcodec import octree as oc
 from voxcodec.errors import ContractViolation, DecodeError
 from voxcodec.rangecoder import encode_bytes_adaptive
@@ -104,6 +105,20 @@ def test_roundtrip_property(depth, seed):
     coords = np.unique(rng.integers(0, 1 << depth, size=(n, 3)), axis=0)
     stream = oc.octree_encode(coords, depth)
     assert np.array_equal(oc.octree_decode(stream), sorted_coords(coords))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_occupancy_matches_oracle(data):
+    depth = data.draw(st.integers(1, oc.MAX_DEPTH), label="depth")
+    top = (1 << depth) - 1
+    component = st.sampled_from([0, top]) | st.integers(0, top)
+    rows = data.draw(st.lists(st.tuples(component, component, component),
+                              min_size=1, max_size=300), label="rows")
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=20), label="duplicates")
+    count, occupancy = occupancy_oracle(rows, depth)
+    assert oc.occupancy_bytes(np.array(rows), depth) == occupancy
+    assert oc.octree_encode(np.array(rows), depth).count == count
 
 
 def test_trailing_bytes_rejected():
