@@ -134,26 +134,30 @@ def cmd_encode(args) -> int:
     coded = codec.encode_sequence(_input_frames(args), models, store, gop=args.gop,
                                   alpha=args.alpha, lam=args.lam,
                                   latent_carry=args.latent_carry)
-    for i, (bs, _) in enumerate(coded):
-        if i == 0:  # no output until a frame is coded
-            outdir.mkdir(parents=True, exist_ok=True)
-        ftype = "P" if bs.frame_type == codec.FRAME_P else "I"
-        name = f"frame{i:04d}.ddpc"
-        (outdir / name).write_bytes(codec.serialize(bs))
-        frame_bits = 8 * bs.payload_bytes()
-        frame_bpp = metrics.bpp(frame_bits, bs.n0)
-        manifest["frames"].append(
-            {"file": name, "type": ftype,
-             "n_points": bs.n0, "payload_bytes": bs.payload_bytes(),
-             "bpp": frame_bpp})
-        total_bits += frame_bits
-        total_points += bs.n0
-        print(f"frame {i:4d} {ftype} points={bs.n0} bpp={frame_bpp:.6f}")
-    # gop 0 codes frame 0 alone as an I frame: one period the whole sequence long
-    manifest["gop"] = args.gop or len(manifest["frames"])
-    manifest["total_bpp"] = total_bits / total_points
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    try:
+        for i, (bs, _) in enumerate(coded):
+            if i == 0:  # no output until a frame is coded
+                outdir.mkdir(parents=True, exist_ok=True)
+            ftype = "P" if bs.frame_type == codec.FRAME_P else "I"
+            name = f"frame{i:04d}.ddpc"
+            (outdir / name).write_bytes(codec.serialize(bs))
+            frame_bits = 8 * bs.payload_bytes()
+            frame_bpp = metrics.bpp(frame_bits, bs.n0)
+            manifest["frames"].append(
+                {"file": name, "type": ftype,
+                 "n_points": bs.n0, "payload_bytes": bs.payload_bytes(),
+                 "bpp": frame_bpp})
+            total_bits += frame_bits
+            total_points += bs.n0
+            print(f"frame {i:4d} {ftype} points={bs.n0} bpp={frame_bpp:.6f}")
+    finally:
+        # after a failure too, so the frames coded so far can be decoded
+        if manifest["frames"]:
+            # gop 0 codes frame 0 alone as an I frame: one period the whole sequence long
+            manifest["gop"] = args.gop or len(manifest["frames"])
+            manifest["total_bpp"] = total_bits / total_points
+            (outdir / "manifest.json").write_text(
+                json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"total bpp={manifest['total_bpp']:.6f} over {total_points} points")
     return EXIT_OK
 
@@ -194,12 +198,12 @@ def cmd_decode(args) -> int:
     results = codec.decode_sequence(bitstreams, models, store, alpha=alpha, latent_carry=carry)
     for i, name in enumerate(names):
         try:
-            result = next(results)
+            decoded = next(results).decoded  # synthesis runs on this read
         except (OSError, VoxCodecError) as exc:
             raise type(exc)(f"frame {i}: {exc}") from None
         out = outdir / (Path(name).stem + ".ply")
-        write_frame(out, result.decoded)
-        print(f"frame {i:4d} -> {out.name} points={result.decoded.n}")
+        write_frame(out, decoded)
+        print(f"frame {i:4d} -> {out.name} points={decoded.n}")
     return EXIT_OK
 
 
@@ -230,8 +234,8 @@ def cmd_eval(args) -> int:
     if len(frames) < len(originals):
         raise VoxCodecError(f"manifest lists {len(frames)} frames for {len(originals)} originals")
     rows = []
-    for i, (orig, dec_path, entry) in enumerate(zip(originals, decoded_paths, frames)):
-        dec = load_ply(dec_path, args.precision)
+    decoded = _load_frames(decoded_paths, args.precision)
+    for i, (orig, dec, entry) in enumerate(zip(originals, decoded, frames)):
         try:
             bpp = float(entry["bpp"])
         except (TypeError, ValueError):

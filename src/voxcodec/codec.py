@@ -9,6 +9,14 @@ bit-identical.  The next frame's reference latent is re-extracted from the
 decoded geometry (Fig-level dataflow; a carry-forward variant reuses the
 decoded latent directly).
 
+Synthesis runs only when its caller reads it: a ``FrameResult`` holds the
+coded symbols and the prediction, and computes ``decoded``,
+``decoded_latent``, ``scale_probs`` and ``reference_latent`` on first read.
+Coding or decoding a frame, ``serialize`` and ``rate`` force none of them;
+range decoding, motion compensation and every ``DecodeError`` check stay in
+``decode`` itself.  The sequence generators read a reference only ahead of a
+P frame, so a GOP-1 encode synthesizes nothing.
+
 Only C2 is coded; every other coordinate set is derived once, on first use,
 and shared with its kernel-map plans by analysis and synthesis alike.
 
@@ -23,7 +31,7 @@ reference, a P frame with one).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -124,25 +132,61 @@ class LossReport:
         return self.rate_bpp + self.lam * self.distortion
 
 
-@dataclass
+@dataclass(eq=False)
 class FrameResult:
-    """Everything the encoder/decoder knows after processing one frame.  The
-    rate estimate is computed from the coded symbols when first read, since
-    neither coding nor decoding needs it."""
+    """Everything the encoder/decoder knows after processing one frame.
 
-    decoded: PointCloudFrame
-    decoded_latent: SparseTensor          # y' on the scale-2 coordinates
-    reference_latent: SparseTensor        # reference for the next frame
-    scale_probs: list                     # (probs, candidates, truth_scale)
-    coords_bits: float                    # coded size of the coordinate substream
-    coded_symbols: dict                   # substream name -> (symbols, model)
+    Built from what synthesis needs: the bitstream, the coded scale-2 set
+    ``c2``, the coded symbols and, for a P frame, the motion-compensated
+    prediction on ``c2``.  The rest is computed when first read, since
+    coding a frame needs none of it: ``decoded``, ``decoded_latent`` and
+    ``scale_probs`` run the frame's synthesis (``_finish_frame``) once, and
+    ``reference_latent`` re-extracts the next frame's reference from the
+    decoded frame; ``rate`` estimates the bits of the coded symbols."""
+
+    bs: FrameBitstream
+    c2: CoordSet
+    residual_symbols: np.ndarray
+    motion_symbols: np.ndarray | None    # None for an I frame
+    predicted: SparseTensor | None       # the prediction on c2; None for an I frame
+    models: dict
+    w: object = field(repr=False)
+    latent_carry: bool
 
     @cached_property
     def rate(self) -> ent.RateReport:
-        breakdown = {"coords": self.coords_bits}
-        for name, (symbols, model) in self.coded_symbols.items():
-            breakdown[name] = ent.estimate_bits(symbols, model)
+        breakdown = {"coords": 8.0 * len(self.bs.get(SUB_COORDS))}
+        if self.motion_symbols is not None:
+            breakdown["motion"] = ent.estimate_bits(self.motion_symbols, self.models["motion"])
+        breakdown["residual"] = ent.estimate_bits(self.residual_symbols, self.models["residual"])
         return ent.RateReport(sum(breakdown.values()), breakdown)
+
+    @cached_property
+    def _synthesis(self):
+        return _finish_frame(self.bs, self.c2, self.residual_symbols, self.predicted, self.w)
+
+    @property
+    def decoded_latent(self) -> SparseTensor:
+        """y' on the scale-2 coordinates."""
+        return self._synthesis[0]
+
+    @property
+    def decoded(self) -> PointCloudFrame:
+        return self._synthesis[1]
+
+    @property
+    def scale_probs(self) -> list:
+        """(probs, candidates, truth_scale) for each scale reconstructed."""
+        return self._synthesis[2]
+
+    @cached_property
+    def reference_latent(self) -> SparseTensor:
+        """The latent the next P frame is coded against."""
+        if self.latent_carry:
+            return self.decoded_latent
+        if self.decoded.n == 0:
+            return SparseTensor.empty(self.decoded_latent.channels, scale=2)
+        return feature_extract(self.decoded, self.w)
 
 
 def _block(x, w, prefix, up_to=None) -> SparseTensor:
@@ -201,25 +245,15 @@ def reconstruct(y_prime: SparseTensor, n1: int, n0: int, w, precision_bits: int)
     return PointCloudFrame.from_coords(x.coords, precision_bits), probs_out
 
 
-def _finish_frame(bs, c2, residual_symbols, predicted, models, w, latent_carry,
-                  motion_symbols=None):
+def _finish_frame(bs, c2, residual_symbols, predicted, w):
     """Both codec sides' synthesis: the residual decoded from its symbols onto
     the set ``c2``, plus the prediction if any, is y'; from y' come the
-    decoded frame and the next frame's reference latent."""
+    decoded frame and its occupancy probabilities.  Returns (y', decoded
+    frame, scale probabilities)."""
     r_hat = _residual_decode(residual_symbols, c2, w)
     y_prime = r_hat if predicted is None else r_hat.with_feats(predicted.feats + r_hat.feats)
     decoded, probs = reconstruct(y_prime, bs.n1, bs.n0, w, bs.precision_bits)
-    if latent_carry:
-        reference = y_prime
-    elif decoded.n == 0:
-        reference = SparseTensor.empty(y_prime.channels, scale=2)
-    else:
-        reference = feature_extract(decoded, w)
-    coded = {}
-    if motion_symbols is not None:
-        coded["motion"] = (motion_symbols, models["motion"])
-    coded["residual"] = (residual_symbols, models["residual"])
-    return FrameResult(decoded, y_prime, reference, probs, 8.0 * len(bs.get(SUB_COORDS)), coded)
+    return y_prime, decoded, probs
 
 
 def _encode(frame: PointCloudFrame, reference, models, w, alpha, lam, latent_carry):
@@ -244,8 +278,8 @@ def _encode(frame: PointCloudFrame, reference, models, w, alpha, lam, latent_car
     coded[SUB_RESIDUAL], residual_symbols = compress_residual(r, models["residual"], w)
     bs = FrameBitstream(ftype, frame.precision_bits, lam, frame.n, frame.points.cset.down().n,
                         [(sid, coded[sid]) for sid in FRAME_SUBSTREAMS[ftype]])
-    return bs, _finish_frame(bs, y.cset, residual_symbols, predicted, models, w, latent_carry,
-                             motion_symbols)
+    return bs, FrameResult(bs, y.cset, residual_symbols, motion_symbols, predicted, models, w,
+                           latent_carry)
 
 
 def encode_intra(frame: PointCloudFrame, models, w, lam=3, latent_carry=False):
@@ -263,8 +297,8 @@ def encode_inter(frame: PointCloudFrame, prev_latent: SparseTensor, models, w,
 
 
 def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=False):
-    """Decode one frame; returns (FrameResult) whose reference_latent feeds the
-    next P frame."""
+    """Decode one frame; returns a FrameResult whose reference_latent feeds the
+    next P frame.  A corrupt substream fails here; synthesis waits for a read."""
     ids = sorted(sid for sid, _ in bs.substreams)
     if ids != FRAME_SUBSTREAMS.get(bs.frame_type):
         raise DecodeError(f"frame type {bs.frame_type} carries substreams {ids}")
@@ -289,33 +323,36 @@ def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=F
         motion_symbols = ent.range_decode(bs.get(SUB_MOTION), models["motion"],
                                           union.down().down().n)
         predicted = mo.compensate(motion_symbols, c2, prev_latent, w, alpha, union)
-    return _finish_frame(bs, c2, rsym, predicted, models, w, latent_carry, motion_symbols)
+    return FrameResult(bs, c2, rsym, motion_symbols, predicted, models, w, latent_carry)
 
 
 def encode_sequence(frames, models, w, gop=0, alpha=3.0, lam=3, latent_carry=False):
     """Encode ``frames`` in order, yielding (FrameBitstream, FrameResult) per
     frame.  Frame 0 and every ``gop``-th frame after it are I frames (``gop``
     0: frame 0 only); every other frame is a P frame against the previous
-    frame's reference latent."""
+    frame's reference latent, which is synthesized only for such a frame."""
     if gop < 0:
         raise ContractViolation(f"gop must be non-negative, got {gop}")
-    reference = None
+    result = None
     for i, frame in enumerate(frames):
         if i == 0 or (gop and i % gop == 0):
             bs, result = encode_intra(frame, models, w, lam, latent_carry)
         else:
-            bs, result = encode_inter(frame, reference, models, w, alpha, lam, latent_carry)
-        reference = result.reference_latent
+            bs, result = encode_inter(frame, result.reference_latent, models, w, alpha, lam,
+                                      latent_carry)
         yield bs, result
 
 
 def decode_sequence(bitstreams, models, w, alpha=3.0, latent_carry=False):
     """Decode ``bitstreams`` in order, yielding a FrameResult per frame; each
-    P frame is decoded against the previous frame's reference latent."""
-    reference = None
+    P frame is decoded against the previous frame's reference latent, which
+    is re-extracted only for such a frame."""
+    result = None
     for bs in bitstreams:
+        reference = None
+        if bs.frame_type == FRAME_P and result is not None:
+            reference = result.reference_latent
         result = decode(bs, reference, models, w, alpha, latent_carry)
-        reference = result.reference_latent
         yield result
 
 

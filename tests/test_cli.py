@@ -239,6 +239,24 @@ class TestDecode:
             write_frame(tmp_path / "api.ply", res.decoded)
             assert (dec / f"{name}.ply").read_bytes() == (tmp_path / "api.ply").read_bytes()
 
+    def test_synthesis_error_keeps_its_frame_label(self, tmp_path, weights_file, encoded,
+                                                   monkeypatch, capsys):
+        # decode_sequence defers synthesis to the first read of a result, which
+        # the CLI makes inside the frame's own error label
+        from voxcodec import codec
+        from voxcodec.errors import VoxCodecError
+
+        def reconstruct(*args):
+            raise VoxCodecError("synthesis failed")
+
+        monkeypatch.setattr(codec, "reconstruct", reconstruct)
+        rc = cli.main(["decode", "--weights", str(weights_file),
+                       "--manifest", str(encoded / "manifest.json"),
+                       "--output", str(tmp_path / "out")])
+        assert rc == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == "error: frame 0: synthesis failed\n"
+        assert not list((tmp_path / "out").glob("*.ply"))
+
     @pytest.mark.parametrize("option", [["--alpha", "3"], ["--gop", "1"], ["--latent-carry"],
                                         ["--lambda", "3"], ["--workers", "1"],
                                         ["--transmit-c3"]])
@@ -605,12 +623,48 @@ class TestInputNamed:
         assert err.startswith(f"error: {tmp_path / 'bad.ply'} (frame 1): missing 'ply'"), err
         assert (out / "frame0000.ddpc").is_file()  # frame 0 was coded before the failure
 
+    def test_encode_failure_leaves_the_coded_frames_decodable(self, tmp_path, weights_file,
+                                                              capsys):
+        out, dec = tmp_path / "out", tmp_path / "dec"
+        rc = cli.main(["encode", "--weights", str(weights_file), "--precision", "8",
+                       "--output", str(out), *self.inputs(tmp_path)])
+        assert rc == cli.EXIT_BAD_INPUT
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [f["file"] for f in manifest["frames"]] == ["frame0000.ddpc"]
+        assert manifest["total_bpp"] == manifest["frames"][0]["bpp"]
+        assert cli.main(["decode", "--weights", str(weights_file),
+                         "--manifest", str(out / "manifest.json"), "--output", str(dec)]) == 0
+        assert load_ply(dec / "frame0000.ply", 8).n == 3
+
+    def test_encode_failure_at_frame_0_writes_nothing(self, tmp_path, weights_file):
+        good, bad = self.inputs(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["encode", "--weights", str(weights_file), "--precision", "8",
+                       "--output", str(out), bad, good])
+        assert rc == cli.EXIT_BAD_INPUT
+        assert not out.exists()
+
     def test_eval_names_the_bad_frame(self, tmp_path, capsys):
         rc = cli.main(["eval", "--precision", "8", "--decoded", str(tmp_path),
                        "--csv", str(tmp_path / "rd.csv"), *self.inputs(tmp_path)])
         err = capsys.readouterr().err
         assert rc == cli.EXIT_BAD_INPUT
         assert err.startswith(f"error: {tmp_path / 'bad.ply'} (frame 1): missing 'ply'"), err
+
+    def test_eval_names_the_bad_decoded_frame(self, tmp_path, capsys):
+        good, bad = self.inputs(tmp_path)
+        dec = tmp_path / "dec"
+        dec.mkdir()
+        (dec / "f0.ply").write_bytes(Path(good).read_bytes())
+        (dec / "f1.ply").write_bytes(Path(bad).read_bytes())
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"frames": [{"file": f"f{i}.ddpc", "bpp": 1.0} for i in range(2)]}))
+        rc = cli.main(["eval", "--precision", "8", "--decoded", str(dec),
+                       "--csv", str(tmp_path / "rd.csv"), good, good])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_BAD_INPUT
+        assert err.startswith(f"error: {dec / 'f1.ply'} (frame 1): missing 'ply'"), err
+        assert not (tmp_path / "rd.csv").exists()
 
     def test_coordinate_past_key_range_names_file_and_range(self, tmp_path, weights_file,
                                                             capsys):

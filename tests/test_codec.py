@@ -220,10 +220,14 @@ class TestDerivedOnce:
         record(nn.build_kernel_map, lambda i, o, spec: (spec, rows(i), rows(o)))
 
         def once(op, *args):
+            """Run op and force its result's deferred synthesis, so that work
+            counts against the frame that owns it."""
             nonlocal current
             current = op.__name__
             seen.clear()
-            return op(*args)
+            out = op(*args)
+            (out[1] if isinstance(out, tuple) else out).reference_latent
+            return out
 
         current = None
         frames = synthetic.make_rigid_sequence(1000, 2, 2, 9, seed=7)
@@ -242,6 +246,55 @@ class TestDerivedOnce:
         codec.encode_inter(frames[1], enc0.reference_latent, models, store)
         for frame in frames:
             assert frame.points.cset._down is None and frame.points.cset.plans == {}
+
+
+class TestLazySynthesis:
+    """A FrameResult synthesizes its frame when a field that needs it is first
+    read, and the sequence generators read a reference only for a P frame."""
+
+    @pytest.fixture
+    def syntheses(self, monkeypatch):
+        """Count calls of codec._finish_frame and codec.feature_extract."""
+        calls = {"_finish_frame": 0, "feature_extract": 0}
+        for name in calls:
+            fn = getattr(codec, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(codec, name, counted)
+        return calls
+
+    def test_coding_forces_nothing_and_a_read_forces_once(self, store, models, small_frames,
+                                                          syntheses):
+        bs, enc = codec.encode_intra(small_frames[0], models, store)
+        codec.serialize(bs)
+        assert enc.rate.total_bits > 0
+        assert syntheses == {"_finish_frame": 0, "feature_extract": 1}  # the analysis
+        assert enc.decoded.n == small_frames[0].n
+        assert enc.reference_latent.n > 0 and enc.decoded_latent.n == enc.c2.n
+        assert len(enc.scale_probs) == 2
+        assert syntheses == {"_finish_frame": 1, "feature_extract": 2}
+
+    @pytest.mark.parametrize("gop, nframes, expect", [(1, 3, 0), (2, 4, 2)])
+    def test_encoder_synthesizes_only_ahead_of_a_p_frame(self, store, models, syntheses,
+                                                         gop, nframes, expect):
+        frames = synthetic.make_rigid_sequence(200, nframes, 1, 6, seed=9)
+        coded = list(codec.encode_sequence(frames, models, store, gop=gop))
+        assert len(coded) == nframes
+        assert syntheses["_finish_frame"] == expect
+
+    @pytest.mark.parametrize("gop, types", [(0, "IPPP"), (1, "IIII"), (2, "IPIP")])
+    def test_decoder_re_extracts_only_ahead_of_a_p_frame(self, store, models, syntheses,
+                                                         gop, types):
+        frames = synthetic.make_rigid_sequence(200, 4, 1, 6, seed=9)
+        bitstreams = [bs for bs, _ in codec.encode_sequence(frames, models, store, gop=gop)]
+        assert "".join("IP"[bs.frame_type] for bs in bitstreams) == types
+        syntheses.update(_finish_frame=0, feature_extract=0)
+        for frame, result in zip(frames, codec.decode_sequence(bitstreams, models, store)):
+            assert result.decoded.n == frame.n
+        assert syntheses == {"_finish_frame": 4, "feature_extract": types.count("P")}
 
 
 class TestReconstruct:
@@ -429,9 +482,15 @@ class TestSequence:
         decoded = codec.decode_sequence([bs for bs, _ in encoded], models, store,
                                         latent_carry=latent_carry)
         for (_, enc), dec in zip(encoded, decoded, strict=True):
+            # the encoder's values, forced after coding, are the decoder's
             assert np.array_equal(dec.decoded.points.coords, enc.decoded.points.coords)
             assert np.array_equal(dec.reference_latent.coords, enc.reference_latent.coords)
             assert dec.reference_latent.feats.tobytes() == enc.reference_latent.feats.tobytes()
+            assert dec.decoded_latent.feats.tobytes() == enc.decoded_latent.feats.tobytes()
+            assert len(enc.scale_probs) == len(dec.scale_probs) == 2
+            for (p, cand, scale), (q, cand_q, scale_q) in zip(enc.scale_probs, dec.scale_probs):
+                assert (p.tobytes(), scale) == (q.tobytes(), scale_q)
+                assert np.array_equal(cand, cand_q)
         # every frame's bytes are those of the per-frame calls, threaded by hand
         reference = None
         for frame, ftype, (bs, _) in zip(frames, types, encoded):
@@ -519,8 +578,9 @@ class TestMemory:
         try:
             bs, _ = codec.encode_intra(frame, models, store)
             dec = codec.decode(codec.parse(codec.serialize(bs)), None, models, store)
+            n = dec.decoded.n  # the decoder's synthesis runs on this read
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert dec.decoded.n == frame.n
+        assert n == frame.n
         assert peak <= 4800 * frame.n
