@@ -1,9 +1,14 @@
 """Geometry distortion metrics and rate-distortion curve comparison.
 
-D1/D2 follow the MPEG pc_error convention with a 3*peak^2 numerator; D2
-normals come from PCA over each reference point's 16 nearest neighbours
-(smallest-eigenvalue eigenvector, sign-normalized to the +x hemisphere,
-ties resolved toward +y then +z).
+D1/D2 follow the MPEG pc_error convention with a 3*peak^2 numerator.  D2
+reads one normal per query, at its nearest reference point, so normals are
+estimated only at reference points that are some query's nearest
+neighbour.  Each still comes from PCA over that point's 16 nearest
+neighbours in the whole reference (smallest-eigenvalue eigenvector,
+sign-normalized to the +x hemisphere, ties resolved toward +y then +z), so
+D2 is the value a normal at every reference point would give.  Clouds are
+``PointCloudFrame``s or (N, 3) arrays of finite, integer-valued
+coordinates; anything else is a ``ContractViolation``.
 """
 
 from __future__ import annotations
@@ -18,13 +23,22 @@ DEFAULT_PEAK = 1023
 
 
 def _coords(frame) -> np.ndarray:
+    """The int64 coordinates of a frame or of an (N, 3) array of finite,
+    integer-valued coordinates."""
     if isinstance(frame, PointCloudFrame):
         return frame.points.coords
-    return np.asarray(frame).reshape(-1, 3)
+    c = np.asarray(frame)
+    if c.ndim != 2 or c.shape[1] != 3 or c.dtype.kind not in "iuf":
+        raise ContractViolation(f"coordinates must be an (N, 3) numeric array, "
+                                f"got {c.dtype} of shape {c.shape}")
+    # NaN fails both tests; inf and anything past int64 fail the first
+    if c.dtype.kind == "f" and not ((np.abs(c) < 2.0**63) & (c == np.floor(c))).all():
+        raise ContractViolation("coordinates must be finite integers")
+    return c.astype(np.int64, copy=False)
 
 
 def _nearest(queries: np.ndarray, reference: np.ndarray):
-    idx, d2 = knn(queries.astype(np.float64), reference.astype(np.int64), 1)
+    idx, d2 = knn(queries, reference, 1)
     return idx[:, 0], d2[:, 0]
 
 
@@ -54,18 +68,26 @@ def d1_psnr(a, b, peak: int = DEFAULT_PEAK) -> float:
     return _psnr(mse, peak)
 
 
-def estimate_normals(coords: np.ndarray, k: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point unit normals by neighbourhood PCA, one batched eigh.
+def estimate_normals(coords, k: int = 16, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals at the points ``rows`` of a cloud (default: every row) by
+    PCA over each one's k nearest points in the whole cloud, one batched eigh.
 
-    Returns (normals, valid): in a cloud of fewer than 3 points no row has a
-    plane; all get valid=False and fall back to point-to-point errors.
+    The search and the PCA are per point, so a row's normal has the same
+    bytes whichever other rows are asked for beside it.  Returns (normals,
+    valid), one row per requested point: in a cloud of fewer than 3 points
+    no row has a plane; all get valid=False and fall back to point-to-point
+    errors.
     """
-    coords = np.asarray(coords, dtype=np.float64)
+    ref = _coords(coords)
+    coords = ref.astype(np.float64)
     n = coords.shape[0]
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64).reshape(-1)
+    if rows.size and not 0 <= rows.min() <= rows.max() < n:
+        raise ContractViolation(f"normal rows must lie in [0, {n})")
     kk = min(k, n)
-    idx, _ = knn(coords, coords.astype(np.int64), kk)
+    idx, _ = knn(np.take(coords, rows, axis=0), ref, kk)
     if kk < 3:
-        return np.zeros((n, 3)), np.zeros(n, dtype=bool)
+        return np.zeros((rows.size, 3)), np.zeros(rows.size, dtype=bool)
     nb = np.take(coords, idx, axis=0)
     nb -= nb.mean(axis=1, keepdims=True)
     _, evecs = np.linalg.eigh(np.matmul(nb.transpose(0, 2, 1), nb))
@@ -73,23 +95,29 @@ def estimate_normals(coords: np.ndarray, k: int = 16) -> tuple[np.ndarray, np.nd
     nrm = nrm / np.sqrt(np.vecdot(nrm, nrm))[:, None]
     x, y, z = nrm.T
     flip = (x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0))))
-    return np.where(flip[:, None], -nrm, nrm), np.ones(n, dtype=bool)
+    return np.where(flip[:, None], -nrm, nrm), np.ones(rows.size, dtype=bool)
 
 
-def _plane_errors(queries, reference, normals, valid):
+def _plane_errors(queries, reference):
+    """Each query's squared distance to the plane at its nearest reference
+    point, with normals estimated only at the reference points some query
+    lands on."""
     idx, d2 = _nearest(queries, reference)
+    used, slot = np.unique(idx, return_inverse=True)
+    normals, valid = estimate_normals(reference, rows=used)
     diff = queries.astype(np.float64) - np.take(reference.astype(np.float64), idx, axis=0)
-    proj = np.einsum("ij,ij->i", diff, np.take(normals, idx, axis=0)) ** 2
-    return np.where(np.take(valid, idx, axis=0), proj, d2)
+    proj = np.einsum("ij,ij->i", diff, np.take(normals, slot, axis=0)) ** 2
+    return np.where(np.take(valid, slot, axis=0), proj, d2)
 
 
 def d2_psnr(a, b, peak: int = DEFAULT_PEAK) -> float:
-    """Point-to-plane geometry PSNR with PCA normals on each reference."""
+    """Point-to-plane geometry PSNR.  A query's error reads the PCA normal at
+    its nearest reference point, and only those normals are estimated; each
+    comes from the point's 16 neighbours over the whole reference, so the
+    value is that of normals at every reference point."""
     ca, cb = _operands(a, b, peak, "d2")
-    nb, vb = estimate_normals(cb)
-    na, va = estimate_normals(ca)
-    e_ab = _plane_errors(ca, cb, nb, vb)
-    e_ba = _plane_errors(cb, ca, na, va)
+    e_ab = _plane_errors(ca, cb)
+    e_ba = _plane_errors(cb, ca)
     mse = max(float(e_ab.mean()), float(e_ba.mean()))
     return _psnr(mse, peak)
 

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own fast paths: dense zero-padded
 convolution on a full grid, one sorted search per kernel offset, the sparse
 convolution's earlier fancy-index offset loops (forward and backward), O(N*Q)
-nearest-neighbour scans, per-element probability sums, a dense-grid set
+nearest-neighbour scans, D2 with a normal at every reference point,
+per-element probability sums, a dense-grid set
 union, the range coder's earlier numpy symbol step, and a breadth-first
 octree walk over Python sets.
 """
@@ -151,6 +152,24 @@ def normals_oracle(coords, idx):
         normals[i] = nrm
         valid[i] = True
     return normals, valid
+
+
+def d2_oracle(a, b, peak=1023):
+    """Point-to-plane PSNR with a normal at every reference point: per-point
+    PCA (``normals_oracle``) over brute-force 16-NN of the whole reference,
+    then each query's squared projection on the normal at its brute-force
+    nearest neighbour, point-to-point where that normal is invalid."""
+
+    def errors(q, r):
+        normals, valid = normals_oracle(r, brute_force_knn(r, r, 16)[0])
+        idx, d2 = brute_force_knn(q, r, 1)
+        idx, d2 = idx[:, 0], d2[:, 0]
+        diff = np.asarray(q, dtype=np.float64) - np.asarray(r, dtype=np.float64)[idx]
+        proj = (diff * normals[idx]).sum(axis=1) ** 2
+        return np.where(valid[idx], proj, d2)
+
+    mse = max(float(errors(a, b).mean()), float(errors(b, a).mean()))
+    return float("inf") if mse == 0.0 else float(10.0 * np.log10(3.0 * peak * peak / mse))
 
 
 def brute_force_nn_mse(a, b):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_knn, brute_force_nn_mse, normals_oracle
-from voxcodec import metrics
+from oracles import brute_force_knn, brute_force_nn_mse, d2_oracle, normals_oracle
+from voxcodec import metrics, synthetic
 from voxcodec.errors import ContractViolation
 from voxcodec.sparse import PointCloudFrame
 
@@ -103,6 +105,67 @@ class TestD2:
         assert d2 == d1  # two-point clouds cannot support a plane
 
 
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["blobs", "lattice", "same", "shifted", "tiny", "one-neighbour"]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_d2_matches_whole_cloud_oracle(seed, kind):
+    # D2 estimates normals only where a nearest neighbour lands; the oracle
+    # estimates one at every reference point, and the bytes must agree
+    rng = np.random.default_rng(seed)
+    n, m = (int(v) for v in rng.integers(1, 200, 2))
+    if kind == "blobs":
+        a = synthetic.make_blob(n, 6, seed)
+        b = synthetic.make_blob(m, 6, seed + 1)
+    elif kind == "lattice":
+        span = int(rng.integers(2, 12))
+        a = np.unique(rng.integers(0, span, (n, 3)), axis=0)
+        b = np.unique(rng.integers(0, span, (m, 3)), axis=0)
+    elif kind in ("same", "shifted"):
+        # every reference point is some query's nearest neighbour
+        a = synthetic.make_blob(n, 6, seed)
+        b = a if kind == "same" else a + [1, 0, 0]
+    elif kind == "tiny":
+        # 1-3 points: no neighbourhood supports a plane
+        a = np.unique(rng.integers(0, 6, (int(rng.integers(1, 4)), 3)), axis=0)
+        b = np.unique(rng.integers(0, 6, (int(rng.integers(1, 4)), 3)), axis=0)
+    else:
+        # a far cluster of queries whose nearest neighbour is one corner point
+        b = synthetic.make_blob(m, 6, seed)
+        a = np.vstack([b[:3], np.unique(rng.integers(500, 503, (n, 3)), axis=0)])
+    assert metrics.d2_psnr(a, b).hex() == d2_oracle(a, b).hex()
+
+
+class TestCoords:
+    @pytest.mark.parametrize("metric", [metrics.d1_psnr, metrics.d2_psnr,
+                                        lambda *ab: [metrics.estimate_normals(c) for c in ab]])
+    @pytest.mark.parametrize("coords", [
+        [[0.5, 0, 0], [3, 3, 3]],     # fractional: D1(a, a) would read a finite PSNR
+        np.zeros((3, 2)),             # would reshape into two points
+        np.zeros((5, 2)),             # would not reshape at all
+        np.zeros((2, 3, 1)),
+        [1, 2, 3],
+        [[np.nan, 0, 0]],
+        [[np.inf, 0, 0]],
+        [[1e300, 0, 0]],
+        [[True, False, True]],
+        [["0", "0", "0"]],
+    ], ids=["fractional", "3x2", "5x2", "3d", "flat", "nan", "inf", "huge", "bool", "str"])
+    def test_malformed_rejected(self, metric, coords):
+        good = np.array([[1, 2, 3], [4, 5, 6]])
+        for pair in ((coords, coords), (coords, good), (good, coords)):
+            with pytest.raises(ContractViolation, match="coordinates"):
+                metric(*pair)
+
+    def test_integer_valued_floats_and_frames_agree(self):
+        rng = np.random.default_rng(4)
+        a = np.unique(rng.integers(0, 30, (90, 3)), axis=0)
+        b = np.unique(rng.integers(0, 30, (70, 3)), axis=0)
+        for metric in (metrics.d1_psnr, metrics.d2_psnr):
+            want = metric(cloud(a), cloud(b)).hex()
+            assert metric(a.astype(np.float64), b.astype(np.float32)).hex() == want
+            assert metric(a.astype(np.uint16), b.tolist()).hex() == want
+
+
 class TestNormals:
     def test_sign_convention(self):
         plane = np.array([(x, y, 0) for x in range(8) for y in range(8)])
@@ -133,6 +196,22 @@ class TestNormals:
         expect, expect_valid = normals_oracle(coords, idx)
         assert normals.tobytes() == expect.tobytes()
         assert np.array_equal(valid, expect_valid)
+        # a subset of rows reads the same bytes as those rows of the whole cloud
+        n = len(coords)
+        subsets = [rng.choice(n, int(rng.integers(1, n + 1)), replace=False),
+                   np.array([int(rng.integers(n))]), np.array([], dtype=np.int64)]
+        for rows in subsets:
+            got, got_valid = metrics.estimate_normals(coords, rows=rows)
+            assert got.shape == (rows.size, 3) and got_valid.shape == (rows.size,)
+            assert got.tobytes() == normals[rows].tobytes() == expect[rows].tobytes()
+            assert np.array_equal(got_valid, valid[rows])
+            assert np.array_equal(got_valid, expect_valid[rows])
+
+    @pytest.mark.parametrize("rows", [[-1], [4], [0, 9]])
+    def test_rows_outside_the_cloud_rejected(self, rows):
+        with pytest.raises(ContractViolation, match="rows"):
+            metrics.estimate_normals(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                                     rows=rows)
 
 
 class TestBpp:
