@@ -22,7 +22,7 @@ from . import codec, gradcheck, metrics, octree, synthetic
 from . import entropy as ent
 from .errors import MissingReference, VoxCodecError
 from .nn import ConvSpec, sparse_conv
-from .motion import adaptive_interpolate
+from .motion import DEFAULT_ALPHA, adaptive_interpolate, check_alpha
 from .ply import load_ply, write_frame
 from .sparse import SparseTensor
 from .weights import WeightStore, check_seed, entropy_models, make_weights, validate_store
@@ -34,8 +34,6 @@ EXIT_NO_REFERENCE = 4
 EXIT_COUNT_MISMATCH = 5
 EXIT_FEW_POINTS = 6
 
-DEFAULT_ALPHA = 3.0
-
 # config key -> (argument it sets, parser)
 _CONFIG_KEYS = {"alpha": ("alpha", float), "lambda": ("lam", int), "gop": ("gop", int)}
 
@@ -46,11 +44,6 @@ def _read_text(path):
         return Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise VoxCodecError(f"{path} is not text: {exc.reason} at byte {exc.start}") from None
-
-
-def _check_alpha(alpha):
-    if not alpha > 0:  # NaN included
-        raise VoxCodecError(f"alpha must be positive, got {alpha}")
 
 
 def _load_config(path):
@@ -120,7 +113,7 @@ def _load_frames(paths, precision):
 def cmd_encode(args) -> int:
     store, models = _resolve_weights(args)
     _apply_config(args)
-    _check_alpha(args.alpha)
+    check_alpha(args.alpha)
     outdir = Path(args.output)
     manifest = {
         "alpha": args.alpha,
@@ -175,21 +168,24 @@ def _read_manifest(path, entry_key):
     return manifest
 
 
+def _manifest_number(value, name) -> float:
+    """A manifest value that must be a JSON number, as a float."""
+    # JSON true is a Python int, float() takes strings, and a huge int overflows it
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise VoxCodecError(f"bad manifest: {name} is not a number")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise VoxCodecError(f"bad manifest: {name} is out of range")
+    return float(value)
+
+
 def cmd_decode(args) -> int:
     store, models = _resolve_weights(args)
     manifest = _read_manifest(args.manifest, "file")
-    alpha = manifest.get("alpha", DEFAULT_ALPHA)
+    alpha = _manifest_number(manifest.get("alpha", DEFAULT_ALPHA), '"alpha"')
     carry = manifest.get("latent_carry", False)
-    # JSON true is a Python int, and float() and bool() take strings
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-        raise VoxCodecError("bad manifest: \"alpha\" is not a number")
-    if not isinstance(carry, bool):
+    if not isinstance(carry, bool):  # bool() takes strings
         raise VoxCodecError("bad manifest: \"latent_carry\" is not true or false")
-    try:
-        alpha = float(alpha)
-    except OverflowError:
-        raise VoxCodecError("bad manifest: \"alpha\" is out of range") from None
-    _check_alpha(alpha)
+    check_alpha(alpha)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     names = [str(entry["file"]) for entry in manifest["frames"]]
@@ -236,10 +232,9 @@ def cmd_eval(args) -> int:
     rows = []
     decoded = _load_frames(decoded_paths, args.precision)
     for i, (orig, dec, entry) in enumerate(zip(originals, decoded, frames)):
-        try:
-            bpp = float(entry["bpp"])
-        except (TypeError, ValueError):
-            raise VoxCodecError(f"bad manifest: frame {i} bpp is not a number") from None
+        bpp = _manifest_number(entry["bpp"], f"frame {i} bpp")
+        if not 0 <= bpp < float("inf"):  # NaN included
+            raise VoxCodecError(f"bad manifest: frame {i} bpp {bpp} is not finite and >= 0")
         d1 = metrics.d1_psnr(orig, dec, peak=args.peak)
         d2 = metrics.d2_psnr(orig, dec, peak=args.peak)
         rows.append(f"{args.sequence},{i},{args.lam},{_fmt(bpp)},{_fmt(d1)},{_fmt(d2)}")

@@ -224,7 +224,7 @@ def compress_residual(r: SparseTensor, model: ent.EntropyModel, w):
 
 def _children(coords: np.ndarray) -> np.ndarray:
     """All eight children of each voxel, lexicographically sorted."""
-    return unpack_keys(np.sort(pack_keys((2 * coords.astype(np.int64))[:, None, :] + CORNERS)))
+    return unpack_keys(np.sort(pack_keys((2 * coords[:, None, :] + CORNERS).reshape(-1, 3))))
 
 
 def reconstruct(y_prime: SparseTensor, n1: int, n0: int, w, precision_bits: int):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .sparse import SparseTensor, key_steps, lookup, pack_keys
+from .sparse import SparseTensor, as_coords, as_positions, key_steps, lookup, pack_keys
 
 PROBE_BLOCK = 512  # queries whose 27 neighbour cells are looked up at once
 PAIR_BLOCK = 8192  # candidate (query, reference) pairs ranked at once
@@ -32,14 +32,14 @@ FIRST_LEVEL = 1  # the finest cells probed are 2 lattice units wide
 # a query clamped to the occupied cells +-1 pack for any 21-bit reference.
 _CELL0 = 2 - (1 << 20)
 # packed key steps from the low corner of a 3x3x3 neighbourhood to its cells
-_STEPS = key_steps(np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), -1))
+_STEPS = key_steps(np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), -1).reshape(-1, 3))
 
 
 class GridIndex:
     """Reference points bucketed by cell, one sorted key array per cell size."""
 
     def __init__(self, coords: np.ndarray):
-        coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+        coords = as_coords(coords)
         if coords.shape[0] == 0:
             raise ContractViolation("reference point set is empty")
         if coords.shape[0] > MAX_POINTS:
@@ -156,11 +156,8 @@ def knn(queries, reference, k: int):
     """
     if k < 1:
         raise ContractViolation("k must be >= 1")
-    coords = reference.coords if isinstance(reference, SparseTensor) else reference
-    index = GridIndex(coords)
-    q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-    if not np.isfinite(q).all():
-        raise ContractViolation("query positions must be finite")
+    index = GridIndex(reference.coords if isinstance(reference, SparseTensor) else reference)
+    q = as_positions(queries)
     m = min(k, index.n)
     idx = np.empty((q.shape[0], m), dtype=np.int64)
     d2 = np.empty((q.shape[0], m), dtype=np.float64)

@@ -17,24 +17,9 @@ import numpy as np
 
 from .errors import ContractViolation
 from .knn import knn
-from .sparse import PointCloudFrame
+from .sparse import PointCloudFrame, as_coords
 
 DEFAULT_PEAK = 1023
-
-
-def _coords(frame) -> np.ndarray:
-    """The int64 coordinates of a frame or of an (N, 3) array of finite,
-    integer-valued coordinates."""
-    if isinstance(frame, PointCloudFrame):
-        return frame.points.coords
-    c = np.asarray(frame)
-    if c.ndim != 2 or c.shape[1] != 3 or c.dtype.kind not in "iuf":
-        raise ContractViolation(f"coordinates must be an (N, 3) numeric array, "
-                                f"got {c.dtype} of shape {c.shape}")
-    # NaN fails both tests; inf and anything past int64 fail the first
-    if c.dtype.kind == "f" and not ((np.abs(c) < 2.0**63) & (c == np.floor(c))).all():
-        raise ContractViolation("coordinates must be finite integers")
-    return c.astype(np.int64, copy=False)
 
 
 def _nearest(queries: np.ndarray, reference: np.ndarray):
@@ -46,7 +31,7 @@ def _operands(a, b, peak, metric):
     """Coordinates of two clouds a metric may compare at this peak."""
     if not 0 < peak < float("inf"):
         raise ContractViolation(f"{metric} peak must be positive and finite, got {peak}")
-    ca, cb = _coords(a), _coords(b)
+    ca, cb = (as_coords(c.points.coords if isinstance(c, PointCloudFrame) else c) for c in (a, b))
     if ca.shape[0] == 0 or cb.shape[0] == 0:
         raise ContractViolation(f"{metric} requires two non-empty clouds")
     return ca, cb
@@ -78,7 +63,7 @@ def estimate_normals(coords, k: int = 16, rows=None) -> tuple[np.ndarray, np.nda
     no row has a plane; all get valid=False and fall back to point-to-point
     errors.
     """
-    ref = _coords(coords)
+    ref = as_coords(coords.points.coords if isinstance(coords, PointCloudFrame) else coords)
     coords = ref.astype(np.float64)
     n = coords.shape[0]
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64).reshape(-1)

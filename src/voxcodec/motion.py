@@ -19,6 +19,12 @@ from .nn import _conv, prefixed, relu, rn_block
 from .sparse import CoordSet, SparseTensor, concatenate, unpack_keys
 
 DIST_EPS = 1e-8  # squared-distance clamp realizing the coincident-point limit
+DEFAULT_ALPHA = 3.0  # isolation penalty matching a minimum point spacing of 1
+
+
+def check_alpha(alpha) -> None:
+    if not 0 < alpha < float("inf"):  # NaN included
+        raise ContractViolation(f"alpha must be positive and finite, got {alpha}")
 
 
 def flow_embedding(y_t: SparseTensor, y_prev: SparseTensor, w) -> SparseTensor:
@@ -90,12 +96,9 @@ def adaptive_interpolate(
     points that are isolated in the reference; with all neighbours far away
     the prediction tends to the zero vector.
     """
-    if reference.n == 0:
-        raise ContractViolation("reference latent is empty")
     if motion.channels != 3:
         raise ContractViolation("motion field must have 3 channels")
-    if not alpha > 0:  # NaN included
-        raise ContractViolation("alpha must be positive")
+    check_alpha(alpha)
     translated = motion.coords.astype(np.float64) + motion.feats.astype(np.float64)
     idx, _ = knn(translated, reference, 3)
     out = interpolate_over(translated, reference.coords, reference.feats, idx, alpha)[0]

@@ -27,7 +27,8 @@ from itertools import product
 import numpy as np
 
 from .errors import ContractViolation
-from .sparse import CORNERS, CoordSet, SparseTensor, increasing, key_steps, lookup, pack_keys
+from .sparse import (CORNERS, CoordSet, SparseTensor, as_coords, increasing, key_steps, lookup,
+                     pack_keys)
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,7 @@ def build_kernel_map(in_coords, out_coords, spec: ConvSpec) -> KernelMap:
     This is the uncached primitive; :func:`sparse_conv` memoizes the
     running-sum plan made from its result on the input's coordinate set.
     """
-    in_coords = np.asarray(in_coords, dtype=np.int64).reshape(-1, 3)
-    out_coords = np.asarray(out_coords, dtype=np.int64).reshape(-1, 3)
+    in_coords, out_coords = as_coords(in_coords), as_coords(out_coords)
     offsets = spec.offsets()
     if spec.stride == 1:
         same = np.array_equal(in_coords, out_coords)

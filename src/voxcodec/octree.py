@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractViolation, DecodeError
 from .rangecoder import AdaptiveByteDecoder, encode_bytes_adaptive
-from .sparse import CORNERS, lex_order
+from .sparse import CORNERS, as_coords, lex_order
 
 FLAG_RANGE_CODED = 0x01
 MAX_DEPTH = 21
@@ -37,7 +37,7 @@ class OctreeStream:
 def _levels(coords: np.ndarray, depth: int) -> tuple[int, bytes]:
     """(distinct point count, breadth-first occupancy bytes) of a coordinate
     set; all coords must lie in [0, 2^depth)^3."""
-    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+    coords = as_coords(coords)
     if coords.shape[0] == 0:
         raise ContractViolation("cannot octree-encode an empty set")
     if not 1 <= depth <= MAX_DEPTH:

@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from .errors import PlyParseError, VoxCodecError
-from .sparse import PointCloudFrame
+from .sparse import PointCloudFrame, as_coords, as_positions
 
 _PLY_TYPES = {
     "char": "i1", "int8": "i1",
@@ -133,11 +133,9 @@ def quantize_positions(xyz: np.ndarray, precision_bits: int) -> np.ndarray:
     coordinate is divided by 2**(B - P) first; otherwise coordinates are
     floored in place.  Non-finite and negative coordinates are rejected.
     """
-    xyz = np.asarray(xyz, dtype=np.float64)
+    xyz = as_positions(xyz)
     if xyz.size == 0:
         raise VoxCodecError("empty vertex list")
-    if not np.isfinite(xyz).all():
-        raise VoxCodecError("non-finite coordinates are unsupported")
     if xyz.min() < 0:
         raise VoxCodecError("negative coordinates are unsupported")
     top = xyz.max()
@@ -158,7 +156,7 @@ def load_ply(path, precision_bits: int) -> PointCloudFrame:
 
 def write_ply(path, coords: np.ndarray) -> None:
     """Write integer coordinates as binary_little_endian PLY with int32 x/y/z."""
-    coords = np.ascontiguousarray(coords, dtype=np.int32).reshape(-1, 3)
+    coords = as_coords(coords)
     header = (
         "ply\n"
         "format binary_little_endian 1.0\n"

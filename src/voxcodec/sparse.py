@@ -31,13 +31,38 @@ def lex_order(coords: np.ndarray) -> np.ndarray:
     return np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
 
 
-def pack_keys(coords: np.ndarray) -> np.ndarray:
+def _rows(a) -> np.ndarray:
+    c = np.asarray(a)
+    if c.ndim != 2 or c.shape[1] != 3 or c.dtype.kind not in "iuf":
+        raise ContractViolation(f"coordinates must be an (N, 3) numeric array, "
+                                f"got {c.dtype} of shape {c.shape}")
+    return c
+
+
+def as_positions(a) -> np.ndarray:
+    """float64 (N, 3) rows of finite real positions."""
+    p = _rows(a).astype(np.float64, copy=False)
+    if not np.isfinite(p).all():
+        raise ContractViolation("positions must be finite")
+    return p
+
+
+def as_coords(a) -> np.ndarray:
+    """int64 (N, 3) rows of finite integer values; only a dtype int64 cannot hold is scanned."""
+    c = _rows(a)
+    # NaN fails both tests; inf and anything past int64 fail the first
+    if not np.can_cast(c.dtype, np.int64) and not ((abs(c) < 2.0**63) & (c == np.floor(c))).all():
+        raise ContractViolation("coordinates must be finite integers")
+    return c.astype(np.int64, copy=False)
+
+
+def pack_keys(coords) -> np.ndarray:
     """Pack (N, 3) integer coordinates into sortable uint64 keys.
 
     The packing is monotone with respect to lexicographic order, so a
     lex-sorted coordinate list yields strictly increasing keys.
     """
-    c = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+    c = as_coords(coords)
     if c.size and (c.min() < _LO or c.max() >= _HI):
         raise ContractViolation(f"coordinate component outside the {COORD_BITS}-bit range "
                                 f"[-2^{COORD_BITS - 1}, 2^{COORD_BITS - 1})")
@@ -49,7 +74,7 @@ def key_steps(offsets: np.ndarray) -> np.ndarray:
     """The uint64 step each integer offset (dx, dy, dz) adds to a packed key:
     where c and c + o are in range, pack_keys(c + o) = pack_keys(c) + step
     modulo 2^64."""
-    o = np.asarray(offsets, dtype=np.int64).reshape(-1, 3)
+    o = as_coords(offsets)
     return ((o[:, 0] << 42) + (o[:, 1] << 21) + o[:, 2]).astype(np.uint64)
 
 
@@ -92,7 +117,7 @@ class CoordSet:
         self.keys = pack_keys(coords)
         if not increasing(self.keys):
             raise ContractViolation("coordinates must be strictly increasing lexicographically")
-        self.coords = np.ascontiguousarray(coords, dtype=np.int32).reshape(-1, 3)
+        self.coords = np.ascontiguousarray(coords, dtype=np.int32)
         self.coords.flags.writeable = self.keys.flags.writeable = False
         self.n, self.plans, self._down = self.coords.shape[0], {}, None
 
@@ -135,12 +160,9 @@ class SparseTensor:
     @classmethod
     def build(cls, coords, feats, scale=0):
         """Construct from unsorted rows.  Duplicate coordinates are an error."""
-        coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-        feats = np.asarray(feats)
-        if feats.ndim == 1:
-            feats = feats.reshape(-1, 1)
+        coords = as_coords(coords)
         order = lex_order(coords)
-        return cls(coords[order], feats[order], scale)
+        return cls(coords[order], np.asarray(feats)[order], scale)
 
     @classmethod
     def empty(cls, channels: int, scale: int = 0, dtype=np.float32):
@@ -194,7 +216,7 @@ def add_on_union(a: SparseTensor, b: SparseTensor) -> SparseTensor:
 
 def stride_down_coords(coords: np.ndarray) -> np.ndarray:
     """Unique floor-division of coordinates by two, lexicographically sorted."""
-    return unpack_keys(np.unique(pack_keys(np.asarray(coords, dtype=np.int64) >> 1)))
+    return unpack_keys(np.unique(pack_keys(as_coords(coords) >> 1)))
 
 
 class PointCloudFrame:

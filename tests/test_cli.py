@@ -184,7 +184,7 @@ class TestDecode:
                        "--output", str(tmp_path / "out")])
         assert rc == cli.EXIT_BAD_INPUT
 
-    @pytest.mark.parametrize("alpha", [float("nan"), -1.0, 0.0])
+    @pytest.mark.parametrize("alpha", [float("nan"), -1.0, 0.0, float("inf")])
     def test_alpha_not_positive_exit_3_before_any_frame(self, tmp_path, weights_file,
                                                           encoded, alpha, capsys):
         manifest = json.loads((encoded / "manifest.json").read_text())
@@ -383,6 +383,23 @@ class TestEval:
                        "--bitstream-dir", str(bits), "--csv", str(tmp_path / "x.csv"),
                        str(src / "f0.ply"), str(src / "f1.ply")])
         assert rc == cli.EXIT_BAD_INPUT
+
+    # a manifest bpp must be a JSON number, finite and non-negative: true and
+    # "NaN" were once written to the CSV as 1.0 and nan
+    @pytest.mark.parametrize("bpp", [True, "NaN", "1.0", float("nan"), float("inf"), -1.0])
+    def test_bad_bpp_exit_3_before_any_row(self, tmp_path, bpp, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        write_ply(src / "f0.ply", np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9], [2, 4, 6]]))
+        bits = tmp_path / "bits"
+        bits.mkdir()
+        (bits / "manifest.json").write_text(json.dumps({"frames": [{"bpp": bpp}]}))
+        csv = tmp_path / "x.csv"
+        rc = cli.main(["eval", "--precision", "7", "--decoded", str(src),
+                       "--bitstream-dir", str(bits), "--csv", str(csv), str(src / "f0.ply")])
+        assert rc == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: bad manifest: frame 0 bpp")
+        assert not csv.exists()
 
     @pytest.mark.parametrize("option", [["--alpha", "3"], ["--gop", "1"], ["--latent-carry"],
                                         ["--workers", "1"], ["--transmit-c3"]])
@@ -761,8 +778,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("alpha", [["--alpha", "nan"], ["--alpha", "-1"],
                                        ["--config", "alpha = nan\n"],
-                                       ["--config", "alpha = 0\n"]],
-                             ids=["option-nan", "option-negative", "config-nan", "config-zero"])
+                                       ["--config", "alpha = 0\n"],
+                                       ["--alpha", "inf"], ["--config", "alpha = inf\n"]],
+                             ids=["option-nan", "option-negative", "config-nan", "config-zero",
+                                  "option-inf", "config-inf"])
     def test_alpha_not_positive_exit_3_before_any_frame(self, tmp_path, weights_file,
                                                           alpha, capsys):
         if alpha[0] == "--config":

@@ -135,6 +135,17 @@ def test_no_queries():
     assert idx.shape == d2.shape == (0, 2)
 
 
+@pytest.mark.parametrize("queries", [
+    np.zeros((3, 2)), np.zeros((5, 2)), np.zeros((2, 3, 1)), [1, 2, 3],
+    [[True, False, True]], [["0", "0", "0"]],
+], ids=["3x2", "5x2", "3d", "flat", "bool", "str"])
+def test_malformed_queries_rejected(queries):
+    # queries are real positions, so fractional ones are fine; a (3, 2)
+    # array must not be reshaped into two queries
+    with pytest.raises(ContractViolation, match=r"\(N, 3\) numeric array"):
+        knn(queries, ref([[0, 0, 0], [1, 1, 1]]), 1)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_query_rejected(bad):
     grid = [(x, y, z) for x in range(0, 12, 2) for y in range(0, 12, 2) for z in range(0, 12, 2)]

@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 from oracles import brute_force_knn, brute_force_nn_mse, d2_oracle, normals_oracle
 from voxcodec import metrics, synthetic
 from voxcodec.errors import ContractViolation
-from voxcodec.sparse import PointCloudFrame
+from voxcodec.knn import knn
+from voxcodec.nn import ConvSpec, build_kernel_map
+from voxcodec.octree import octree_encode
+from voxcodec.ply import write_ply
+from voxcodec.sparse import CoordSet, PointCloudFrame, SparseTensor, pack_keys, stride_down_coords
 
 
 def cloud(coords, precision=10):
@@ -135,9 +139,32 @@ def test_d2_matches_whole_cloud_oracle(seed, kind):
     assert metrics.d2_psnr(a, b).hex() == d2_oracle(a, b).hex()
 
 
+def _each(entry):
+    """Run an entry point that takes one coordinate array on each of a pair."""
+    return lambda *ab: [entry(c) for c in ab]
+
+
+def _write_ply(coords):
+    write_ply("cloud.ply", coords)  # in a test's own working directory
+
+
 class TestCoords:
-    @pytest.mark.parametrize("metric", [metrics.d1_psnr, metrics.d2_psnr,
-                                        lambda *ab: [metrics.estimate_normals(c) for c in ab]])
+    # every entry point that takes lattice coordinates shares one check
+    # (sparse.as_coords); a (3, 2) array or a fractional row must raise, not
+    # be reshaped or truncated into other points
+    @pytest.mark.parametrize("metric", [
+        metrics.d1_psnr, metrics.d2_psnr,
+        lambda *ab: [metrics.estimate_normals(c) for c in ab],
+        pytest.param(_each(lambda c: knn([[0, 0, 0]], c, 1)), id="knn-reference"),
+        pytest.param(_each(pack_keys), id="pack_keys"),
+        pytest.param(_each(CoordSet), id="CoordSet"),
+        pytest.param(_each(lambda c: SparseTensor.build(c, np.ones(2))), id="build"),
+        pytest.param(_each(lambda c: PointCloudFrame.from_coords(c, 10)), id="from_coords"),
+        pytest.param(_each(stride_down_coords), id="stride_down_coords"),
+        pytest.param(lambda a, b: build_kernel_map(a, b, ConvSpec(1, 1, 3)), id="kernel_map"),
+        pytest.param(_each(lambda c: octree_encode(c, 3)), id="octree_encode"),
+        pytest.param(_each(_write_ply), id="write_ply"),
+    ])
     @pytest.mark.parametrize("coords", [
         [[0.5, 0, 0], [3, 3, 3]],     # fractional: D1(a, a) would read a finite PSNR
         np.zeros((3, 2)),             # would reshape into two points
@@ -150,7 +177,8 @@ class TestCoords:
         [[True, False, True]],
         [["0", "0", "0"]],
     ], ids=["fractional", "3x2", "5x2", "3d", "flat", "nan", "inf", "huge", "bool", "str"])
-    def test_malformed_rejected(self, metric, coords):
+    def test_malformed_rejected(self, metric, coords, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
         good = np.array([[1, 2, 3], [4, 5, 6]])
         for pair in ((coords, coords), (coords, good), (good, coords)):
             with pytest.raises(ContractViolation, match="coordinates"):

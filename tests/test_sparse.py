@@ -9,6 +9,7 @@ from voxcodec.sparse import (
     PointCloudFrame,
     SparseTensor,
     add_on_union,
+    as_coords,
     concatenate,
     key_steps,
     lookup,
@@ -20,6 +21,22 @@ from voxcodec.sparse import (
 
 def make(coords, feats, scale=0):
     return SparseTensor.build(coords, feats, scale)
+
+
+class TestAsCoords:
+    def test_int64_rows_are_not_copied(self):
+        # pack_keys runs on every coordinate set: integer input pays no scan
+        c = np.array([[1, 2, 3], [-4, 5, 6]], dtype=np.int64)
+        assert as_coords(c) is c
+        assert as_coords(c.astype(np.int32)).dtype == np.int64
+
+    def test_integer_valued_floats_accepted(self):
+        assert as_coords([[1.0, -2.0, 3.0]]).tolist() == [[1, -2, 3]]
+
+    def test_uint64_past_int64_rejected(self):
+        # would wrap to -1, inside the key range
+        with pytest.raises(ContractViolation, match="finite integers"):
+            pack_keys(np.array([[2**64 - 1, 0, 0]], dtype=np.uint64))
 
 
 class TestSparseTensor:
