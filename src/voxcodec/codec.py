@@ -30,6 +30,7 @@ reference, a P frame with one).
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,7 +42,7 @@ from . import motion as mo
 from . import octree as oc
 from .errors import ContractViolation, DecodeError, MissingReference
 from .nn import _conv, adaptive_prune, classify_occupancy, irn_block, prefixed
-from .sparse import CORNERS, CoordSet, PointCloudFrame, SparseTensor, lookup, pack_keys, unpack_keys
+from .sparse import CoordSet, PointCloudFrame, SparseTensor, children_coords, lookup, pack_keys
 
 MAGIC = b"DDPC"
 VERSION = 1
@@ -222,11 +223,6 @@ def compress_residual(r: SparseTensor, model: ent.EntropyModel, w):
     return ent.range_encode(symbols, model), symbols
 
 
-def _children(coords: np.ndarray) -> np.ndarray:
-    """All eight children of each voxel, lexicographically sorted."""
-    return unpack_keys(np.sort(pack_keys((2 * coords[:, None, :] + CORNERS).reshape(-1, 3))))
-
-
 def reconstruct(y_prime: SparseTensor, n1: int, n0: int, w, precision_bits: int):
     """Two upsample blocks with occupancy classification and adaptive pruning.
 
@@ -236,7 +232,7 @@ def reconstruct(y_prime: SparseTensor, n1: int, n0: int, w, precision_bits: int)
     probs_out = []
     x = y_prime
     for prefix, kept, scale in (("rec.up1", n1, 1), ("rec.up2", n0, 0)):
-        x = _block(x, w, prefix, up_to=_children(x.coords))
+        x = _block(x, w, prefix, up_to=children_coords(x.coords))
         probs = classify_occupancy(x, prefixed(w, f"{prefix}.cls"))
         probs_out.append((probs, x.coords, scale))
         x = adaptive_prune(x, probs, kept)
@@ -259,6 +255,8 @@ def _finish_frame(bs, c2, residual_symbols, predicted, w):
 def _encode(frame: PointCloudFrame, reference, models, w, alpha, lam, latent_carry):
     """One frame's analysis, as ``decode`` is its synthesis: an I frame when
     ``reference`` is None, else a P frame predicted from it."""
+    if not isinstance(lam, numbers.Integral) or lam not in LAMBDA_TAGS:
+        raise ContractViolation(f"lambda tag {lam!r} is not one of {LAMBDA_TAGS}")
     depth = frame.precision_bits - 2
     if not 1 <= depth <= oc.MAX_DEPTH:
         raise ContractViolation(f"precision {frame.precision_bits} outside [3, {oc.MAX_DEPTH + 2}]"
@@ -358,9 +356,9 @@ def decode_sequence(bitstreams, models, w, alpha=3.0, latent_carry=False):
 
 def bce_occupancy(probs: np.ndarray, candidates: np.ndarray, truth: np.ndarray) -> float:
     """Natural-log BCE of candidate occupancy probabilities against the set of
-    truly occupied voxels."""
+    truly occupied voxels; ``truth`` rows may come in any order, repeated."""
     p = np.clip(np.asarray(probs, dtype=np.float64), 1e-12, 1 - 1e-12)
-    _, occ = lookup(pack_keys(truth), pack_keys(candidates))
+    _, occ = lookup(np.unique(pack_keys(truth)), pack_keys(candidates))
     o = occ.astype(np.float64)
     return float(-np.mean(o * np.log(p) + (1 - o) * np.log(1 - p)))
 

@@ -281,6 +281,7 @@ def run_all(n_instances: int = 100, base_seed: int = 0):
         ("interpolate[capped]", lambda s: grad_interpolate(s, "capped")),
         ("bce", grad_bce),
         ("rate_proxy", grad_rate),
+        ("chain", grad_chain),
     ]
     for name, fn in checks:
         worst = 0.0

@@ -16,7 +16,7 @@ from . import entropy as ent
 from .errors import ContractViolation
 from .knn import knn
 from .nn import _conv, prefixed, relu, rn_block
-from .sparse import CoordSet, SparseTensor, concatenate, unpack_keys
+from .sparse import CoordSet, SparseTensor, concatenate, union
 
 DIST_EPS = 1e-8  # squared-distance clamp realizing the coincident-point limit
 DEFAULT_ALPHA = 3.0  # isolation penalty matching a minimum point spacing of 1
@@ -28,9 +28,7 @@ def check_alpha(alpha) -> None:
 
 
 def flow_embedding(y_t: SparseTensor, y_prev: SparseTensor, w) -> SparseTensor:
-    """Original flow embedding on the union of both coordinate sets."""
-    if y_t.scale != y_prev.scale:
-        raise ContractViolation("latents must share a scale")
+    """Original flow embedding on the union of both sets, of one scale and width."""
     if y_t.channels != y_prev.channels:
         raise ContractViolation("latents must share a channel count")
     e = relu(_conv(concatenate(y_t, y_prev), w, "flow.conv1"))
@@ -155,13 +153,13 @@ def interpolate_gradients(motion, reference, alpha, grad_out):
 
 def motion_coord_sets(c2_current: CoordSet, prev: CoordSet) -> CoordSet:
     """The scale-2 union both codec sides derive; C3 and C4 are its down() sets."""
-    return CoordSet(unpack_keys(np.union1d(c2_current.keys, prev.keys)))
+    return union(c2_current, prev)
 
 
-def compensate(symbols, c2, reference: SparseTensor, w, alpha: float, union: CoordSet):
+def compensate(symbols, c2, reference: SparseTensor, w, alpha: float, joint: CoordSet):
     """Both codec sides' prediction on ``c2`` from the motion symbols, which
-    sit on C4 of ``union``, the set of motion_coord_sets(c2, reference.cset)."""
-    c3 = union.down()
+    sit on C4 of ``joint``, the set of motion_coord_sets(c2, reference.cset)."""
+    c3 = joint.down()
     e_hat = decode_motion_latent(symbols, c3.down(), c3, reference.scale + 1, w)
     return adaptive_interpolate(recover_motion(e_hat, c2, w), reference, alpha)
 

@@ -27,8 +27,8 @@ from itertools import product
 import numpy as np
 
 from .errors import ContractViolation
-from .sparse import (CORNERS, CoordSet, SparseTensor, as_coords, increasing, key_steps, lookup,
-                     pack_keys)
+from .sparse import (CORNERS, CoordSet, SparseTensor, as_coords, key_steps, lookup, pack_keys,
+                     sorted_keys)
 
 
 @dataclass(frozen=True)
@@ -89,56 +89,51 @@ def build_kernel_map(in_coords, out_coords, spec: ConvSpec) -> KernelMap:
 
     All three are one shifted-key search (:func:`_shifted_pairs`): a forward
     map shifts the output rows and searches the input keys, a transposed map
-    shifts the input rows and searches the output keys.  Coordinate rows are
-    distinct and lexicographically sorted, as in a SparseTensor (checked on
-    stride-2 outputs); a forward stride-2 output must be exactly the
-    floor-division set of the input.  Within one offset the pairs are in
-    increasing output-row order, which is also increasing input-row order.
-    This is the uncached primitive; :func:`sparse_conv` memoizes the
-    running-sum plan made from its result on the input's coordinate set.
+    shifts the input rows and searches the output keys.  For every geometry
+    both row arrays must be distinct and lex-sorted, as in a CoordSet, and a
+    forward stride-2 output must be exactly the floor-division set of the
+    input.  Within one offset the pairs are in increasing output-row order,
+    which is also increasing input-row order.  This is the uncached
+    primitive; :func:`sparse_conv` memoizes the running-sum plan made from
+    its result on the input's coordinate set.
     """
     in_coords, out_coords = as_coords(in_coords), as_coords(out_coords)
-    offsets = spec.offsets()
-    if spec.stride == 1:
-        same = np.array_equal(in_coords, out_coords)
-        return KernelMap(_shifted_pairs(pack_keys(in_coords), out_coords, offsets, same))
-    out_keys = pack_keys(out_coords)
-    if not increasing(out_keys):
-        raise ContractViolation("stride-2 output coordinates must be strictly increasing")
+    searched, shifted = (out_coords, in_coords) if spec.transposed else (in_coords, out_coords)
+    base = shifted if spec.stride == 1 else 2 * shifted
+    # doubling keeps the lex order, so sorted_keys checks both row arrays
+    # while it packs the searched rows and the shifted base
+    pairs = _shifted_pairs(sorted_keys(searched), base, sorted_keys(base), spec.offsets())
     if spec.transposed:
-        return KernelMap([(i, j) for j, i in _shifted_pairs(out_keys, 2 * in_coords, offsets)])
-    pairs = _shifted_pairs(pack_keys(in_coords), 2 * out_coords, offsets)
-    # an input row has one parent and one corner, so it pairs at most once:
-    # out is the floor-div set exactly when every input and output row pairs
-    paired = np.concatenate([j for _, j in pairs])
-    if paired.size != in_coords.shape[0] or not np.bincount(paired, minlength=out_keys.size).all():
-        raise ContractViolation("stride-2 output coordinates must be the floor-div set")
+        return KernelMap([(i, j) for j, i in pairs])
+    if spec.stride == 2:
+        # an input row has one parent and one corner, so it pairs at most once:
+        # out is the floor-div set exactly when every input and output row pairs
+        paired = np.concatenate([j for _, j in pairs])
+        if paired.size != len(in_coords) or not np.bincount(paired, minlength=len(base)).all():
+            raise ContractViolation("stride-2 output coordinates must be the floor-div set")
     return KernelMap(pairs)
 
 
-def _shifted_pairs(keys, base, offsets, same=False):
+def _shifted_pairs(keys, base, packed, offsets):
     """Per offset o, the pairs (pos, q) with ``keys[pos] == pack(base[q] + o)``,
-    increasing in q.  ``keys`` are strictly increasing.
-
-    The base rows are packed once and shifted per offset, and the keys are
-    searched once per kernel column.  ``same`` says the base rows are the
-    rows of ``keys``.
+    increasing in q.  ``keys`` are strictly increasing and ``packed`` are the
+    base rows' keys, shifted per offset; the keys are searched once per
+    kernel column.
     """
     # every kernel is a cube: offsets[0] and offsets[-1] shift each axis by its
     # lowest and highest step, so every base + offset stays in the 21-bit
     # range exactly when the extremes of base shifted by them do
     if base.size:
         pack_keys(np.array([[base.min()], [base.max()]]) + offsets[[0, -1]])
-    packed = keys if same else pack_keys(base)
     steps = key_steps(offsets)
     rows = np.arange(base.shape[0])
     n = len(offsets)
-    mirror = same and np.array_equal(offsets[::-1], -offsets)
+    # on one coordinate set, offset -o pairs the same rows as o with the roles
+    # swapped, and both stay increasing: search half the kernel
+    mirror = np.array_equal(offsets[::-1], -offsets) and np.array_equal(keys, packed)
     pairs = []
     for t, step in enumerate(steps):
         if mirror and t > n // 2:
-            # on one coordinate set, offset -o pairs the same rows as o with
-            # the roles swapped, and both stay increasing: search half the kernel
             pos, q = pairs[n - 1 - t]
             pairs.append((q, pos))
             continue

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .errors import PlyParseError, VoxCodecError
+from .errors import ContractViolation, PlyParseError, VoxCodecError
 from .sparse import PointCloudFrame, as_coords, as_positions
 
 _PLY_TYPES = {
@@ -155,8 +155,11 @@ def load_ply(path, precision_bits: int) -> PointCloudFrame:
 
 
 def write_ply(path, coords: np.ndarray) -> None:
-    """Write integer coordinates as binary_little_endian PLY with int32 x/y/z."""
+    """Write integer coordinates as binary_little_endian PLY with int32 x/y/z;
+    a coordinate int32 cannot hold raises ContractViolation, and no file is made."""
     coords = as_coords(coords)
+    if coords.size and (coords.min() < -2**31 or coords.max() >= 2**31):
+        raise ContractViolation("coordinates outside the int32 range of a PLY")
     header = (
         "ply\n"
         "format binary_little_endian 1.0\n"

@@ -78,22 +78,25 @@ def key_steps(offsets: np.ndarray) -> np.ndarray:
     return ((o[:, 0] << 42) + (o[:, 1] << 21) + o[:, 2]).astype(np.uint64)
 
 
-def lookup(sorted_keys: np.ndarray, keys: np.ndarray):
-    """Find ``keys`` in a strictly increasing key array.
+def lookup(table: np.ndarray, keys: np.ndarray):
+    """Find ``keys`` in a strictly increasing key array ``table``.
 
     Returns ``(pos, hit)``: ``hit[q]`` says whether ``keys[q]`` is present and,
-    where it is, ``sorted_keys[pos[q]] == keys[q]``.
+    where it is, ``table[pos[q]] == keys[q]``.
     """
-    pos = np.searchsorted(sorted_keys, keys)
-    if sorted_keys.size == 0:
+    pos = np.searchsorted(table, keys)
+    if table.size == 0:
         return pos, np.zeros(pos.shape, dtype=bool)
-    pos = np.minimum(pos, sorted_keys.size - 1)
-    return pos, sorted_keys[pos] == keys
+    pos = np.minimum(pos, table.size - 1)
+    return pos, table[pos] == keys
 
 
-def increasing(keys: np.ndarray) -> bool:
-    """Whether a key array is strictly increasing: distinct rows in lex order."""
-    return bool(np.all(keys[1:] > keys[:-1]))
+def sorted_keys(coords) -> np.ndarray:
+    """The keys of distinct, lex-sorted rows; other rows raise ContractViolation."""
+    keys = pack_keys(coords)
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ContractViolation("coordinates must be strictly increasing lexicographically")
+    return keys
 
 
 def unpack_keys(keys: np.ndarray) -> np.ndarray:
@@ -114,9 +117,7 @@ class CoordSet:
 
     def __init__(self, coords):
         # packed before the int32 cast, so no coordinate wraps unchecked
-        self.keys = pack_keys(coords)
-        if not increasing(self.keys):
-            raise ContractViolation("coordinates must be strictly increasing lexicographically")
+        self.keys = sorted_keys(coords)
         self.coords = np.ascontiguousarray(coords, dtype=np.int32)
         self.coords.flags.writeable = self.keys.flags.writeable = False
         self.n, self.plans, self._down = self.coords.shape[0], {}, None
@@ -184,6 +185,11 @@ class SparseTensor:
         return f"SparseTensor(n={self.n}, channels={self.channels}, scale={self.scale})"
 
 
+def union(a: CoordSet, b: CoordSet) -> CoordSet:
+    """The set of rows in ``a`` or ``b``."""
+    return CoordSet(unpack_keys(np.union1d(a.keys, b.keys)))
+
+
 def concatenate(a: SparseTensor, b: SparseTensor) -> SparseTensor:
     """Feature-width concatenation on the union of coordinate sets.
 
@@ -192,12 +198,12 @@ def concatenate(a: SparseTensor, b: SparseTensor) -> SparseTensor:
     """
     if a.scale != b.scale:
         raise ContractViolation(f"scale mismatch: {a.scale} != {b.scale}")
-    union = np.union1d(a.cset.keys, b.cset.keys)
+    u = union(a.cset, b.cset)
     dtype = np.promote_types(a.feats.dtype, b.feats.dtype)
-    out = np.zeros((union.size, a.channels + b.channels), dtype=dtype)
-    out[np.searchsorted(union, a.cset.keys), : a.channels] = a.feats
-    out[np.searchsorted(union, b.cset.keys), a.channels :] = b.feats
-    return SparseTensor(unpack_keys(union), out, a.scale)
+    out = np.zeros((u.n, a.channels + b.channels), dtype=dtype)
+    out[np.searchsorted(u.keys, a.cset.keys), : a.channels] = a.feats
+    out[np.searchsorted(u.keys, b.cset.keys), a.channels :] = b.feats
+    return SparseTensor(u, out, a.scale)
 
 
 def add_on_union(a: SparseTensor, b: SparseTensor) -> SparseTensor:
@@ -206,17 +212,23 @@ def add_on_union(a: SparseTensor, b: SparseTensor) -> SparseTensor:
         raise ContractViolation(f"scale mismatch: {a.scale} != {b.scale}")
     if a.channels != b.channels:
         raise ContractViolation(f"channel mismatch: {a.channels} != {b.channels}")
-    union = np.union1d(a.cset.keys, b.cset.keys)
+    u = union(a.cset, b.cset)
     dtype = np.promote_types(a.feats.dtype, b.feats.dtype)
-    out = np.zeros((union.size, a.channels), dtype=dtype)
-    out[np.searchsorted(union, a.cset.keys)] = a.feats
-    out[np.searchsorted(union, b.cset.keys)] += b.feats
-    return SparseTensor(unpack_keys(union), out, a.scale)
+    out = np.zeros((u.n, a.channels), dtype=dtype)
+    out[np.searchsorted(u.keys, a.cset.keys)] = a.feats
+    out[np.searchsorted(u.keys, b.cset.keys)] += b.feats
+    return SparseTensor(u, out, a.scale)
 
 
 def stride_down_coords(coords: np.ndarray) -> np.ndarray:
     """Unique floor-division of coordinates by two, lexicographically sorted."""
     return unpack_keys(np.unique(pack_keys(as_coords(coords) >> 1)))
+
+
+def children_coords(coords: np.ndarray) -> np.ndarray:
+    """The eight children 2c + CORNERS of each voxel c, lex-sorted: stride_down_coords' inverse."""
+    children = 2 * as_coords(coords)[:, None] + CORNERS
+    return unpack_keys(np.sort(pack_keys(children.reshape(-1, 3))))
 
 
 class PointCloudFrame:

@@ -158,14 +158,17 @@ def d2_oracle(a, b, peak=1023):
     """Point-to-plane PSNR with a normal at every reference point: per-point
     PCA (``normals_oracle``) over brute-force 16-NN of the whole reference,
     then each query's squared projection on the normal at its brute-force
-    nearest neighbour, point-to-point where that normal is invalid."""
+    nearest neighbour (an einsum product sum, as the library reduces it),
+    point-to-point where that normal is invalid."""
 
     def errors(q, r):
         normals, valid = normals_oracle(r, brute_force_knn(r, r, 16)[0])
         idx, d2 = brute_force_knn(q, r, 1)
         idx, d2 = idx[:, 0], d2[:, 0]
         diff = np.asarray(q, dtype=np.float64) - np.asarray(r, dtype=np.float64)[idx]
-        proj = (diff * normals[idx]).sum(axis=1) ** 2
+        # summed as metrics sums it: a plain (diff * n).sum(axis=1) can round
+        # the last bit differently
+        proj = np.einsum("ij,ij->i", diff, normals[idx]) ** 2
         return np.where(valid[idx], proj, d2)
 
     mse = max(float(errors(a, b).mean()), float(errors(b, a).mean()))

@@ -103,7 +103,7 @@ def test_criterion_3_gradient_verification():
     elapsed = time.time() - t0
     worst = max(r.max_rel_error for r in reports)
     report(3, "gradient verification", not failures and elapsed < 120,
-           f"(5 ops x 100 instances, worst rel err {worst:.2e}, {elapsed:.1f}s)"
+           f"({len(reports)} ops x 100 instances, worst rel err {worst:.2e}, {elapsed:.1f}s)"
            + (f" failing={failures[:3]}" if failures else ""))
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -833,6 +834,7 @@ class TestSelftestAndGradcheck:
         assert cli.main(["gradcheck", "--instances", "3"]) == 0
         out = capsys.readouterr().out
         assert "sparse_conv" in out and "pass" in out
+        assert re.search(r"^chain +\S+ +\S+ pass$", out, re.M)
 
     def test_selftest_detects_injected_corruption(self, monkeypatch):
         import voxcodec.cli as climod

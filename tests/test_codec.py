@@ -13,6 +13,18 @@ from voxcodec.nn import ConvSpec
 from voxcodec.sparse import CoordSet, PointCloudFrame, SparseTensor, stride_down_coords
 
 
+def patch_everywhere(monkeypatch, fn, replacement):
+    """Bind ``replacement`` wherever a voxcodec module binds ``fn``, names
+    imported with ``from ... import`` included."""
+    import sys
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("voxcodec"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 @pytest.fixture(scope="module")
 def small_frames():
     return synthetic.make_rigid_sequence(800, 2, 2, 7, seed=42)
@@ -174,6 +186,20 @@ class TestOneEncoder:
         with pytest.raises(ContractViolation, match=f"precision {precision} outside"):
             codec.encode_inter(frame, reference, models, store)
 
+    @pytest.mark.parametrize("lam", [300, 3.5, 3.0, 0, -3, "3", None])
+    def test_lambda_outside_the_tags_rejected(self, store, models, small_frames, lam):
+        # the tag is one header byte: it used to code the frame and then fail
+        # in serialize with a struct.error
+        _, ref = codec.encode_intra(small_frames[0], models, store)
+        with pytest.raises(ContractViolation, match="lambda tag"):
+            codec.encode_intra(small_frames[1], models, store, lam=lam)
+        with pytest.raises(ContractViolation, match="lambda tag"):
+            codec.encode_inter(small_frames[1], ref.reference_latent, models, store, lam=lam)
+        with pytest.raises(ContractViolation, match="lambda tag"):
+            next(codec.encode_sequence(small_frames, models, store, lam=lam))
+        bs, _ = codec.encode_intra(small_frames[1], models, store, lam=np.int64(10))
+        assert codec.parse(codec.serialize(bs)).lam == 10
+
     def test_prediction_on_another_set_rejected(self, store, models, small_frames,
                                                 monkeypatch):
         # equal rows are not enough: the prediction must sit on y's own set
@@ -193,8 +219,6 @@ class TestDerivedOnce:
     def test_no_set_or_map_is_derived_twice(self, store, models, monkeypatch):
         # within one coded or decoded frame, every stride-down set and every
         # kernel map comes from one derivation that all its users share
-        import sys
-
         from voxcodec import nn, sparse
 
         seen, repeats = set(), []
@@ -207,11 +231,7 @@ class TestDerivedOnce:
                     repeats.append((current, fn.__name__))
                 seen.add(k)
                 return fn(*args)
-            for name, module in list(sys.modules.items()):
-                if name.startswith("voxcodec"):
-                    for attr, value in list(vars(module).items()):
-                        if value is fn:
-                            monkeypatch.setattr(module, attr, wrapper)
+            patch_everywhere(monkeypatch, fn, wrapper)
 
         def rows(c):
             return np.ascontiguousarray(c, dtype=np.int64).tobytes()
@@ -237,6 +257,31 @@ class TestDerivedOnce:
         once(codec.decode, p_bs, i_dec.reference_latent, models, store)
         assert p_bs.frame_type == codec.FRAME_P
         assert repeats == []
+
+    def test_each_side_derives_the_union_once(self, store, models, small_frames, monkeypatch):
+        # the encoder's flow embedding and the decoder's motion_coord_sets both
+        # take the P frame's union from sparse.union, once per side, same rows
+        from voxcodec import sparse
+
+        union, calls = sparse.union, []
+
+        def spy(a, b):
+            out = union(a, b)
+            calls.append((side, out.coords))
+            return out
+
+        patch_everywhere(monkeypatch, union, spy)
+        side = "encode"
+        coded = []
+        for bs, result in codec.encode_sequence(small_frames, models, store):
+            coded.append(bs)
+            result.reference_latent
+        side = "decode"
+        for result in codec.decode_sequence(coded, models, store):
+            result.reference_latent
+        assert [bs.frame_type for bs in coded] == [codec.FRAME_I, codec.FRAME_P]
+        assert [s for s, _ in calls] == ["encode", "decode"]
+        assert np.array_equal(calls[0][1], calls[1][1])
 
     def test_a_coded_frame_keeps_nothing_derived(self, store, models):
         # the encoders code a frame on a set of its own, so a caller holding its
@@ -520,6 +565,18 @@ class TestLoss:
         truth = np.array([[1, 0, 0]])
         d = codec.bce_occupancy(np.full(3, 0.5), cand, truth)
         assert d == pytest.approx(np.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("disorder", ["shuffled", "repeated"])
+    def test_truth_rows_in_any_order(self, disorder):
+        # truth is a set: its rows' order and repeats do not change the loss
+        rng = np.random.default_rng(4)
+        cand = np.unique(rng.integers(0, 6, (80, 3)), axis=0)
+        truth = cand[rng.random(len(cand)) < 0.4]
+        probs = rng.random(len(cand))
+        expect = codec.bce_occupancy(probs, cand, truth)
+        rows = truth if disorder == "shuffled" else np.vstack([truth, truth[::2]])
+        rows = rng.permutation(rows)
+        assert codec.bce_occupancy(probs, cand, rows) == expect
 
     def test_loss_report(self, store, models, small_frames):
         frame = small_frames[0]

@@ -154,4 +154,4 @@ def test_run_all_smoke():
     reports, failures = gc.run_all(3, 100)
     assert not failures
     assert {r.op for r in reports} == {
-        "sparse_conv", "interpolate[open]", "interpolate[capped]", "bce", "rate_proxy"}
+        "sparse_conv", "interpolate[open]", "interpolate[capped]", "bce", "rate_proxy", "chain"}

@@ -12,7 +12,6 @@ from oracles import (
     sparse_conv_oracle,
 )
 from voxcodec import nn
-from voxcodec.codec import _children
 from voxcodec.errors import ContractViolation
 from voxcodec.nn import (
     ConvSpec,
@@ -25,7 +24,8 @@ from voxcodec.nn import (
     sparse_conv,
     sparse_conv_backward,
 )
-from voxcodec.sparse import SparseTensor, pack_keys, stride_down_coords, unpack_keys
+from voxcodec.sparse import (CoordSet, SparseTensor, children_coords, pack_keys,
+                             stride_down_coords, union, unpack_keys)
 
 
 def make(coords, feats, scale=0):
@@ -41,6 +41,11 @@ def random_tensor(rng, n, span, channels, scale=0):
 def coord_set(rng, n, span, lo):
     """Up to n distinct lex-sorted coordinates in [lo, lo + span)^3."""
     return unpack_keys(np.unique(pack_keys(rng.integers(lo, lo + span, size=(n, 3)))))
+
+
+def joined(a, b):
+    """The union of two lex-sorted coordinate sets."""
+    return union(CoordSet(a), CoordSet(b)).coords
 
 
 def cube(lo, side):
@@ -113,6 +118,26 @@ class TestKernelMap:
             with pytest.raises(ContractViolation):
                 build_kernel_map(coords, out, spec)
 
+    @pytest.mark.parametrize("disorder", ["shuffled", "repeated"])
+    @pytest.mark.parametrize("side", ["input", "output"])
+    @pytest.mark.parametrize("geometry", ["k1", "k3", "stride2", "transposed"])
+    def test_unsorted_or_repeated_rows_rejected(self, geometry, side, disorder):
+        # the pairs of every geometry are increasing in both rows, which only
+        # distinct sorted rows can give: a k3 map from a permutation u of a
+        # 4-row set c onto c used to come back with 1 pair of the 16
+        fine, coarse = cube(0, 4), cube(0, 2)
+        spec, rows = {
+            "k1": (ConvSpec(1, 1, 1), [fine, fine]),
+            "k3": (ConvSpec(1, 1, 3), [fine, fine]),
+            "stride2": (ConvSpec(1, 1, 2, stride=2), [fine, coarse]),
+            "transposed": (ConvSpec(1, 1, 2, stride=2, transposed=True), [coarse, fine]),
+        }[geometry]
+        build_kernel_map(*rows, spec)
+        k = side == "output"
+        rows[k] = rows[k][::-1] if disorder == "shuffled" else np.repeat(rows[k], 2, axis=0)
+        with pytest.raises(ContractViolation, match="strictly increasing"):
+            build_kernel_map(*rows, spec)
+
     @pytest.mark.parametrize("edge", [(1 << 20) - 1, -(1 << 20)])
     def test_neighbour_outside_21_bits_rejected(self, edge):
         fine = np.array([[0, edge, 0]])
@@ -179,9 +204,9 @@ class TestKernelMap:
             "k3": (ConvSpec(1, 1, 3), coords),
             "k3-other-out": (ConvSpec(1, 1, 3), extra),
             "stride2": (ConvSpec(1, 1, 2, stride=2), stride_down_coords(coords)),
-            "children": (ConvSpec(1, 1, 2, stride=2, transposed=True), _children(coords)),
+            "children": (ConvSpec(1, 1, 2, stride=2, transposed=True), children_coords(coords)),
             "superset": (ConvSpec(1, 1, 2, stride=2, transposed=True),
-                         unpack_keys(np.union1d(pack_keys(_children(coords)), pack_keys(extra)))),
+                         joined(children_coords(coords), extra)),
             "targets": (ConvSpec(1, 1, 2, stride=2, transposed=True), extra),
         }[geometry]
         assert_same_pairs(build_kernel_map(coords, out, spec), kernel_map_oracle(coords, out, spec))
@@ -227,7 +252,8 @@ class TestKernelMapMemo:
         for spec, outs in [
             (ConvSpec(2, 3, 3), [x.coords, x.coords[1::2], x.coords]),
             (ConvSpec(2, 3, 2, stride=2, transposed=True),
-             [_children(x.coords), _children(x.coords)[::3], _children(x.coords)]),
+             [children_coords(x.coords), children_coords(x.coords)[::3],
+              children_coords(x.coords)]),
         ]:
             w = rng.normal(size=spec.weight_shape).astype(np.float32)
             for out in outs:
@@ -248,7 +274,7 @@ class TestKernelMapMemo:
         w = rng.normal(size=spec.weight_shape)
         b = rng.normal(size=4)
         if transposed:
-            out = _children(x.coords)[::2]
+            out = children_coords(x.coords)[::2]
         elif stride == 2:
             out = stride_down_coords(x.coords)
         else:
@@ -393,13 +419,13 @@ class TestSparseConv:
             "k3-other-out": (ConvSpec(cin, cout, 3), extra),
             # another output set on which the centre offset pairs every input row
             "k3-superset": (ConvSpec(cin, cout, 3),
-                            unpack_keys(np.union1d(pack_keys(coords), pack_keys(extra)))),
+                            joined(coords, extra)),
             "solid": (ConvSpec(cin, cout, 3), coords),
             "stride2": (ConvSpec(cin, cout, 2, stride=2), stride_down_coords(coords)),
-            "children": (ConvSpec(cin, cout, 2, stride=2, transposed=True), _children(coords)),
+            "children": (ConvSpec(cin, cout, 2, stride=2, transposed=True),
+                         children_coords(coords)),
             "partial": (ConvSpec(cin, cout, 2, stride=2, transposed=True),
-                        unpack_keys(np.union1d(pack_keys(_children(coords)[::3]),
-                                               pack_keys(extra)))),
+                        joined(children_coords(coords)[::3], extra)),
         }[geometry]
         w = rng.normal(size=spec.weight_shape)
         got = sparse_conv(x, spec, w, bias, out)
@@ -429,10 +455,10 @@ class TestSparseConv:
             "k3-other-out": (ConvSpec(cin, cout, 3), extra),
             "solid": (ConvSpec(cin, cout, 3), coords),
             "stride2": (ConvSpec(cin, cout, 2, stride=2), stride_down_coords(coords)),
-            "children": (ConvSpec(cin, cout, 2, stride=2, transposed=True), _children(coords)),
+            "children": (ConvSpec(cin, cout, 2, stride=2, transposed=True),
+                         children_coords(coords)),
             "partial": (ConvSpec(cin, cout, 2, stride=2, transposed=True),
-                        unpack_keys(np.union1d(pack_keys(_children(coords)[::3]),
-                                               pack_keys(extra)))),
+                        joined(children_coords(coords)[::3], extra)),
         }[geometry]
         w = rng.normal(size=spec.weight_shape)
         grad_out = rng.normal(size=(len(out), cout)).astype(dtype)
@@ -478,7 +504,7 @@ class TestSumsTable:
             "solid": (ConvSpec(3, 5, 3), coords),
             "k3-other-out": (ConvSpec(3, 5, 3), coord_set(rng, 80, 9, -4)),
             "stride2": (ConvSpec(3, 5, 2, stride=2), stride_down_coords(coords)),
-            "children": (ConvSpec(3, 5, 2, stride=2, transposed=True), _children(coords)),
+            "children": (ConvSpec(3, 5, 2, stride=2, transposed=True), children_coords(coords)),
         }[geometry]
         pairs = build_kernel_map(coords, out, spec).pairs
         w = rng.normal(size=spec.weight_shape).astype(dtype)
@@ -586,7 +612,7 @@ class TestActivationsAndBlocks:
             (1, ConvSpec(2, 3, 1), None),
             (27, ConvSpec(2, 3, 3), None),
             (8, ConvSpec(2, 3, 2, stride=2), None),
-            (8, ConvSpec(2, 3, 2, stride=2, transposed=True), _children(x.coords)),
+            (8, ConvSpec(2, 3, 2, stride=2, transposed=True), children_coords(x.coords)),
         ]:
             w = {"l.weight": rng.normal(size=(offsets, 2, 3)), "l.bias": rng.normal(size=3)}
             got = nn._conv(x, w, "l", out)

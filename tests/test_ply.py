@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_quantizer
-from voxcodec.errors import PlyParseError, VoxCodecError
+from voxcodec.errors import ContractViolation, PlyParseError, VoxCodecError
 from voxcodec.ply import load_ply, quantize_positions, read_ply, write_ply
 
 
@@ -57,6 +57,22 @@ def test_binary_roundtrip(tmp_path):
     write_ply(p, coords)
     frame = load_ply(p, 5)
     assert np.array_equal(frame.points.coords, coords.astype(np.int32))
+
+
+def test_int32_extremes_roundtrip(tmp_path):
+    p = tmp_path / "edge.ply"
+    coords = np.array([[-2**31, 0, 2**31 - 1], [2**31 - 1, -2**31, 0]])
+    write_ply(p, coords)
+    assert np.array_equal(read_ply(p), coords)
+
+
+@pytest.mark.parametrize("value", [2**31, -2**31 - 1])
+def test_coordinates_past_int32_rejected(tmp_path, value):
+    # a PLY field is int32: the value used to wrap to another coordinate
+    p = tmp_path / "wide.ply"
+    with pytest.raises(ContractViolation, match="int32"):
+        write_ply(p, [[value, 0, 0]])
+    assert not p.exists()
 
 
 def test_binary_skips_extra_properties(tmp_path):

@@ -6,15 +6,19 @@ from hypothesis import strategies as st
 from oracles import dense_grid_add
 from voxcodec.errors import ContractViolation
 from voxcodec.sparse import (
+    CoordSet,
     PointCloudFrame,
     SparseTensor,
     add_on_union,
     as_coords,
+    children_coords,
     concatenate,
     key_steps,
     lookup,
     pack_keys,
+    sorted_keys,
     stride_down_coords,
+    union,
     unpack_keys,
 )
 
@@ -90,6 +94,46 @@ class TestSparseTensor:
         t = make([[0, 0, 0]], [[1.0]])
         with pytest.raises(ValueError):
             t.feats[0, 0] = 2.0
+
+
+class TestSortedKeys:
+    def test_sorted_rows_give_their_keys(self):
+        c = np.array([[-1, 5, 5], [0, 0, 0], [0, 0, 1], [2, -3, 0]])
+        assert np.array_equal(sorted_keys(c), pack_keys(c))
+        assert sorted_keys(np.empty((0, 3), np.int32)).size == 0
+
+    @pytest.mark.parametrize("rows", [[[0, 0, 1], [0, 0, 0]], [[1, 0, 0], [1, 0, 0]],
+                                      [[0, 0, 0], [0, 1, 0], [0, 1, 0], [2, 0, 0]]])
+    def test_unsorted_or_repeated_rows_rejected(self, rows):
+        for check in (sorted_keys, CoordSet):
+            with pytest.raises(ContractViolation, match="strictly increasing"):
+                check(np.array(rows))
+
+
+class TestUnion:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_is_the_sorted_set_union(self, data):
+        coords = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
+        sa = sorted(data.draw(st.sets(coords, max_size=20)))
+        sb = sorted(data.draw(st.sets(coords, max_size=20)))
+        u = union(CoordSet(np.array(sa, np.int64).reshape(-1, 3)),
+                  CoordSet(np.array(sb, np.int64).reshape(-1, 3)))
+        assert isinstance(u, CoordSet)
+        assert list(map(tuple, u.coords.tolist())) == sorted(set(sa) | set(sb))
+
+
+class TestChildren:
+    def test_eight_sorted_children_per_voxel(self):
+        c = np.array([[0, 0, 0], [1, -1, 2]])
+        kids = children_coords(c)
+        assert kids.shape == (16, 3)
+        assert np.array_equal(kids, unpack_keys(np.sort(pack_keys(kids))))
+        assert np.array_equal(stride_down_coords(kids), c)
+        assert np.array_equal(children_coords(c[::-1]), kids)
+
+    def test_empty(self):
+        assert children_coords(np.empty((0, 3), np.int32)).shape == (0, 3)
 
 
 class TestConcatenate:
