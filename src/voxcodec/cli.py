@@ -218,17 +218,19 @@ def cmd_eval(args) -> int:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out.parent))
     if out.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
-    originals = list(_input_frames(args))
+    # counted, not loaded: each original is loaded when its row is computed
+    originals = _input_frames(args)
+    count = len(originals) if args.synthetic else len(args.inputs)
     decoded_paths = sorted(Path(args.decoded).glob("*.ply"))
-    if len(decoded_paths) != len(originals):
-        print(f"error: {len(originals)} originals vs {len(decoded_paths)} decoded frames",
+    if len(decoded_paths) != count:
+        print(f"error: {count} originals vs {len(decoded_paths)} decoded frames",
               file=sys.stderr)
         return EXIT_COUNT_MISMATCH
     bitstream_dir = Path(args.decoded).parent if args.bitstream_dir is None \
         else Path(args.bitstream_dir)
     frames = _read_manifest(bitstream_dir / "manifest.json", "bpp")["frames"]
-    if len(frames) < len(originals):
-        raise VoxCodecError(f"manifest lists {len(frames)} frames for {len(originals)} originals")
+    if len(frames) < count:
+        raise VoxCodecError(f"manifest lists {len(frames)} frames for {count} originals")
     rows = []
     decoded = _load_frames(decoded_paths, args.precision)
     for i, (orig, dec, entry) in enumerate(zip(originals, decoded, frames)):

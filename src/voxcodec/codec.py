@@ -40,7 +40,7 @@ import numpy as np
 from . import entropy as ent
 from . import motion as mo
 from . import octree as oc
-from .errors import ContractViolation, DecodeError, MissingReference
+from .errors import ContractViolation, DecodeError, MissingReference, pack
 from .nn import _conv, adaptive_prune, classify_occupancy, irn_block, prefixed
 from .sparse import CoordSet, PointCloudFrame, SparseTensor, children_coords, lookup, pack_keys
 
@@ -83,10 +83,10 @@ class FrameBitstream:
 def serialize(bs: FrameBitstream) -> bytes:
     out = bytearray()
     out += MAGIC
-    out += struct.pack("<IBBBII", VERSION, bs.frame_type, bs.precision_bits, bs.lam, bs.n0, bs.n1)
-    out += struct.pack("<B", len(bs.substreams))
+    out += pack("<IBBBIIB", VERSION, bs.frame_type, bs.precision_bits, bs.lam, bs.n0, bs.n1,
+                len(bs.substreams), what="DDPC header")
     for sid, data in bs.substreams:
-        out += struct.pack("<BI", sid, len(data))
+        out += pack("<BI", sid, len(data), what="DDPC substream table")
     for _, data in bs.substreams:
         out += data
     return bytes(out)

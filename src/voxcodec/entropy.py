@@ -36,7 +36,8 @@ class EntropyModel:
 
     ``cdfs`` holds the tables as int64 arrays for rate estimation and
     serialization; ``tables`` holds the same tables as tuples of Python ints,
-    which the range coder reads one symbol at a time.
+    which the range decoder searches.  They are checked here, once: the coder
+    checks no slot.
     """
 
     def __init__(self, offsets, cdfs):
@@ -96,13 +97,20 @@ def _column_bits(symbols: np.ndarray, cdf: np.ndarray, offset: int) -> float:
     return bits
 
 
-def estimate_bits(symbols: np.ndarray, model: EntropyModel) -> float:
-    """Theoretical bits: sum of -log2 p over all symbols (escapes bill +32)."""
+def _symbol_matrix(symbols, model: EntropyModel) -> np.ndarray:
+    """Symbols as an int64 (rows, channels) matrix: a 1-D array is one
+    column; anything else must be 2-D with the model's channel count."""
     s = np.asarray(symbols, dtype=np.int64)
     if s.ndim == 1:
         s = s.reshape(-1, 1)
-    if s.shape[1] != model.channels:
-        raise ContractViolation(f"{s.shape[1]} columns for {model.channels}-channel model")
+    if s.ndim != 2 or s.shape[1] != model.channels:
+        raise ContractViolation(f"symbols of shape {s.shape} for a {model.channels}-channel model")
+    return s
+
+
+def estimate_bits(symbols: np.ndarray, model: EntropyModel) -> float:
+    """Theoretical bits: sum of -log2 p over all symbols (escapes bill +32)."""
+    s = _symbol_matrix(symbols, model)
     return sum(
         _column_bits(s[:, c], model.cdfs[c], int(model.offsets[c]))
         for c in range(model.channels)
@@ -150,11 +158,7 @@ def range_encode(symbols: np.ndarray, model: EntropyModel) -> bytes:
     Layout: channel 0 rows in order, then channel 1, etc.  Decoding requires
     the same model and the row count.
     """
-    s = np.asarray(symbols, dtype=np.int64)
-    if s.ndim == 1:
-        s = s.reshape(-1, 1)
-    if s.shape[1] != model.channels:
-        raise ContractViolation(f"{s.shape[1]} columns for {model.channels}-channel model")
+    s = _symbol_matrix(symbols, model)
     enc = RangeEncoder()
     for c, cdf in enumerate(model.cdfs):
         los, his = _column_steps(s[:, c], cdf, int(model.offsets[c]))
@@ -163,9 +167,7 @@ def range_encode(symbols: np.ndarray, model: EntropyModel) -> bytes:
 
 
 def range_decode(data: bytes, model: EntropyModel, count: int) -> np.ndarray:
-    """Inverse of range_encode; returns an int64 (count, channels) array.
-    The tables are not checked here: EntropyModel checked each one when it was
-    built, and RAW_CDF is a constant."""
+    """Inverse of range_encode; returns an int64 (count, channels) array."""
     dec = RangeDecoder(data)
     out = np.empty((count, model.channels), dtype=np.int64)
     for c, table in enumerate(model.tables):

@@ -1,5 +1,7 @@
 """Exception types shared across the codec."""
 
+import struct
+
 
 class VoxCodecError(Exception):
     """Base class for all voxcodec errors."""
@@ -28,3 +30,12 @@ class PlyParseError(VoxCodecError):
         super().__init__(message)
         self.line = line
         self.offset = offset
+
+
+def pack(fmt: str, *fields, what: str) -> bytes:
+    """struct.pack for a file header: a field its format cannot hold raises
+    ContractViolation naming the header, before any byte is written."""
+    try:
+        return struct.pack(fmt, *fields)
+    except struct.error as e:
+        raise ContractViolation(f"{what} cannot hold its fields: {e}") from None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DecodeError
+from .errors import ContractViolation, DecodeError, pack
 from .rangecoder import AdaptiveByteDecoder, encode_bytes_adaptive
 from .sparse import CORNERS, as_coords, lex_order
 
@@ -94,7 +94,8 @@ def octree_decode(stream: OctreeStream) -> np.ndarray:
 
 
 def serialize_stream(stream: OctreeStream) -> bytes:
-    return struct.pack("<BBI", stream.depth, FLAG_RANGE_CODED, stream.count) + stream.payload
+    header = pack("<BBI", stream.depth, FLAG_RANGE_CODED, stream.count, what="octree header")
+    return header + stream.payload
 
 
 def parse_stream(data: bytes) -> OctreeStream:

@@ -11,8 +11,8 @@ run of steps, slot [lo, hi) of a total; a latent column and an octree
 payload are one run each.  The decoder has one loop too: it finds each slot
 by bisection on a cumulative table (cdf[0] = 0, total cdf[-1] at most 2^16)
 or from the adaptive byte model, whose two-level count table holds no flat
-table, and returns symbol indices.  ``encode_symbol`` and ``decode_symbol``
-are checked runs of length one.  The coder knows no escape format: raw
+table, and returns symbol indices.  Neither loop checks its slots; see
+``RangeDecoder.run`` for who does.  The coder knows no escape format: raw
 bytes are symbols of a uniform table the entropy module owns.  The flush
 writes exactly two bytes: the shortest prefix of a value inside the final
 interval (the post-normalization range is always >= 2^16, so a multiple of
@@ -25,26 +25,13 @@ stream was truncated, and ending short of them means trailing bytes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import le
 
-from .errors import ContractViolation, DecodeError
+from .errors import DecodeError
 
 _TOP = 1 << 24
 _BOTTOM = 1 << 16
 _MASK = (1 << 32) - 1
-MAX_TOTAL = 1 << 16
 _VIRTUAL_ALLOWANCE = 2
-
-
-def check_table(cdf) -> tuple:
-    """A decoder table as a tuple of ints, or ContractViolation: it must start
-    at 0, never decrease and total 1 .. 2^16, so that every target falls in a
-    slot [lo, hi) the encoder could have coded."""
-    table = tuple(map(int, cdf))
-    if (len(table) < 2 or table[0] != 0 or not 0 < table[-1] <= MAX_TOTAL
-            or not all(map(le, table, table[1:]))):
-        raise ContractViolation("decoder table must rise from 0 to a total of 1 .. 2^16")
-    return table
 
 
 class RangeEncoder:
@@ -53,22 +40,11 @@ class RangeEncoder:
         self._range = _MASK
         self._out = bytearray()
 
-    def encode_symbol(self, cdf, s: int) -> None:
-        """Narrow the interval to symbol s of a cumulative table: the slot
-        [cdf[s], cdf[s + 1]) out of the total cdf[-1]."""
-        if not 0 <= s < len(cdf) - 1:
-            raise ContractViolation(f"symbol {s} outside a {len(cdf) - 1}-slot table")
-        lo, hi, total = int(cdf[s]), int(cdf[s + 1]), int(cdf[-1])
-        if not 0 <= lo < hi <= total <= MAX_TOTAL:
-            raise ContractViolation(f"bad coder step [{lo}, {hi}) of total {total}")
-        self.encode_steps((lo,), (hi,), (total,))
-
     def encode_steps(self, los, his, totals) -> None:
         """Narrow to [lo, hi) of total for each step in turn, emitting every
         settled byte (bytes settle only once the range is below 2^24).  The
         steps are not checked: they must satisfy 0 <= lo < hi <= total <=
-        2^16, as the slots of a validated table and the adaptive model's
-        slots do."""
+        2^16, as the slots RangeDecoder.run reads do."""
         low, rng, out = self._low, self._range, self._out
         for lo, hi, total in zip(los, his, totals):
             r = rng // total
@@ -111,16 +87,6 @@ class RangeDecoder:
         self._range = _MASK
         self._code = int.from_bytes(data[:4], "big") << 8 * max(4 - len(data), 0)
 
-    def decode_symbol(self, cdf) -> int:
-        """Decode and commit one symbol, the inverse of encode_symbol:
-        returns the index s with cdf[s] <= target < cdf[s + 1]."""
-        return self.decode_run(cdf, 1)[0]
-
-    def decode_run(self, cdf, n: int, stop: int = -1) -> list:
-        """Decode up to n symbols of the table cdf, checked once (see
-        check_table); the run ends early after a symbol equal to stop."""
-        return self.run(check_table(cdf), n, stop)
-
     def finish(self) -> None:
         """Check that the stream ended exactly: a valid stream leaves the
         decoder two virtual bytes past its end, never short of them."""
@@ -130,10 +96,15 @@ class RangeDecoder:
     def run(self, slots, n: int, stop: int = -1) -> list:
         """The decoder's one loop, mirroring RangeEncoder.encode_steps: find
         the slot holding the target, narrow to it, then read one byte for
-        each byte the encoder emitted.  ``slots`` is a table as check_table
-        returns it, searched by bisection, or an AdaptiveByteModel, which
+        each byte the encoder emitted.  ``slots`` is a cumulative table, a
+        tuple of ints searched by bisection, or an AdaptiveByteModel, which
         locates the slot and then learns the symbol.  Returns up to n symbol
-        indices, ending early after a symbol equal to stop."""
+        indices, ending early after a symbol equal to stop.
+
+        The slots are not checked, as encode_steps' are not: a table must
+        start at 0, never decrease and total 1 .. 2^16.  EntropyModel checks
+        each of its tables once when it is built, RAW_CDF is a constant, and
+        the adaptive model's slots hold by construction."""
         model = slots if isinstance(slots, AdaptiveByteModel) else None
         if model is None:
             total = slots[-1]

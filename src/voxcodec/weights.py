@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from . import entropy
-from .errors import ContractViolation, DecodeError
+from .errors import ContractViolation, DecodeError, pack
 from .nn import ConvSpec
 
 MAGIC = b"DPCW"
@@ -137,16 +137,23 @@ class WeightStore:
         return arr
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<III", VERSION, self.seed, len(self._tensors)))
-            for name in sorted(self._tensors):
-                arr = self._tensors[name]
+        """Write a DPCW file.  Every header is built before the file is
+        opened, so a name or shape the format cannot hold raises
+        ContractViolation and leaves no file behind."""
+        head = MAGIC + pack("<III", VERSION, self.seed, len(self._tensors), what="DPCW header")
+        headers = []
+        for name in sorted(self._tensors):
+            arr = self._tensors[name]
+            try:
                 nb = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(nb)))
-                fh.write(nb)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            except UnicodeEncodeError:
+                raise ContractViolation(f"tensor name {name!r} is not encodable as UTF-8") from None
+            headers.append((pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape,
+                                 what=f"DPCW header of tensor {name[:40]!r}"), arr))
+        with open(path, "wb") as fh:
+            fh.write(head)
+            for header, arr in headers:
+                fh.write(header)
                 fh.write(arr.astype("<f4").tobytes())
 
     @classmethod

@@ -486,7 +486,7 @@ class TestFileErrors:
         missing = tmp / "no-such-dir"
         existing = tmp / "a-file"
         existing.write_text("x\n")
-        if case in ("eval-csv", "rdcsv-svg"):
+        if case in ("eval-input", "eval-csv", "rdcsv-svg"):
             (tmp / "a.csv").write_text("\n".join(
                 [cli.CSV_HEADER] + [f"seq,0,3,{r},{q},{q}" for r, q in
                                     [(0.5, 60), (1.0, 64), (2.0, 67), (4.0, 69)]]) + "\n")
@@ -495,8 +495,10 @@ class TestFileErrors:
         return {
             "encode-input": ["encode", *w, "--output", str(tmp / "out"),
                              str(tmp / "missing.ply")],
-            "eval-input": ["eval", "--decoded", str(tmp), "--csv", str(tmp / "rd.csv"),
-                           str(tmp / "missing.ply")],
+            # one decoded frame and its manifest, so the count and the manifest
+            # pass and the missing original is what fails
+            "eval-input": ["eval", "--decoded", str(tmp), "--bitstream-dir", str(tmp),
+                           "--csv", str(tmp / "rd.csv"), str(tmp / "missing.ply")],
             "encode-config": ["encode", *w, "--synthetic", "rigid:100,1,0",
                               "--config", str(tmp / "missing.cfg"),
                               "--output", str(tmp / "out")],
@@ -663,11 +665,33 @@ class TestInputNamed:
         assert not out.exists()
 
     def test_eval_names_the_bad_frame(self, tmp_path, capsys):
+        # the originals load one by one, after the count and manifest checks:
+        # frame 0 is computed, then frame 1's original fails
+        inputs = self.inputs(tmp_path)
+        bits = tmp_path / "bits"
+        bits.mkdir()
+        (bits / "manifest.json").write_text(json.dumps(
+            {"frames": [{"file": f"f{i}.ddpc", "bpp": 1.0} for i in range(2)]}))
         rc = cli.main(["eval", "--precision", "8", "--decoded", str(tmp_path),
-                       "--csv", str(tmp_path / "rd.csv"), *self.inputs(tmp_path)])
-        err = capsys.readouterr().err
+                       "--bitstream-dir", str(bits), "--csv", str(tmp_path / "rd.csv"),
+                       *inputs])
+        out, err = capsys.readouterr()
         assert rc == cli.EXIT_BAD_INPUT
         assert err.startswith(f"error: {tmp_path / 'bad.ply'} (frame 1): missing 'ply'"), err
+        assert out.startswith("seq,0,3,1.0,"), out  # frame 0's row was computed
+        assert not (tmp_path / "rd.csv").exists()
+
+    def test_eval_counts_before_it_loads(self, tmp_path, capsys):
+        # a count mismatch is found before any original is loaded, the bad
+        # one included
+        good, bad = self.inputs(tmp_path)
+        dec = tmp_path / "dec"
+        dec.mkdir()
+        (dec / "f0.ply").write_bytes(Path(good).read_bytes())
+        rc = cli.main(["eval", "--precision", "8", "--decoded", str(dec),
+                       "--csv", str(tmp_path / "rd.csv"), bad, good])
+        assert rc == cli.EXIT_COUNT_MISMATCH
+        assert "2 originals vs 1 decoded" in capsys.readouterr().err
 
     def test_eval_names_the_bad_decoded_frame(self, tmp_path, capsys):
         good, bad = self.inputs(tmp_path)

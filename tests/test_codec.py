@@ -371,6 +371,21 @@ class TestContainer:
         back = codec.parse(codec.serialize(bs))
         assert back == bs
 
+    def test_largest_counts_roundtrip(self):
+        bs = codec.FrameBitstream(codec.FRAME_I, 9, 10, 2**32 - 1, 2**32 - 1,
+                                  [(codec.SUB_COORDS, b"a")] * 255)
+        assert codec.parse(codec.serialize(bs)) == bs
+
+    @pytest.mark.parametrize("field", [
+        {"lam": 300}, {"n0": 2**32}, {"n1": -1}, {"frame_type": 256},
+        {"substreams": [(codec.SUB_COORDS, b"")] * 256}, {"substreams": [(256, b"")]},
+    ], ids=["lam-300", "n0-2^32", "n1-minus-1", "frame-type-256", "256-substreams", "sid-256"])
+    def test_field_the_header_cannot_hold_rejected(self, field):
+        bs = codec.FrameBitstream(codec.FRAME_I, 7, 3, 10, 5, [(codec.SUB_COORDS, b"abc")])
+        bs.__dict__.update(field)
+        with pytest.raises(ContractViolation, match="DDPC"):
+            codec.serialize(bs)
+
     def test_bad_magic(self):
         with pytest.raises(DecodeError):
             codec.parse(b"XXXX" + b"\x00" * 20)

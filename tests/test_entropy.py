@@ -137,6 +137,16 @@ class TestRangeCoding:
         data = ent.range_encode(syms, model)
         assert np.array_equal(ent.range_decode(data, model, 64), syms)
 
+    @pytest.mark.parametrize("shape", [(4, 1, 1), (4, 3, 1), (2, 2, 3), (), (4, 2)])
+    def test_symbols_not_a_channel_matrix_rejected(self, shape):
+        # one column, or a (rows, channels) matrix of the model's width: a 3-D
+        # array is neither, and is neither billed nor coded
+        model = random_model(np.random.default_rng(7))
+        symbols = np.zeros(shape, np.int64)
+        for f in (ent.estimate_bits, ent.range_encode):
+            with pytest.raises(ContractViolation, match="3-channel"):
+                f(symbols, model)
+
     def test_escape_without_slot_rejected(self):
         model = ent.build_table_from_pmf([[1.0, 1.0]], [0], escape_mass=0.0)
         with pytest.raises(ContractViolation):

@@ -57,6 +57,14 @@ def test_size_bound():
     assert len(oc.occupancy_bytes(coords, 7)) <= coords.shape[0] * 7
 
 
+@pytest.mark.parametrize("depth, count", [(3, 2**32), (3, -1), (256, 1)])
+def test_header_field_out_of_range_rejected(depth, count):
+    with pytest.raises(ContractViolation, match="octree header"):
+        oc.serialize_stream(oc.OctreeStream(depth, count, b""))
+    back = oc.parse_stream(oc.serialize_stream(oc.OctreeStream(3, 2**32 - 1, b"xy")))
+    assert (back.depth, back.count, back.payload) == (3, 2**32 - 1, b"xy")
+
+
 def test_substream_roundtrip():
     coords = np.array([[1, 2, 3], [4, 5, 6]])
     stream = oc.octree_encode(coords, 4)

@@ -92,6 +92,16 @@ def test_duplicate_name_rejected(tmp_path):
         WeightStore.load(path)
 
 
+@pytest.mark.parametrize("name", ["x" * 70_000, "a\ud800"], ids=["70000-chars", "lone-surrogate"])
+def test_name_the_header_cannot_hold_rejected_before_writing(tmp_path, name):
+    # a name past the u16 length field, or one with no UTF-8 form, raises
+    # before the file is opened: no truncated file is left behind
+    path = tmp_path / "w.dpcw"
+    with pytest.raises(ContractViolation):
+        WeightStore({"a": np.ones(2), name: np.ones(3)}).save(path)
+    assert not path.exists()
+
+
 def test_load_peaks_at_one_copy_of_its_payload(tmp_path):
     store = make_weights(5)
     path = tmp_path / "w.dpcw"
