@@ -148,14 +148,15 @@ def knn(queries, reference, k: int):
     Args:
         queries: (Q, 3) finite real positions.
         reference: SparseTensor or (N, 3) integer coordinate array, lex-sorted.
-        k: neighbours requested; clamped to N.
+        k: neighbours requested, an int or NumPy integer (not bool) >= 1;
+            clamped to N.
 
     Returns:
         (indices, sqdist) arrays of shape (Q, min(k, N)), each row ordered by
         (distance, index).
     """
-    if k < 1:
-        raise ContractViolation("k must be >= 1")
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+        raise ContractViolation(f"k must be an integer >= 1, got {k!r:.40}")
     index = GridIndex(reference.coords if isinstance(reference, SparseTensor) else reference)
     q = as_positions(queries)
     m = min(k, index.n)

@@ -323,7 +323,7 @@ class TestEval:
         assert len(lines) == 1 + 5 * 2  # header + five tags x two frames
         assert sorted({row.split(",")[2] for row in lines[1:]}) == ["10", "3", "4", "5", "7"]
 
-    @pytest.mark.parametrize("peak", ["0", "-5"])
+    @pytest.mark.parametrize("peak", ["0", "-5", pytest.param("9" * 400, id="400-digits")])
     def test_non_positive_peak_exit_3(self, tmp_path, peak, capsys):
         src = tmp_path / "src"
         src.mkdir()
@@ -334,7 +334,9 @@ class TestEval:
                        "--bitstream-dir", str(tmp_path), "--csv", str(csv),
                        "--peak", peak, str(src / "f0.ply")])
         assert rc == cli.EXIT_BAD_INPUT
-        assert "peak" in capsys.readouterr().err
+        # a peak past the float range raised a raw OverflowError
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: d1 peak"), err
         assert not csv.exists()
 
     @pytest.mark.parametrize("target", ["no-such-dir/rd.csv", "."])

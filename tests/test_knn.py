@@ -71,6 +71,22 @@ def test_bad_k():
         knn([[0, 0, 0]], np.array([[0, 0, 0]]), 0)
 
 
+@pytest.mark.parametrize("k", [-1, 2.5, np.float64(2), True, np.bool_(True), "3", None,
+                               np.array([2])])
+def test_k_not_an_integer_above_0_rejected(k):
+    # a float, bool, string or None raised a raw TypeError
+    with pytest.raises(ContractViolation, match="k must be"):
+        knn([[0, 0, 0]], np.array([[0, 0, 0]]), k)
+
+
+@pytest.mark.parametrize("k", [np.int64(2), np.uint8(2), np.int32(5)])
+def test_numpy_integer_k(k):
+    r = ref([[0, 0, 0], [9, 9, 9], [1, 0, 0]])
+    got = knn([[1.0, 1.0, 1.0]], r, k)
+    want = knn([[1.0, 1.0, 1.0]], r, int(k))
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_matches_brute_force(seed):
     rng = np.random.default_rng(seed)

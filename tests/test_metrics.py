@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -42,7 +44,20 @@ class TestD1:
             metrics.d1_psnr(a, np.empty((0, 3)))
 
     @pytest.mark.parametrize("metric", [metrics.d1_psnr, metrics.d2_psnr])
-    @pytest.mark.parametrize("peak", [0, -5, np.inf, np.nan])
+    @pytest.mark.parametrize("peak", [
+        0, -5, np.inf, np.nan,
+        # 3 * peak**2 overflows: the inf of identical clouds
+        pytest.param(1e200, id="1e200"),
+        # past the float range: a raw OverflowError
+        pytest.param(10**400, id="10**400"), pytest.param(10**5000, id="10**5000"),
+        pytest.param(Fraction(10**400, 3), id="Fraction"),
+        # 3 * peak**2 underflows to 0
+        pytest.param(1e-200, id="1e-200"),
+        # raw TypeErrors and ValueErrors
+        pytest.param("5", id="str"), pytest.param(None, id="None"),
+        pytest.param(np.array(5.0), id="array0d"), pytest.param(np.array([5]), id="array1d"),
+        pytest.param(True, id="bool"), pytest.param(1j, id="complex"),
+    ])
     def test_peak_must_be_positive_and_finite(self, metric, peak, monkeypatch):
         # a zero peak would print the inf that stands for identical clouds;
         # the check comes before any nearest-neighbour search
@@ -53,6 +68,13 @@ class TestD1:
         a, b = cloud([[0, 0, 0], [1, 1, 1]]), cloud([[1, 0, 0], [2, 2, 2]])
         with pytest.raises(ContractViolation, match="peak"):
             metric(a, b, peak=peak)
+
+    @pytest.mark.parametrize("metric", [metrics.d1_psnr, metrics.d2_psnr])
+    @pytest.mark.parametrize("peak", [np.int64(511), np.float64(511.0), np.float32(511.0),
+                                      Fraction(511), 511.0])
+    def test_any_real_peak(self, metric, peak):
+        a, b = cloud([[0, 0, 0], [1, 1, 1]]), cloud([[1, 0, 0], [2, 2, 2]])
+        assert metric(a, b, peak=peak) == metric(a, b, peak=511)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_mse_matches_brute_force(self, seed):
@@ -139,6 +161,95 @@ def test_d2_matches_whole_cloud_oracle(seed, kind):
         b = synthetic.make_blob(m, 6, seed)
         a = np.vstack([b[:3], np.unique(rng.integers(500, 503, (n, 3)), axis=0)])
     assert metrics.d2_psnr(a, b).hex() == d2_oracle(a, b).hex()
+
+
+class TestHandoff:
+    """D1 and D2 called in a row on one pair share its two nearest searches."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The k of every metrics.knn call, from an empty handoff."""
+        calls = []
+
+        def counted(queries, reference, k, _fn=metrics.knn):
+            calls.append(k)
+            return _fn(queries, reference, k)
+
+        monkeypatch.setattr(metrics, "knn", counted)
+        monkeypatch.setattr(metrics, "_held", None, raising=False)
+        return calls
+
+    @staticmethod
+    def pair(seed=8):
+        rng = np.random.default_rng(seed)
+        a = np.unique(rng.integers(0, 20, (150, 3)), axis=0)
+        b = np.unique(rng.integers(0, 20, (170, 3)), axis=0)
+        return a, b
+
+    @pytest.mark.parametrize("first, second", [(metrics.d1_psnr, metrics.d2_psnr),
+                                               (metrics.d2_psnr, metrics.d1_psnr)],
+                             ids=["d1-d2", "d2-d1"])
+    def test_second_call_takes_the_searches(self, searches, first, second):
+        a, b = self.pair()
+        first(a, b)
+        second(a, b)
+        # a to b and b to a, then D2's normals on b and on a
+        assert sorted(searches) == [1, 1, 16, 16]
+
+    def test_a_taken_pair_is_dropped(self, searches):
+        a, b = self.pair()
+        for metric in (metrics.d1_psnr, metrics.d2_psnr, metrics.d1_psnr, metrics.d2_psnr):
+            metric(a, b)
+        assert searches.count(1) == 4
+        assert metrics._held is None
+
+    def test_only_the_last_pair_is_held(self, searches):
+        a, b = self.pair()
+        c, d = self.pair(9)
+        metrics.d1_psnr(a, b)
+        metrics.d1_psnr(c, d)
+        metrics.d2_psnr(a, b)
+        assert searches.count(1) == 6
+
+    @pytest.mark.parametrize("change", ["row-moved", "swapped", "other-b"])
+    def test_key_is_the_content_in_order(self, searches, change):
+        a, b = self.pair()
+        metrics.d1_psnr(a, b)
+        if change == "row-moved":
+            a2, b2 = np.roll(a, 1, axis=0), b
+        elif change == "swapped":
+            a2, b2 = b, a
+        else:
+            a2, b2 = a, np.vstack([b, [[30, 30, 30]]])
+        metrics.d2_psnr(a2, b2)
+        assert searches.count(1) == 4
+
+    def test_a_copy_of_the_same_pair_is_the_same_pair(self, searches):
+        a, b = self.pair()
+        metrics.d1_psnr(cloud(a), cloud(b))
+        metrics.d2_psnr(a.astype(np.float64), b.copy())
+        assert searches.count(1) == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_values_equal_those_with_no_handoff(self, seed, monkeypatch):
+        a, b = self.pair(seed)
+        fresh = {}
+        for metric in (metrics.d2_psnr, metrics.d1_psnr):
+            monkeypatch.setattr(metrics, "_held", None, raising=False)
+            fresh[metric] = metric(a, b)
+        assert fresh[metrics.d2_psnr] == d2_oracle(a, b)
+        for order in ((metrics.d1_psnr, metrics.d2_psnr), (metrics.d2_psnr, metrics.d1_psnr)):
+            monkeypatch.setattr(metrics, "_held", None, raising=False)
+            assert [metric(a, b) for metric in order] == [fresh[metric] for metric in order]
+
+    def test_handed_arrays_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_held", None, raising=False)
+        a, b = self.pair()
+        metrics.d1_psnr(a, b)
+        (ia, da), (ib, db) = metrics._held[1]
+        for arr in (ia, da, ib, db):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 def _each(entry):
@@ -244,6 +355,40 @@ class TestNormals:
         with pytest.raises(ContractViolation, match="rows"):
             metrics.estimate_normals(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
                                      rows=rows)
+
+    @pytest.mark.parametrize("rows", [
+        [1.5], [1.0], [True], [[0, 1]], np.zeros((0, 1), np.int64), 1, ["1"], [None],
+        np.array([2**63], np.uint64),
+    ], ids=["fraction", "float", "bool", "2d", "empty-2d", "scalar", "str", "object",
+            "uint64-wraps"])
+    def test_rows_not_integers_rejected(self, rows):
+        # [1.5] and [True] read row 1's normal; [[0, 1]] was flattened
+        with pytest.raises(ContractViolation, match="rows"):
+            metrics.estimate_normals(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                                     rows=rows)
+
+    @pytest.mark.parametrize("rows", [[], np.array([], np.int64), np.array([3, 1], np.uint8),
+                                      np.array([2], np.int32)])
+    def test_integer_rows_of_any_width(self, rows):
+        coords = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        normals, valid = metrics.estimate_normals(coords)
+        got, got_valid = metrics.estimate_normals(coords, rows=rows)
+        want = np.asarray(rows, dtype=np.int64)
+        assert got.tobytes() == normals[want].tobytes()
+        assert np.array_equal(got_valid, valid[want])
+
+    @pytest.mark.parametrize("k", [0, 2.5, True, "3", None])
+    def test_bad_k_rejected(self, k):
+        # all but 0 raised a raw TypeError
+        with pytest.raises(ContractViolation, match="k must be"):
+            metrics.estimate_normals(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]]), k=k)
+
+    def test_k_clamped_and_numpy_integer_k(self):
+        coords = np.unique(np.random.default_rng(6).integers(0, 6, (40, 3)), axis=0)
+        want = metrics.estimate_normals(coords, k=len(coords))
+        for k in (np.int64(len(coords)), len(coords) + 5, np.uint16(1000)):
+            got = metrics.estimate_normals(coords, k=k)
+            assert got[0].tobytes() == want[0].tobytes() and np.array_equal(got[1], want[1])
 
 
 class TestBpp:
