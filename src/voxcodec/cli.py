@@ -119,14 +119,12 @@ def cmd_encode(args) -> int:
         "alpha": args.alpha,
         "lambda": args.lam,
         "precision_bits": args.precision,
-        "latent_carry": bool(args.latent_carry),
         "frames": [],
     }
     total_bits = 0.0
     total_points = 0
     coded = codec.encode_sequence(_input_frames(args), models, store, gop=args.gop,
-                                  alpha=args.alpha, lam=args.lam,
-                                  latent_carry=args.latent_carry)
+                                  alpha=args.alpha, lam=args.lam)
     try:
         for i, (bs, _) in enumerate(coded):
             if i == 0:  # no output until a frame is coded
@@ -182,16 +180,17 @@ def cmd_decode(args) -> int:
     store, models = _resolve_weights(args)
     manifest = _read_manifest(args.manifest, "file")
     alpha = _manifest_number(manifest.get("alpha", DEFAULT_ALPHA), '"alpha"')
-    carry = manifest.get("latent_carry", False)
-    if not isinstance(carry, bool):  # bool() takes strings
-        raise VoxCodecError("bad manifest: \"latent_carry\" is not true or false")
+    # older encoders wrote this key; the carry-forward reference they could
+    # select is gone, and the DDPC bytes do not say which reference was used
+    if manifest.get("latent_carry", False) is not False:
+        raise VoxCodecError("bad manifest: \"latent_carry\" must be false or absent")
     check_alpha(alpha)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     names = [str(entry["file"]) for entry in manifest["frames"]]
     bitstreams = (codec.parse((Path(args.manifest).parent / name).read_bytes())
                   for name in names)
-    results = codec.decode_sequence(bitstreams, models, store, alpha=alpha, latent_carry=carry)
+    results = codec.decode_sequence(bitstreams, models, store, alpha=alpha)
     for i, name in enumerate(names):
         try:
             decoded = next(results).decoded  # synthesis runs on this read
@@ -422,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interpolation isolation penalty")
     p.add_argument("--gop", type=int, default=0,
                    help="frames per intra period (0 = whole sequence)")
-    p.add_argument("--latent-carry", action="store_true",
-                   help="reuse the decoded latent instead of re-extracting")
     p.add_argument("--output", required=True, help="output directory")
     p.add_argument("inputs", nargs="*", help="input PLY frames in order")
     p.set_defaults(fn=cmd_encode)

@@ -1,13 +1,12 @@
 """End-to-end frame codec: feature extraction, residual compression,
 reconstruction with adaptive pruning, the "DDPC" container, and the
-rate-distortion loss.
+occupancy BCE.
 
 Closed decoding loop: the encoder's analysis stops at integer symbols, and
 both codec sides synthesize each frame from its symbols through one path,
 ``motion.compensate`` then ``_finish_frame``, so their latents are
 bit-identical.  The next frame's reference latent is re-extracted from the
-decoded geometry (Fig-level dataflow; a carry-forward variant reuses the
-decoded latent directly).
+decoded geometry (Fig-level dataflow).
 
 Synthesis runs only when its caller reads it: a ``FrameResult`` holds the
 coded symbols and the prediction, and computes ``decoded``,
@@ -122,17 +121,6 @@ def parse(data: bytes) -> FrameBitstream:
     return FrameBitstream(ftype, precision, lam, n0, n1, substreams)
 
 
-@dataclass
-class LossReport:
-    rate_bpp: float
-    distortion: float
-    lam: float
-
-    @property
-    def loss(self) -> float:
-        return self.rate_bpp + self.lam * self.distortion
-
-
 @dataclass(eq=False)
 class FrameResult:
     """Everything the encoder/decoder knows after processing one frame.
@@ -152,7 +140,6 @@ class FrameResult:
     predicted: SparseTensor | None       # the prediction on c2; None for an I frame
     models: dict
     w: object = field(repr=False)
-    latent_carry: bool
 
     @cached_property
     def rate(self) -> ent.RateReport:
@@ -183,8 +170,6 @@ class FrameResult:
     @cached_property
     def reference_latent(self) -> SparseTensor:
         """The latent the next P frame is coded against."""
-        if self.latent_carry:
-            return self.decoded_latent
         if self.decoded.n == 0:
             return SparseTensor.empty(self.decoded_latent.channels, scale=2)
         return feature_extract(self.decoded, self.w)
@@ -252,7 +237,7 @@ def _finish_frame(bs, c2, residual_symbols, predicted, w):
     return y_prime, decoded, probs
 
 
-def _encode(frame: PointCloudFrame, reference, models, w, alpha, lam, latent_carry):
+def _encode(frame: PointCloudFrame, reference, models, w, alpha, lam):
     """One frame's analysis, as ``decode`` is its synthesis: an I frame when
     ``reference`` is None, else a P frame predicted from it."""
     if not isinstance(lam, numbers.Integral) or lam not in LAMBDA_TAGS:
@@ -276,25 +261,25 @@ def _encode(frame: PointCloudFrame, reference, models, w, alpha, lam, latent_car
     coded[SUB_RESIDUAL], residual_symbols = compress_residual(r, models["residual"], w)
     bs = FrameBitstream(ftype, frame.precision_bits, lam, frame.n, frame.points.cset.down().n,
                         [(sid, coded[sid]) for sid in FRAME_SUBSTREAMS[ftype]])
-    return bs, FrameResult(bs, y.cset, residual_symbols, motion_symbols, predicted, models, w,
-                           latent_carry)
+    return bs, FrameResult(bs, y.cset, residual_symbols, motion_symbols, predicted, models, w)
 
 
-def encode_intra(frame: PointCloudFrame, models, w, lam=3, latent_carry=False):
+def encode_intra(frame: PointCloudFrame, models, w, lam=3):
     """Encode a frame without prediction: octree(C2) plus the latent of the
     frame's own features through the residual path."""
-    return _encode(frame, None, models, w, None, lam, latent_carry)
+    return _encode(frame, None, models, w, None, lam)
 
 
 def encode_inter(frame: PointCloudFrame, prev_latent: SparseTensor, models, w,
-                 alpha=3.0, lam=3, latent_carry=False):
-    """Encode a frame against the previous decoded latent."""
+                 alpha=mo.DEFAULT_ALPHA, lam=3):
+    """Encode a frame against ``prev_latent``, the previous frame's
+    ``reference_latent``."""
     if prev_latent is None or prev_latent.n == 0:
         raise ContractViolation("inter frame requires a non-empty previous latent")
-    return _encode(frame, prev_latent, models, w, alpha, lam, latent_carry)
+    return _encode(frame, prev_latent, models, w, alpha, lam)
 
 
-def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=False):
+def decode(bs: FrameBitstream, prev_latent, models, w, alpha=mo.DEFAULT_ALPHA):
     """Decode one frame; returns a FrameResult whose reference_latent feeds the
     next P frame.  A corrupt substream fails here; synthesis waits for a read."""
     ids = sorted(sid for sid, _ in bs.substreams)
@@ -321,10 +306,10 @@ def decode(bs: FrameBitstream, prev_latent, models, w, alpha=3.0, latent_carry=F
         motion_symbols = ent.range_decode(bs.get(SUB_MOTION), models["motion"],
                                           union.down().down().n)
         predicted = mo.compensate(motion_symbols, c2, prev_latent, w, alpha, union)
-    return FrameResult(bs, c2, rsym, motion_symbols, predicted, models, w, latent_carry)
+    return FrameResult(bs, c2, rsym, motion_symbols, predicted, models, w)
 
 
-def encode_sequence(frames, models, w, gop=0, alpha=3.0, lam=3, latent_carry=False):
+def encode_sequence(frames, models, w, gop=0, alpha=mo.DEFAULT_ALPHA, lam=3):
     """Encode ``frames`` in order, yielding (FrameBitstream, FrameResult) per
     frame.  Frame 0 and every ``gop``-th frame after it are I frames (``gop``
     0: frame 0 only); every other frame is a P frame against the previous
@@ -334,14 +319,13 @@ def encode_sequence(frames, models, w, gop=0, alpha=3.0, lam=3, latent_carry=Fal
     result = None
     for i, frame in enumerate(frames):
         if i == 0 or (gop and i % gop == 0):
-            bs, result = encode_intra(frame, models, w, lam, latent_carry)
+            bs, result = encode_intra(frame, models, w, lam)
         else:
-            bs, result = encode_inter(frame, result.reference_latent, models, w, alpha, lam,
-                                      latent_carry)
+            bs, result = encode_inter(frame, result.reference_latent, models, w, alpha, lam)
         yield bs, result
 
 
-def decode_sequence(bitstreams, models, w, alpha=3.0, latent_carry=False):
+def decode_sequence(bitstreams, models, w, alpha=mo.DEFAULT_ALPHA):
     """Decode ``bitstreams`` in order, yielding a FrameResult per frame; each
     P frame is decoded against the previous frame's reference latent, which
     is re-extracted only for such a frame."""
@@ -350,7 +334,7 @@ def decode_sequence(bitstreams, models, w, alpha=3.0, latent_carry=False):
         reference = None
         if bs.frame_type == FRAME_P and result is not None:
             reference = result.reference_latent
-        result = decode(bs, reference, models, w, alpha, latent_carry)
+        result = decode(bs, reference, models, w, alpha)
         yield result
 
 
@@ -362,14 +346,3 @@ def bce_occupancy(probs: np.ndarray, candidates: np.ndarray, truth: np.ndarray) 
     o = occ.astype(np.float64)
     return float(-np.mean(o * np.log(p) + (1 - o) * np.log(1 - p)))
 
-
-def eval_loss(frame: PointCloudFrame, result: FrameResult, lam: float) -> LossReport:
-    """Rate-distortion loss: estimated bits per point plus lambda times the
-    two-scale mean candidate BCE."""
-    rate_bpp = result.rate.total_bits / frame.n
-    truth = {0: frame.points.coords, 1: frame.points.cset.down().coords}
-    terms = []
-    for probs, candidates, scale in result.scale_probs:
-        terms.append(bce_occupancy(probs, candidates, truth[scale]))
-    distortion = float(np.mean(terms)) if terms else 0.0
-    return LossReport(rate_bpp, distortion, lam)

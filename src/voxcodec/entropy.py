@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ContractViolation, DecodeError
 from .rangecoder import RangeDecoder, RangeEncoder
+from .sparse import integral
 
 TOTAL = 1 << 16
 RAW_CDF = tuple(range(0, TOTAL + 1, 1 << 8))
@@ -72,13 +73,6 @@ def quantize(feats: np.ndarray) -> np.ndarray:
     return (np.sign(f) * np.floor(np.abs(f) + 0.5)).astype(np.int64)
 
 
-def add_noise(feats: np.ndarray, seed: int) -> np.ndarray:
-    """Add U(-0.5, 0.5) noise from a seeded generator (loss-path surrogate)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    noise = rng.uniform(-0.5, 0.5, size=np.shape(feats))
-    return np.asarray(feats) + noise.astype(np.asarray(feats).dtype)
-
-
 def _column_bits(symbols: np.ndarray, cdf: np.ndarray, offset: int) -> float:
     nsym = cdf.size - 2
     slot = symbols - offset
@@ -99,8 +93,16 @@ def _column_bits(symbols: np.ndarray, cdf: np.ndarray, offset: int) -> float:
 
 def _symbol_matrix(symbols, model: EntropyModel) -> np.ndarray:
     """Symbols as an int64 (rows, channels) matrix: a 1-D array is one
-    column; anything else must be 2-D with the model's channel count."""
-    s = np.asarray(symbols, dtype=np.int64)
+    column; anything else must be 2-D with the model's channel count.  The
+    values must pass ``sparse.integral``, as coordinates do."""
+    try:
+        s = np.asarray(symbols)
+    except ValueError:  # rows of different lengths
+        raise ContractViolation("symbols must be a (rows, channels) array, "
+                                "got ragged rows") from None
+    if not integral(s):
+        raise ContractViolation(f"symbols of dtype {s.dtype} are not all finite integers")
+    s = s.astype(np.int64, copy=False)
     if s.ndim == 1:
         s = s.reshape(-1, 1)
     if s.ndim != 2 or s.shape[1] != model.channels:

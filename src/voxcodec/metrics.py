@@ -108,7 +108,11 @@ def estimate_normals(coords, k: int = 16, rows=None) -> tuple[np.ndarray, np.nda
     ref = as_coords(coords.points.coords if isinstance(coords, PointCloudFrame) else coords)
     coords = ref.astype(np.float64)
     n = coords.shape[0]
-    rows = np.arange(n) if rows is None else np.asarray(rows)
+    try:
+        rows = np.arange(n) if rows is None else np.asarray(rows)
+    except ValueError:  # rows of different lengths
+        raise ContractViolation("normal rows must be a 1-D integer array, "
+                                "got ragged rows") from None
     if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
         raise ContractViolation(f"normal rows must be a 1-D integer array, "
                                 f"got {rows.dtype} of shape {rows.shape}")

@@ -32,7 +32,11 @@ def lex_order(coords: np.ndarray) -> np.ndarray:
 
 
 def _rows(a) -> np.ndarray:
-    c = np.asarray(a)
+    try:
+        c = np.asarray(a)
+    except ValueError:  # rows of different lengths
+        raise ContractViolation("coordinates must be an (N, 3) numeric array, "
+                                "got ragged rows") from None
     if c.ndim != 2 or c.shape[1] != 3 or c.dtype.kind not in "iuf":
         raise ContractViolation(f"coordinates must be an (N, 3) numeric array, "
                                 f"got {c.dtype} of shape {c.shape}")
@@ -47,11 +51,19 @@ def as_positions(a) -> np.ndarray:
     return p
 
 
-def as_coords(a) -> np.ndarray:
-    """int64 (N, 3) rows of finite integer values; only a dtype int64 cannot hold is scanned."""
-    c = _rows(a)
+def integral(c: np.ndarray) -> bool:
+    """Whether ``c`` holds only finite integers that int64 can hold: an
+    integer dtype (not bool), or floats of integral value.  Only a dtype
+    int64 cannot hold is scanned."""
     # NaN fails both tests; inf and anything past int64 fail the first
-    if not np.can_cast(c.dtype, np.int64) and not ((abs(c) < 2.0**63) & (c == np.floor(c))).all():
+    return c.dtype.kind in "iuf" and (
+        np.can_cast(c.dtype, np.int64) or bool(((abs(c) < 2.0**63) & (c == np.floor(c))).all()))
+
+
+def as_coords(a) -> np.ndarray:
+    """int64 (N, 3) rows of finite integer values (see :func:`integral`)."""
+    c = _rows(a)
+    if not integral(c):
         raise ContractViolation("coordinates must be finite integers")
     return c.astype(np.int64, copy=False)
 

@@ -200,8 +200,12 @@ class TestDecode:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
+        # a carry-forward encoding, which this decoder cannot reproduce, or a
+        # value that is not false
+        pytest.param("latent_carry", True, id="carry-true"),
         pytest.param("latent_carry", "false", id="carry-string"),
         pytest.param("latent_carry", 0, id="carry-int"),
+        pytest.param("latent_carry", None, id="carry-null"),
         pytest.param("alpha", True, id="alpha-bool"),
         pytest.param("alpha", "3.0", id="alpha-string"),
         pytest.param("alpha", 10**400, id="alpha-overflow"),
@@ -224,21 +228,26 @@ class TestDecode:
         from voxcodec import codec, synthetic
         from voxcodec.ply import write_frame
 
-        enc, dec = tmp_path / "enc", tmp_path / "dec"
+        enc = tmp_path / "enc"
         assert cli.main(["encode", "--weights", str(weights_file), "--synthetic",
                          "rigid:300,3,1", "--precision", "6", "--alpha", "5",
-                         "--gop", "2", "--latent-carry", "--output", str(enc)]) == 0
+                         "--gop", "2", "--output", str(enc)]) == 0
         manifest = json.loads((enc / "manifest.json").read_text())
         assert [f["type"] for f in manifest["frames"]] == ["I", "P", "I"]
-        assert cli.main(["decode", "--weights", str(weights_file),
-                         "--manifest", str(enc / "manifest.json"),
-                         "--output", str(dec)]) == 0
+        assert "latent_carry" not in manifest
+        # a manifest from an older encoder names the one reference rule left
+        old = dict(manifest, latent_carry=False)
+        (enc / "old.json").write_text(json.dumps(old))
         names = ("frame0000", "frame0001", "frame0002")
         bitstreams = (codec.parse((enc / f"{name}.ddpc").read_bytes()) for name in names)
-        results = codec.decode_sequence(bitstreams, models, store, alpha=5.0, latent_carry=True)
-        for name, res in zip(names, results):
-            write_frame(tmp_path / "api.ply", res.decoded)
-            assert (dec / f"{name}.ply").read_bytes() == (tmp_path / "api.ply").read_bytes()
+        results = list(codec.decode_sequence(bitstreams, models, store, alpha=5.0))
+        for name in ("manifest.json", "old.json"):
+            dec = tmp_path / f"dec-{name}"
+            assert cli.main(["decode", "--weights", str(weights_file),
+                             "--manifest", str(enc / name), "--output", str(dec)]) == 0
+            for frame, res in zip(names, results, strict=True):
+                write_frame(tmp_path / "api.ply", res.decoded)
+                assert (dec / f"{frame}.ply").read_bytes() == (tmp_path / "api.ply").read_bytes()
 
     def test_synthesis_error_keeps_its_frame_label(self, tmp_path, weights_file, encoded,
                                                    monkeypatch, capsys):
@@ -839,7 +848,8 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error: gop must be non-negative")
         assert not out.exists()
 
-    @pytest.mark.parametrize("option", [["--workers", "1"], ["--transmit-c3"]])
+    @pytest.mark.parametrize("option", [["--workers", "1"], ["--transmit-c3"],
+                                        ["--latent-carry"]])
     def test_removed_encode_options_rejected(self, tmp_path, weights_file, option):
         rc = cli.main(["encode", "--weights", str(weights_file), "--synthetic",
                        "rigid:100,1,0", "--output", str(tmp_path / "x")] + option)

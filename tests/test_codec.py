@@ -123,11 +123,9 @@ class TestResidualCompression:
 
 
 class TestSharedSynthesis:
-    @pytest.mark.parametrize("latent_carry", [False, True])
-    def test_compensate_on_decoded_symbols_reproduces_prediction(self, store, models,
-                                                                 latent_carry):
+    def test_compensate_on_decoded_symbols_reproduces_prediction(self, store, models):
         frames = synthetic.make_rigid_sequence(600, 3, 2, 7, seed=17)
-        coded = codec.encode_sequence(frames, models, store, latent_carry=latent_carry)
+        coded = codec.encode_sequence(frames, models, store)
         reference, p_frames = None, 0
         for frame, (bs, result) in zip(frames, coded):
             if bs.frame_type == codec.FRAME_P:
@@ -519,28 +517,18 @@ class TestEndToEnd:
         with pytest.raises(DecodeError):
             codec.decode(codec.parse(codec.serialize(crafted)), None, models, store)
 
-    def test_latent_carry_variant_closed_loop(self, store, models, small_frames):
-        (bs0, _), (bs1, enc1) = codec.encode_sequence(small_frames, models, store,
-                                                      latent_carry=True)
-        _, dec1 = codec.decode_sequence([bs0, bs1], models, store, latent_carry=True)
-        assert np.array_equal(dec1.decoded_latent.feats, enc1.decoded_latent.feats)
-
 
 class TestSequence:
     @pytest.fixture(scope="class")
     def frames(self):
         return synthetic.make_rigid_sequence(200, 5, 1, 6, seed=9)
 
-    @pytest.mark.parametrize("latent_carry", [False, True], ids=["re-extract", "carry"])
     @pytest.mark.parametrize("gop, types", [(0, "IPPPP"), (1, "IIIII"), (2, "IPIPI"),
                                             (3, "IPPIP")])
-    def test_gop_policy_and_closed_loop(self, store, models, frames, gop, types,
-                                        latent_carry):
-        encoded = list(codec.encode_sequence(frames, models, store, gop=gop,
-                                             latent_carry=latent_carry))
+    def test_gop_policy_and_closed_loop(self, store, models, frames, gop, types):
+        encoded = list(codec.encode_sequence(frames, models, store, gop=gop))
         assert "".join("IP"[bs.frame_type] for bs, _ in encoded) == types
-        decoded = codec.decode_sequence([bs for bs, _ in encoded], models, store,
-                                        latent_carry=latent_carry)
+        decoded = codec.decode_sequence([bs for bs, _ in encoded], models, store)
         for (_, enc), dec in zip(encoded, decoded, strict=True):
             # the encoder's values, forced after coding, are the decoder's
             assert np.array_equal(dec.decoded.points.coords, enc.decoded.points.coords)
@@ -555,11 +543,9 @@ class TestSequence:
         reference = None
         for frame, ftype, (bs, _) in zip(frames, types, encoded):
             if ftype == "I":
-                expect, result = codec.encode_intra(frame, models, store,
-                                                    latent_carry=latent_carry)
+                expect, result = codec.encode_intra(frame, models, store)
             else:
-                expect, result = codec.encode_inter(frame, reference, models, store,
-                                                    latent_carry=latent_carry)
+                expect, result = codec.encode_inter(frame, reference, models, store)
             reference = result.reference_latent
             assert codec.serialize(bs) == codec.serialize(expect)
 
@@ -592,15 +578,6 @@ class TestLoss:
         rows = truth if disorder == "shuffled" else np.vstack([truth, truth[::2]])
         rows = rng.permutation(rows)
         assert codec.bce_occupancy(probs, cand, rows) == expect
-
-    def test_loss_report(self, store, models, small_frames):
-        frame = small_frames[0]
-        _, enc = codec.encode_intra(frame, models, store)
-        for lam in codec.LAMBDA_TAGS:
-            report = codec.eval_loss(frame, enc, lam)
-            assert report.rate_bpp > 0
-            assert report.distortion >= 0
-            assert report.loss == pytest.approx(report.rate_bpp + lam * report.distortion)
 
 
 def eager_rate(bs, models, prev_latent):

@@ -26,25 +26,6 @@ class TestQuantize:
         assert abs(q - x) <= 0.5 + 1e-9
 
 
-class TestAddNoise:
-    def test_reproducible(self):
-        f = np.zeros((100, 4), np.float32)
-        a = ent.add_noise(f, 7)
-        b = ent.add_noise(f, 7)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, ent.add_noise(f, 8))
-
-    def test_bounds(self):
-        noisy = ent.add_noise(np.zeros(100000), 1)
-        assert noisy.min() >= -0.5 and noisy.max() < 0.5
-
-    def test_mean_near_zero(self):
-        n = 1_000_000
-        noisy = ent.add_noise(np.zeros(n), 2)
-        sigma = (1 / 12) ** 0.5 / n**0.5
-        assert abs(noisy.mean()) < 3 * sigma
-
-
 class TestEstimateBits:
     def test_half_probability_is_one_bit(self):
         model = ent.build_table_from_pmf([[0.5, 0.5]], [0])
@@ -146,6 +127,27 @@ class TestRangeCoding:
         for f in (ent.estimate_bits, ent.range_encode):
             with pytest.raises(ContractViolation, match="3-channel"):
                 f(symbols, model)
+
+    @pytest.mark.parametrize("symbols", [
+        np.full((2, 3), 0.7), np.full((2, 3), np.nan), np.full((2, 3), np.inf),
+        np.full((2, 3), -np.inf), np.full((2, 3), 2.0**63), np.ones((2, 3), bool),
+        [[0, 0, 0], [0, 0]], np.full((2, 3), "0"), np.full((2, 3), 2**64 - 1, np.uint64),
+    ], ids=["fraction", "nan", "inf", "-inf", "past-int64", "bool", "ragged", "str",
+            "uint64-wraps"])
+    def test_symbols_not_integers_rejected(self, symbols):
+        # the coordinates' integer rule (sparse.integral): no symbol is
+        # truncated, cast or read as an escape
+        model = random_model(np.random.default_rng(7))
+        for f in (ent.estimate_bits, ent.range_encode):
+            with pytest.raises(ContractViolation, match="symbols"):
+                f(symbols, model)
+
+    def test_integral_symbols_of_any_dtype(self):
+        model = random_model(np.random.default_rng(7))
+        syms = np.random.default_rng(3).integers(-12, 5, (20, 3))
+        for same in (syms.astype(np.float64), syms.astype(np.int16), syms.tolist()):
+            assert ent.range_encode(same, model) == ent.range_encode(syms, model)
+            assert ent.estimate_bits(same, model) == ent.estimate_bits(syms, model)
 
     def test_escape_without_slot_rejected(self):
         model = ent.build_table_from_pmf([[1.0, 1.0]], [0], escape_mass=0.0)

@@ -153,8 +153,8 @@ def test_no_queries():
 
 @pytest.mark.parametrize("queries", [
     np.zeros((3, 2)), np.zeros((5, 2)), np.zeros((2, 3, 1)), [1, 2, 3],
-    [[True, False, True]], [["0", "0", "0"]],
-], ids=["3x2", "5x2", "3d", "flat", "bool", "str"])
+    [[True, False, True]], [["0", "0", "0"]], [[0, 0, 0], [1]],
+], ids=["3x2", "5x2", "3d", "flat", "bool", "str", "ragged"])
 def test_malformed_queries_rejected(queries):
     # queries are real positions, so fractional ones are fine; a (3, 2)
     # array must not be reshaped into two queries

@@ -291,7 +291,9 @@ class TestCoords:
         [[1e300, 0, 0]],
         [[True, False, True]],
         [["0", "0", "0"]],
-    ], ids=["fractional", "3x2", "5x2", "3d", "flat", "nan", "inf", "huge", "bool", "str"])
+        [[0, 0, 0], [1, 2]],
+    ], ids=["fractional", "3x2", "5x2", "3d", "flat", "nan", "inf", "huge", "bool", "str",
+            "ragged"])
     def test_malformed_rejected(self, metric, coords, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         good = np.array([[1, 2, 3], [4, 5, 6]])
@@ -358,9 +360,9 @@ class TestNormals:
 
     @pytest.mark.parametrize("rows", [
         [1.5], [1.0], [True], [[0, 1]], np.zeros((0, 1), np.int64), 1, ["1"], [None],
-        np.array([2**63], np.uint64),
+        np.array([2**63], np.uint64), [[0], [1, 2]],
     ], ids=["fraction", "float", "bool", "2d", "empty-2d", "scalar", "str", "object",
-            "uint64-wraps"])
+            "uint64-wraps", "ragged"])
     def test_rows_not_integers_rejected(self, rows):
         # [1.5] and [True] read row 1's normal; [[0, 1]] was flattened
         with pytest.raises(ContractViolation, match="rows"):
