@@ -34,37 +34,12 @@ EXIT_NO_REFERENCE = 4
 EXIT_COUNT_MISMATCH = 5
 EXIT_FEW_POINTS = 6
 
-# config key -> (argument it sets, parser)
-_CONFIG_KEYS = {"alpha": ("alpha", float), "lambda": ("lam", int), "gop": ("gop", int)}
-
-
 def _read_text(path):
     """A text file's contents; bytes that do not decode are malformed input."""
     try:
         return Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise VoxCodecError(f"{path} is not text: {exc.reason} at byte {exc.start}") from None
-
-
-def _load_config(path):
-    """Plain key=value config; unknown keys and unparsable values are rejected.
-    Returns {argument name: value}."""
-    values = {}
-    for ln, raw in enumerate(_read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise VoxCodecError(f"config line {ln}: expected key=value")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise VoxCodecError(f"config line {ln}: unknown key '{key}'")
-        dest, parse = _CONFIG_KEYS[key]
-        try:
-            values[dest] = parse(val)
-        except ValueError:
-            raise VoxCodecError(f"config line {ln}: bad value for '{key}'") from None
-    return values
 
 
 def _resolve_weights(args):
@@ -80,15 +55,6 @@ def _resolve_weights(args):
         print(f"error: unusable weight file: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_NO_WEIGHTS)
     return store, models
-
-
-def _apply_config(args):
-    if args.config:
-        vars(args).update(_load_config(args.config))
-    if args.lam not in codec.LAMBDA_TAGS:
-        raise VoxCodecError(f"lambda must be one of {codec.LAMBDA_TAGS}")
-    if getattr(args, "gop", 0) < 0:  # eval has no --gop, but may read a config's
-        raise VoxCodecError(f"gop must be non-negative, got {args.gop}")
 
 
 def _input_frames(args):
@@ -112,8 +78,6 @@ def _load_frames(paths, precision):
 
 def cmd_encode(args) -> int:
     store, models = _resolve_weights(args)
-    _apply_config(args)
-    check_alpha(args.alpha)
     outdir = Path(args.output)
     manifest = {
         "alpha": args.alpha,
@@ -210,7 +174,6 @@ def _fmt(x: float) -> str:
 
 
 def cmd_eval(args) -> int:
-    _apply_config(args)
     out = Path(args.csv)
     # a CSV that cannot be written fails before the metrics, not after them
     if not out.parent.is_dir():
@@ -411,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=codec.LAMBDA_TAGS, help="rate-point tag")
         p.add_argument("--precision", type=int, default=7, help="coordinate bits")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", help="key=value config file")
         p.add_argument("--synthetic", help="rigid:N,frames,translation")
 
     p = sub.add_parser("encode", help="encode a PLY sequence (or synthetic)")

@@ -313,9 +313,11 @@ def encode_sequence(frames, models, w, gop=0, alpha=mo.DEFAULT_ALPHA, lam=3):
     """Encode ``frames`` in order, yielding (FrameBitstream, FrameResult) per
     frame.  Frame 0 and every ``gop``-th frame after it are I frames (``gop``
     0: frame 0 only); every other frame is a P frame against the previous
-    frame's reference latent, which is synthesized only for such a frame."""
-    if gop < 0:
-        raise ContractViolation(f"gop must be non-negative, got {gop}")
+    frame's reference latent, which is synthesized only for such a frame.
+    ``gop`` and ``alpha`` are checked before the first frame is coded."""
+    if not isinstance(gop, numbers.Integral) or isinstance(gop, bool) or gop < 0:
+        raise ContractViolation(f"gop must be non-negative and an integer, got {gop!r}")
+    mo.check_alpha(alpha)
     result = None
     for i, frame in enumerate(frames):
         if i == 0 or (gop and i % gop == 0):

@@ -10,6 +10,8 @@ analysis and both sides' synthesis.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from . import entropy as ent
@@ -23,8 +25,15 @@ DEFAULT_ALPHA = 3.0  # isolation penalty matching a minimum point spacing of 1
 
 
 def check_alpha(alpha) -> None:
-    if not 0 < alpha < float("inf"):  # NaN included
-        raise ContractViolation(f"alpha must be positive and finite, got {alpha}")
+    # True is an int, and would pass as alpha 1; an int past the float range
+    # would pass too, and overflow where alpha is used
+    try:
+        ok = (isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+              and 0 < float(alpha) < float("inf"))  # NaN included
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ContractViolation(f"alpha must be positive and finite, got {alpha!r}")
 
 
 def flow_embedding(y_t: SparseTensor, y_prev: SparseTensor, w) -> SparseTensor:

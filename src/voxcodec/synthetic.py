@@ -7,6 +7,8 @@ coordinate cube.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ContractViolation
@@ -20,6 +22,8 @@ def make_blob(n_points: int, precision_bits: int, seed: int, margin: int = 0) ->
     the clusters cannot fill within ``64 n + 4096`` draws (sizes used in
     practice take about 1.05 draws per point) is refused, as is a cube past [0, 2^20).
     """
+    if not isinstance(n_points, numbers.Integral) or isinstance(n_points, bool) or n_points < 1:
+        raise ContractViolation(f"n_points must be an integer >= 1, got {n_points!r}")
     if precision_bits < 0 or (1 << precision_bits) - margin > 1 << (COORD_BITS - 1):
         raise ContractViolation(f"a {precision_bits}-bit cube does not fit the key range")
     span = (1 << precision_bits) - 2 * margin

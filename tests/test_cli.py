@@ -510,9 +510,6 @@ class TestFileErrors:
             # pass and the missing original is what fails
             "eval-input": ["eval", "--decoded", str(tmp), "--bitstream-dir", str(tmp),
                            "--csv", str(tmp / "rd.csv"), str(tmp / "missing.ply")],
-            "encode-config": ["encode", *w, "--synthetic", "rigid:100,1,0",
-                              "--config", str(tmp / "missing.cfg"),
-                              "--output", str(tmp / "out")],
             "encode-output": ["encode", *w, "--synthetic", "rigid:100,1,0",
                               "--precision", "6", "--output", str(existing)],
             "decode-output": ["decode", *w, "--manifest", str(encoded / "manifest.json"),
@@ -525,7 +522,7 @@ class TestFileErrors:
         }[case]
 
     @pytest.mark.parametrize("case", [
-        "encode-input", "eval-input", "encode-config", "encode-output", "decode-output",
+        "encode-input", "eval-input", "encode-output", "decode-output",
         "eval-csv", "rdcsv-svg", "make-weights-output"])
     def test_exit_3_with_one_error_line(self, tmp_path, weights_file, encoded, case,
                                         capsys):
@@ -557,8 +554,9 @@ class TestFileErrors:
 
 
 class TestSeedAndPrecision:
-    """A seed outside the DPCW header's u32 field or a negative precision
-    exits 3 with one error line, before any file is written."""
+    """A seed outside the DPCW header's u32 field, a negative precision or a
+    synthetic sequence without points exits 3 with one error line, before
+    any file is written."""
 
     @pytest.mark.parametrize("seed", ["-1", "4294967296"])
     def test_make_weights_bad_seed_leaves_no_file(self, tmp_path, seed, capsys):
@@ -623,6 +621,20 @@ class TestSeedAndPrecision:
         assert len(err.splitlines()) == 1, err
         assert err.startswith(f"error: precision {precision} outside [3, 23]"), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["encode", "eval"])
+    @pytest.mark.parametrize("spec", ["rigid:0,2,0", "rigid:-3,2,0"])
+    def test_synthetic_without_points_exit_3(self, tmp_path, weights_file, command, spec,
+                                             capsys):
+        argv = {"encode": ["encode", "--weights", str(weights_file),
+                           "--output", str(tmp_path / "out")],
+                "eval": ["eval", "--decoded", str(tmp_path), "--csv",
+                         str(tmp_path / "rd.csv")]}[command]
+        rc = cli.main([*argv, "--synthetic", spec])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_BAD_INPUT
+        assert len(err.splitlines()) == 1 and err.startswith("error: n_points"), err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "rd.csv").exists()
 
     def test_high_precision_ply_still_encodes(self, tmp_path, weights_file):
         # 23 bits of precision, coordinates below the 2^20 key range
@@ -771,59 +783,13 @@ class TestStreamedInput:
 
 
 class TestConfig:
-    def test_config_file_applies(self, tmp_path, weights_file):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("alpha = 4.0\nlambda = 5\ngop = 1\n")
-        out = tmp_path / "enc"
-        rc = cli.main(["encode", "--weights", str(weights_file),
-                       "--synthetic", "rigid:200,2,1", "--precision", "6",
-                       "--config", str(cfg), "--output", str(out)])
-        assert rc == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["lambda"] == 5
-        assert manifest["alpha"] == 4.0
-        # gop=1 forces every frame intra
-        assert [f["type"] for f in manifest["frames"]] == ["I", "I"]
-
-    def test_unknown_key_rejected(self, tmp_path, weights_file):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("mystery = 1\n")
-        rc = cli.main(["encode", "--weights", str(weights_file),
-                       "--synthetic", "rigid:100,1,0", "--precision", "6",
-                       "--config", str(cfg), "--output", str(tmp_path / "x")])
-        assert rc == cli.EXIT_BAD_INPUT
-
-    @pytest.mark.parametrize("text", ["plan = fast\n", "gop = two\n", "alpha = x\n"])
-    def test_unknown_key_or_bad_value_rejected(self, tmp_path, weights_file, text):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        rc = cli.main(["encode", "--weights", str(weights_file),
-                       "--synthetic", "rigid:100,1,0", "--precision", "6",
-                       "--config", str(cfg), "--output", str(tmp_path / "x")])
-        assert rc == cli.EXIT_BAD_INPUT
-
-    def test_non_utf8_config_exit_3(self, tmp_path, weights_file, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_bytes(b"alpha = 4.0\n# \xff\n")
-        rc = cli.main(["encode", "--weights", str(weights_file),
-                       "--synthetic", "rigid:100,1,0", "--precision", "6",
-                       "--config", str(cfg), "--output", str(tmp_path / "x")])
-        assert rc == cli.EXIT_BAD_INPUT
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    """Each run parameter has one way in: its option."""
 
     @pytest.mark.parametrize("alpha", [["--alpha", "nan"], ["--alpha", "-1"],
-                                       ["--config", "alpha = nan\n"],
-                                       ["--config", "alpha = 0\n"],
-                                       ["--alpha", "inf"], ["--config", "alpha = inf\n"]],
-                             ids=["option-nan", "option-negative", "config-nan", "config-zero",
-                                  "option-inf", "config-inf"])
+                                       ["--alpha", "inf"]],
+                             ids=["option-nan", "option-negative", "option-inf"])
     def test_alpha_not_positive_exit_3_before_any_frame(self, tmp_path, weights_file,
                                                           alpha, capsys):
-        if alpha[0] == "--config":
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(alpha[1])
-            alpha = ["--config", str(cfg)]
         out = tmp_path / "x"
         rc = cli.main(["encode", "--weights", str(weights_file),
                        "--synthetic", "rigid:100,2,0", "--precision", "6",
@@ -832,14 +798,9 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error: alpha must be positive")
         assert not out.exists()
 
-    @pytest.mark.parametrize("gop", [["--gop", "-2"], ["--config", "gop = -5\n"]],
-                             ids=["option", "config"])
+    @pytest.mark.parametrize("gop", [["--gop", "-2"]], ids=["option"])
     def test_negative_gop_exit_3_before_any_frame(self, tmp_path, weights_file, gop,
                                                   capsys):
-        if gop[0] == "--config":
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(gop[1])
-            gop = ["--config", str(cfg)]
         out = tmp_path / "x"
         rc = cli.main(["encode", "--weights", str(weights_file),
                        "--synthetic", "rigid:100,3,0", "--precision", "6",
@@ -849,11 +810,18 @@ class TestConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("option", [["--workers", "1"], ["--transmit-c3"],
-                                        ["--latent-carry"]])
+                                        ["--latent-carry"], ["--config", "x.cfg"]])
     def test_removed_encode_options_rejected(self, tmp_path, weights_file, option):
         rc = cli.main(["encode", "--weights", str(weights_file), "--synthetic",
                        "rigid:100,1,0", "--output", str(tmp_path / "x")] + option)
         assert rc == 2
+
+    def test_eval_config_rejected(self, tmp_path):
+        csv = tmp_path / "rd.csv"
+        rc = cli.main(["eval", "--synthetic", "rigid:100,1,0", "--decoded", str(tmp_path),
+                       "--csv", str(csv), "--config", "x.cfg"])
+        assert rc == 2
+        assert not csv.exists()
 
     def test_invalid_lambda_rejected(self, weights_file, tmp_path, capsys):
         rc = cli.main(["encode", "--weights", str(weights_file), "--lambda", "6",

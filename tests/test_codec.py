@@ -553,6 +553,17 @@ class TestSequence:
         with pytest.raises(ContractViolation, match="gop"):
             next(codec.encode_sequence(frames, models, store, gop=-2))
 
+    @pytest.mark.parametrize("gop, alpha, match", [
+        (1.5, 3.0, "gop"), (True, 3.0, "gop"), ("2", 3.0, "gop"), (-1, 3.0, "gop"),
+        (1, float("nan"), "alpha"), (1, 0, "alpha"), (1, float("inf"), "alpha")])
+    def test_run_parameters_checked_before_the_first_frame(self, store, models, frames,
+                                                           gop, alpha, match):
+        # gop 1 codes no P frame, so alpha is never used: it is refused all the same
+        pending = iter(frames)
+        with pytest.raises(ContractViolation, match=match):
+            next(codec.encode_sequence(pending, models, store, gop=gop, alpha=alpha))
+        assert next(pending) is frames[0]  # no frame was read
+
 
 class TestLoss:
     def test_perfect_probs_zero_distortion(self):

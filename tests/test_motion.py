@@ -103,8 +103,9 @@ class TestAdaptiveInterpolate:
     def test_bad_alpha_rejected(self):
         ref = make([[0, 0, 0]], [[1.0]])
         m = make([[0, 0, 0]], np.zeros((1, 3), np.float32))
-        for alpha in (0.0, -1.0, float("nan"), float("-inf")):  # NaN fails "alpha > 0" too
-            with pytest.raises(ContractViolation):
+        # NaN fails "alpha > 0" too; True would pass as 1; 10**400 overflows a float
+        for alpha in (0.0, -1.0, float("nan"), float("-inf"), "3", None, True, 10**400):
+            with pytest.raises(ContractViolation, match="alpha must be positive"):
                 mo.adaptive_interpolate(m, ref, alpha)
 
     def test_prediction_shares_the_motion_coordinates(self):

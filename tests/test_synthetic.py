@@ -41,6 +41,12 @@ def test_cli_unfillable_synthetic_exit_3(tmp_path):
 
 
 
+@pytest.mark.parametrize("n", [0, -3, 1.5, True, "10"])
+def test_point_count_not_an_integer_above_0_refused(n):
+    with pytest.raises(ContractViolation, match="n_points"):
+        synthetic.make_blob(n, 6, 0)
+
+
 @pytest.mark.parametrize("bits,margin", [(-1, 0), (21, 0), (21, 5), (300, 1)])
 def test_cube_past_the_key_range_refused(bits, margin):
     with pytest.raises(ContractViolation, match="key range"):
