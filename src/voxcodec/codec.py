@@ -41,7 +41,8 @@ from . import motion as mo
 from . import octree as oc
 from .errors import ContractViolation, DecodeError, MissingReference, pack
 from .nn import _conv, adaptive_prune, classify_occupancy, irn_block, prefixed
-from .sparse import CoordSet, PointCloudFrame, SparseTensor, children_coords, lookup, pack_keys
+from .sparse import (CoordSet, PointCloudFrame, SparseTensor, _distinct, children_coords, lookup,
+                     pack_keys)
 
 MAGIC = b"DDPC"
 VERSION = 1
@@ -223,7 +224,8 @@ def reconstruct(y_prime: SparseTensor, n1: int, n0: int, w, precision_bits: int)
         x = adaptive_prune(x, probs, kept)
         if x.n == 0:
             break
-    return PointCloudFrame.from_coords(x.coords, precision_bits), probs_out
+    decoded = SparseTensor(x.cset, np.ones((x.n, 1), dtype=np.float32))
+    return PointCloudFrame(decoded, precision_bits), probs_out
 
 
 def _finish_frame(bs, c2, residual_symbols, predicted, w):
@@ -247,7 +249,8 @@ def _encode(frame: PointCloudFrame, reference, models, w, alpha, lam):
         raise ContractViolation(f"precision {frame.precision_bits} outside [3, {oc.MAX_DEPTH + 2}]"
                                 " (the octree codes C2 at precision - 2 bits)")
     # on a set of its own, so the sets and plans derived from it go with the call
-    frame = PointCloudFrame.from_coords(frame.points.coords, frame.precision_bits)
+    frame = PointCloudFrame(SparseTensor(frame.points.cset.fresh(), frame.points.feats),
+                            frame.precision_bits)
     y = feature_extract(frame, w)
     ftype = FRAME_I if reference is None else FRAME_P
     coded = {SUB_COORDS: oc.serialize_stream(oc.octree_encode(y.coords, depth))}
@@ -344,7 +347,7 @@ def bce_occupancy(probs: np.ndarray, candidates: np.ndarray, truth: np.ndarray) 
     """Natural-log BCE of candidate occupancy probabilities against the set of
     truly occupied voxels; ``truth`` rows may come in any order, repeated."""
     p = np.clip(np.asarray(probs, dtype=np.float64), 1e-12, 1 - 1e-12)
-    _, occ = lookup(np.unique(pack_keys(truth)), pack_keys(candidates))
+    _, occ = lookup(_distinct(pack_keys(truth)), pack_keys(candidates))
     o = occ.astype(np.float64)
     return float(-np.mean(o * np.log(p) + (1 - o) * np.log(1 - p)))
 

@@ -435,4 +435,6 @@ def adaptive_prune(x: SparseTensor, probs: np.ndarray, keep: int) -> SparseTenso
     m = min(int(keep), x.n)
     order = np.argsort(-probs, kind="stable")[:m]
     order = np.sort(order)
-    return SparseTensor(np.take(x.coords, order, axis=0), np.take(x.feats, order, axis=0), x.scale)
+    # order is increasing, so the kept keys are too
+    kept = CoordSet.from_keys(np.take(x.cset.keys, order))
+    return SparseTensor(kept, np.take(x.feats, order, axis=0), x.scale)

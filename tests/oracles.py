@@ -4,9 +4,9 @@ These deliberately avoid the library's own fast paths: dense zero-padded
 convolution on a full grid, one sorted search per kernel offset, the sparse
 convolution's earlier fancy-index offset loops (forward and backward), O(N*Q)
 nearest-neighbour scans, D2 with a normal at every reference point,
-per-element probability sums, a dense-grid set
-union, the range coder's earlier numpy symbol step, and a breadth-first
-octree walk over Python sets.
+per-element probability sums, NumPy's own ``np.unique`` for distinct
+coordinate sets, a dense-grid set union, the range coder's earlier numpy
+symbol step, and a breadth-first octree walk over Python sets.
 """
 
 import numpy as np
@@ -214,6 +214,13 @@ def dense_grid_add(a_coords, a_feats, b_coords, b_feats):
         acc[c] = acc.get(c, 0) + f
     keys = sorted(acc)
     return np.array(keys), np.array([acc[k] for k in keys])
+
+
+def distinct_set_oracle(coords):
+    """The distinct rows of ``coords`` as NumPy's own ``np.unique`` takes them:
+    (uint64 keys, lex-sorted int32 rows), from the keys and from whole rows."""
+    c = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+    return np.unique(pack_keys(c)), np.unique(c, axis=0).astype(np.int32)
 
 
 def reference_quantizer(xyz, source_bits, target_bits):

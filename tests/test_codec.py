@@ -285,10 +285,22 @@ class TestDerivedOnce:
         # the encoders code a frame on a set of its own, so a caller holding its
         # frames does not also hold their stride-down sets and kernel-map plans
         frames = synthetic.make_rigid_sequence(300, 2, 1, 6, seed=5)
-        _, enc0 = codec.encode_intra(frames[0], models, store)
-        codec.encode_inter(frames[1], enc0.reference_latent, models, store)
+        bs0, enc0 = codec.encode_intra(frames[0], models, store)
+        bs1, enc1 = codec.encode_inter(frames[1], enc0.reference_latent, models, store)
+        enc1.reference_latent
         for frame in frames:
             assert frame.points.cset._down is None and frame.points.cset.plans == {}
+        # and each decoded frame is a set of its own: int32 rows, read-only,
+        # the rows a re-derivation from its coordinates gives
+        dec0 = codec.decode(bs0, None, models, store)
+        dec1 = codec.decode(bs1, dec0.reference_latent, models, store)
+        for enc, dec in ((enc0, dec0), (enc1, dec1)):
+            rows = dec.decoded.points.coords
+            again = PointCloudFrame.from_coords(rows, bs0.precision_bits).points.coords
+            assert rows.dtype == np.int32 and not rows.flags.writeable
+            assert np.array_equal(rows, again) and np.array_equal(rows, enc.decoded.points.coords)
+            assert dec.decoded.points.cset is not enc.decoded.points.cset
+            assert dec.decoded.points.cset is not dec.c2
 
 
 class TestLazySynthesis:

@@ -3,17 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_grid_add
+from oracles import dense_grid_add, distinct_set_oracle
+from voxcodec import codec, nn, ply
 from voxcodec.errors import ContractViolation
 from voxcodec.sparse import (
     CoordSet,
     PointCloudFrame,
     SparseTensor,
+    _distinct,
     add_on_union,
     as_coords,
     children_coords,
     concatenate,
     key_steps,
+    lex_order,
     lookup,
     pack_keys,
     sorted_keys,
@@ -254,3 +257,124 @@ class TestPointCloudFrame:
         for coords in ([[0, 0, 0]], np.empty((0, 3), np.int64)):
             with pytest.raises(ContractViolation, match="precision"):
                 PointCloudFrame.from_coords(coords, -1)
+
+
+def _row_sets():
+    """Rows for the distinct-set checks: empty, one row, all duplicates,
+    pre-sorted, reversed and random, reaching both ends of the 21-bit range."""
+    lo, hi = -(1 << 20), (1 << 20) - 1
+    rng = np.random.default_rng(11)
+    near = rng.integers(-3, 3, size=(300, 3))  # mostly repeated rows
+    wide = rng.integers(lo, hi + 1, size=(200, 3))
+    rows = np.vstack([near, wide, [[lo, lo, lo], [hi, hi, hi], [lo, hi, 0], [hi, lo, -1]]])
+    ordered = rows[lex_order(rows)]
+    return {
+        "empty": np.empty((0, 3), np.int64),
+        "one": np.array([[lo, 0, hi]]),
+        "duplicates": np.tile([[hi, lo, 3]], (5, 1)),
+        "sorted": ordered,
+        "reversed": ordered[::-1],
+        "random": rng.permutation(rows),
+    }
+
+
+ROW_SETS = _row_sets()
+
+
+def read_only(cset):
+    return not (cset.keys.flags.writeable or cset.coords.flags.writeable)
+
+
+class TestDistinctSets:
+    """Every set the library derives takes its distinct keys by one sort; it
+    matches np.unique key for key and row for row."""
+
+    @pytest.mark.parametrize("name", ROW_SETS)
+    def test_distinct_keys(self, name):
+        c = ROW_SETS[name]
+        keys, _ = distinct_set_oracle(c)
+        got = _distinct(pack_keys(c))
+        assert got.dtype == np.uint64 and np.array_equal(got, keys)
+
+    @pytest.mark.parametrize("name", ROW_SETS)
+    def test_stride_down(self, name):
+        c = ROW_SETS[name]
+        _, rows = distinct_set_oracle(c >> 1)
+        got = stride_down_coords(c)
+        assert got.dtype == np.int32 and np.array_equal(got, rows)
+
+    @pytest.mark.parametrize("name", ROW_SETS)
+    def test_union(self, name):
+        _, rows = distinct_set_oracle(ROW_SETS[name])
+        n = rows.shape[0]
+        a, b = rows[: 2 * n // 3], rows[n // 3 :]  # overlapping in the middle third
+        keys, rows = distinct_set_oracle(np.vstack([b, a]))
+        u = union(CoordSet(a), CoordSet(b))
+        assert u.n == rows.shape[0] and np.array_equal(u.keys, keys)
+        assert u.coords.dtype == np.int32 and np.array_equal(u.coords, rows)
+        assert read_only(u)
+
+    @pytest.mark.parametrize("name", ROW_SETS)
+    def test_frame_from_coords(self, name):
+        c = (ROW_SETS[name] + (1 << 20)) >> 1  # onto [0, 2^20), both ends kept
+        keys, rows = distinct_set_oracle(c)
+        f = PointCloudFrame.from_coords(c, 20)
+        assert np.array_equal(f.points.cset.keys, keys)
+        assert f.points.coords.dtype == np.int32 and np.array_equal(f.points.coords, rows)
+        assert f.points.feats.dtype == np.float32 and f.points.feats.shape == (rows.shape[0], 1)
+        assert read_only(f.points.cset)
+
+    @pytest.mark.parametrize("name", ROW_SETS)
+    def test_set_from_keys(self, name):
+        keys, rows = distinct_set_oracle(ROW_SETS[name])
+        s = CoordSet.from_keys(keys)
+        assert s.keys is keys and s.n == rows.shape[0]
+        assert s.coords.dtype == np.int32 and np.array_equal(s.coords, rows)
+        assert read_only(s) and s.plans == {}
+        down = s.down()
+        assert np.array_equal(down.coords, distinct_set_oracle(rows >> 1)[1])
+        assert read_only(down)
+
+    @pytest.mark.parametrize("keys", [[2, 1], [3, 3], [0, 5, 5, 7]])
+    def test_keys_not_increasing_rejected(self, keys):
+        with pytest.raises(ContractViolation, match="strictly increasing"):
+            CoordSet.from_keys(np.array(keys, dtype=np.uint64))
+
+    @pytest.mark.parametrize("keys", [np.array([1, 2]), np.zeros((2, 1), np.uint64), [1, 2]],
+                             ids=["int64", "2-D", "list"])
+    def test_keys_not_a_uint64_vector_rejected(self, keys):
+        with pytest.raises(ContractViolation, match="1-D uint64"):
+            CoordSet.from_keys(keys)
+
+    def test_fresh_set_shares_rows_not_derived_state(self):
+        s = CoordSet(distinct_set_oracle(ROW_SETS["random"])[1])
+        s.down()
+        s.plans["k"] = "plan"
+        t = s.fresh()
+        assert t.keys is s.keys and t.coords is s.coords and t.n == s.n
+        assert t.plans == {} and t._down is None and t.down() is not s.down()
+
+    def test_no_numpy_unique_or_union1d(self, monkeypatch, tmp_path, store):
+        # NumPy 2.3+ hashes in np.unique (and so in np.union1d), which is far
+        # slower on uint64 keys; the benchmark's small sets would not show it
+        c = ROW_SETS["random"]
+        frame_rows = (c + (1 << 20)) >> 1
+        ply.write_ply(tmp_path / "f.ply", frame_rows)
+        _, rows = distinct_set_oracle(c)
+        a, b = CoordSet(rows[::2]), CoordSet(rows[1::3])
+        probs = np.random.default_rng(0).random(rows.shape[0])
+        y = SparseTensor.build([[1, 1, 1]], np.ones((1, 64), np.float32), 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique or np.union1d called")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        monkeypatch.setattr(np, "union1d", refuse)
+        stride_down_coords(c)
+        union(a, b)
+        concatenate(SparseTensor(a, np.ones((a.n, 1))), SparseTensor(b, np.ones((b.n, 1))))
+        PointCloudFrame.from_coords(frame_rows, 20).points.cset.down().down()
+        ply.load_ply(tmp_path / "f.ply", 20)
+        codec.bce_occupancy(probs, rows, c)
+        nn.adaptive_prune(SparseTensor(CoordSet(rows), np.ones((rows.shape[0], 1))), probs, 100)
+        assert codec.reconstruct(y, 4, 20, store, 6)[0].n == 20
