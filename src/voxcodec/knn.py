@@ -2,19 +2,21 @@
 
 The reference is bucketed into cubic cells of side 2**level lattice units,
 counted from its min corner, and the cells are sorted by packed key.  Each
-block of queries probes its 3x3x3 cell neighbourhoods with one sorted lookup.
-Every reference point outside a query's probed cube is at least r away, r
-being the query's distance to the outside of the cube, so the ball of radius
-r is certified: only the candidates strictly inside it are ranked (all of
-them where the cube covers every occupied cell), and the query is done when
-at least k are.  The rest go round again with the cell side doubled, from a
-first level whose certified ball holds about k reference points on average.
-Results are exact squared Euclidean distances dx^2 + dy^2 + dz^2, added in
-that order from per-axis coordinate columns (the bytes of a brute-force
-``((ref - q) ** 2).sum(axis=1)``), with ties broken by reference index
-(lexicographic coordinate order for a lex-sorted reference).  Candidate pairs
-are ranked in blocks with one sort of a distinct int64 key: query, rank of
-d^2 among the block's values, reference row.  Brute force is the test oracle.
+block of PROBE_BLOCK queries probes its 3x3x3 cell neighbourhoods with one
+sorted lookup.  Every reference point outside a query's probed cube is at
+least r away, r being the query's distance to the outside of the cube, so
+the ball of radius r is certified: only the candidates strictly inside it
+are ranked (all of them where the cube covers every occupied cell), and the
+query is done when at least k are.  The rest go round again with the cell
+side doubled, from a first level whose certified ball holds about k
+reference points on average.  Results are exact squared Euclidean distances
+dx^2 + dy^2 + dz^2, added in that order from per-axis coordinate columns
+(the bytes of a brute-force ``((ref - q) ** 2).sum(axis=1)``), with ties
+broken by reference index (lexicographic coordinate order for a lex-sorted
+reference).  Candidate pairs are ranked in blocks of up to PAIR_BLOCK with
+one sort of a distinct int64 key: query, rank of d^2 among the block's
+distinct values (itself from one sort), reference row.  Brute force is the
+test oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import ContractViolation
 from .sparse import SparseTensor, as_coords, as_positions, key_steps, lookup, pack_keys
 
-PROBE_BLOCK = 512  # queries whose 27 neighbour cells are looked up at once
+PROBE_BLOCK = 1024  # queries whose 27 neighbour cells are looked up at once
 PAIR_BLOCK = 8192  # candidate (query, reference) pairs ranked at once
 MAX_POINTS = 1 << 31  # reference size that keeps the ranking key in int64
 FIRST_LEVEL = 1  # the finest cells probed are 2 lattice units wide
@@ -52,17 +54,18 @@ class GridIndex:
         self.cells(FIRST_LEVEL)
 
     def cells(self, level: int):
-        """(keys, starts, ends, order, top) for cells of side 2**level: the
+        """(keys, starts, sizes, order, top) for cells of side 2**level: the
         sorted distinct cell keys, each cell's run in ``order`` (reference
-        rows sorted by cell), and the highest occupied cell per axis."""
+        rows sorted by cell) as its start and size, and the highest occupied
+        cell per axis."""
         if level not in self._levels:
             cell = self._rel >> level
             keys = pack_keys(cell + _CELL0)
             order = np.argsort(keys, kind="stable")
-            keys = keys[order]
+            keys = np.take(keys, order)
             starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-            ends = np.r_[starts[1:], keys.size]
-            self._levels[level] = (keys[starts], starts, ends, order, cell.max(axis=0))
+            sizes = np.diff(starts, append=keys.size)
+            self._levels[level] = (np.take(keys, starts), starts, sizes, order, cell.max(axis=0))
         return self._levels[level]
 
     def first_level(self, m: int) -> int:
@@ -75,6 +78,21 @@ class GridIndex:
         return level
 
 
+def _value_ranks(v: np.ndarray):
+    """Each value's rank among the distinct values of v, and their count U:
+    the inverse and size ``np.unique(v, return_inverse=True)`` gives, from
+    one argsort, a neighbour test and a running count."""
+    by = np.argsort(v)
+    s = np.take(v, by)
+    new = np.empty(s.size, dtype=bool)
+    new[:1] = False
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    count = np.cumsum(new)
+    ranks = np.empty_like(count)
+    ranks[by] = count
+    return ranks, int(count[-1]) + 1 if s.size else 0
+
+
 def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
     """Rank the reference points of each query's 3x3x3 cell neighbourhood
     that lie strictly inside its certified ball (all of them where the cube
@@ -84,7 +102,7 @@ def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
     candidates; its rows of idx/d2 are then the m best by (d2, index).
     Rows that are not done are undefined.
     """
-    keys, starts, ends, order, top = index.cells(level)
+    keys, starts, sizes, order, top = index.cells(level)
     side = 1 << level
     # a reference spans under 2**21 units and cells are at least 2 wide, so
     # top + 1 <= 2**20 and the neighbourhood's high corner, cell + 1 + _CELL0,
@@ -92,13 +110,14 @@ def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
     cell = np.clip(np.floor((q - index.lo) / side), -1, top + 1).astype(np.int64)
     low = pack_keys(cell + (_CELL0 - 1))
     pos, hit = lookup(keys, (low[:, None] + _STEPS).reshape(-1))
-    count = np.where(hit, ends[pos] - starts[pos], 0)
+    count = np.where(hit, np.take(sizes, pos), 0)
     per_query = count.reshape(-1, 27).sum(axis=1)
     # any point outside the probed cube is at least r away on some axis
     lo_b = index.lo + (cell - 1) * side
     hi_b = index.lo + (cell + 2) * side
     r2 = np.maximum(np.minimum(q - lo_b, hi_b - q).min(axis=1), 0.0) ** 2
     covers = ((cell <= 1) & (cell + 1 >= top)).all(axis=1)
+    covers = covers if covers.any() else None
     done = np.zeros(q.shape[0], dtype=bool)
     idx = np.empty((q.shape[0], m), dtype=np.int64)
     d2 = np.empty((q.shape[0], m))
@@ -111,32 +130,42 @@ def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
         b = max(a + 1, int(np.searchsorted(cum, cum[a] - per_query[a] + PAIR_BLOCK, "right")))
         n, cnt = count[27 * a : 27 * b], per_query[a:b]
         qid = np.repeat(np.arange(a, b), cnt)
-        rid = order[np.repeat(starts[pos[27 * a : 27 * b]] - (np.cumsum(n) - n), n) + np.arange(qid.size)]
+        first = np.take(starts, pos[27 * a : 27 * b]) - (np.cumsum(n) - n)
+        rid = np.take(order, np.repeat(first, n) + np.arange(qid.size))
         # dx^2 + dy^2 + dz^2 in this order: the bytes of ((ref - q) ** 2).sum(axis=1)
-        dist = (np.take(x, rid) - np.take(qx, qid)) ** 2
-        dist += (np.take(y, rid) - np.take(qy, qid)) ** 2
-        dist += (np.take(z, rid) - np.take(qz, qid)) ** 2
+        dist = np.take(x, rid)
+        dist -= np.repeat(qx[a:b], cnt)
+        dist *= dist
+        for col, qcol in ((y, qy), (z, qz)):
+            d = np.take(col, rid)
+            d -= np.repeat(qcol[a:b], cnt)
+            d *= d
+            dist += d
         # strict: a point on the cube's far face is r away and may win the tie on index
-        inside = (dist < r2[qid]) | covers[qid]
-        qid, rid, dist = qid[inside], rid[inside], dist[inside]
+        inside = dist < np.repeat(r2[a:b], cnt)
+        if covers is not None:
+            inside |= np.repeat(covers[a:b], cnt)
+        sel = np.flatnonzero(inside)
+        qid, rid, dist = np.take(qid, sel), np.take(rid, sel), np.take(dist, sel)
         cnt = np.bincount(qid - a, minlength=b - a)
         # one distinct key per pair orders it by (query, d2, index): the
         # query's place among the block's queries with candidates (< Qc), the
-        # rank of its d2 among the block's distinct values (< U), its row
-        # (< N).  Each of the P pairs has a query and a value, so Qc, U <= P.
-        # A block of several queries has P <= PAIR_BLOCK, so key < 2**26 N;
-        # a block of one has Qc = 1 and its candidates are distinct rows, so
+        # rank of its d2 among the block's U distinct values, its row (< N).
+        # Each of the P pairs has a query and a value, so Qc, U <= P.  A
+        # block of several queries has P <= PAIR_BLOCK, so key < 2**26 N; a
+        # block of one has Qc = 1 and its candidates are distinct rows, so
         # key < U N <= N**2.  N <= MAX_POINTS = 2**31 keeps both below 2**63.
-        values, rank_d = np.unique(dist, return_inverse=True)
+        rank_d, u = _value_ranks(dist)
         nz = cnt[cnt > 0]
-        qd = np.repeat(np.arange(nz.size) * values.size, nz) + rank_d
+        qd = np.repeat(np.arange(nz.size) * u, nz) + rank_d
         ranked = np.argsort(qd * index.n + rid)
-        rank = np.arange(qid.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        # a query's pairs are a run of the ranked order; its first m are its best
         enough = cnt >= m
-        take = ranked[(rank < m) & np.repeat(enough, cnt)]
+        runs = (np.cumsum(cnt) - cnt)[enough]
+        take = np.take(ranked, (runs[:, None] + np.arange(m)).reshape(-1))
         rows = a + np.flatnonzero(enough)
-        idx[rows] = rid[take].reshape(-1, m)
-        d2[rows] = dist[take].reshape(-1, m)
+        idx[rows] = np.take(rid, take).reshape(-1, m)
+        d2[rows] = np.take(dist, take).reshape(-1, m)
         done[rows] = True
         a = b
     return done, idx, d2

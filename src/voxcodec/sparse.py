@@ -143,7 +143,10 @@ class CoordSet:
 
     def __init__(self, coords):
         # packed before the int32 cast, so no coordinate wraps unchecked
-        self._hold(sorted_keys(coords), np.ascontiguousarray(coords, dtype=np.int32))
+        keys, rows = sorted_keys(coords), np.ascontiguousarray(coords, dtype=np.int32)
+        if np.may_share_memory(rows, coords):  # the caller's array: freeze a copy
+            rows = rows.copy()
+        self._hold(keys, rows)
 
     def _hold(self, keys, coords) -> "CoordSet":
         keys.flags.writeable = coords.flags.writeable = False

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_knn
+from voxcodec import knn as knn_module
 from voxcodec import synthetic
 from voxcodec.errors import ContractViolation
-from voxcodec.knn import knn
+from voxcodec.knn import _value_ranks, knn
 from voxcodec.sparse import SparseTensor
 
 
@@ -213,6 +214,46 @@ def test_one_query_beyond_the_pair_block():
         gi, gd = knn(queries, coords, k)
         bi, bd = brute_force_knn(queries, coords, k)
         assert np.array_equal(gi, bi) and gd.tobytes() == bd.tobytes()
+
+
+_BLOB = synthetic.make_blob(9000, 7, 3)
+
+
+@pytest.mark.parametrize("probe_block, pair_block", [
+    (1, 1), (2, 2), (7, 7), (1, 7), (7, 2), (2, None), (None, 1), (None, None),
+], ids=lambda b: "default" if b is None else str(b))
+def test_results_do_not_depend_on_block_sizes(monkeypatch, probe_block, pair_block):
+    # blocks only cut the work: a clustered cloud, lattice queries tied at
+    # their certified radius, self queries and one far query whose
+    # candidates (all 9,000 points, once its cube covers every cell) exceed
+    # even the default pair block, so it is ranked alone
+    if probe_block is not None:
+        monkeypatch.setattr(knn_module, "PROBE_BLOCK", probe_block)
+    if pair_block is not None:
+        monkeypatch.setattr(knn_module, "PAIR_BLOCK", pair_block)
+    rng = np.random.default_rng(4)
+    lo, hi = _BLOB.min(axis=0), _BLOB.max(axis=0)
+    queries = np.vstack([
+        rng.integers(lo - 3, hi + 4, size=(120, 3)).astype(np.float64),
+        _BLOB[::150],
+        [[1e6, 1e6, 1e6]],
+    ])
+    for k in (1, 3, 16):
+        gi, gd = knn(queries, _BLOB, k)
+        bi, bd = brute_force_knn(queries, _BLOB, k)
+        assert np.array_equal(gi, bi) and gd.tobytes() == bd.tobytes()
+
+
+@pytest.mark.parametrize("values", [
+    [], [2.0], [0.0, 0.0, 0.0], [9.0, 1.0, 4.0, 1.0, 9.0, 0.0],
+    np.random.default_rng(1).integers(0, 40, 500) / 4.0,
+    np.random.default_rng(2).uniform(0, 1e6, 300),
+], ids=["empty", "one", "all-equal", "ties", "many-ties", "distinct"])
+def test_value_ranks_are_np_unique_inverse(values):
+    v = np.asarray(values, dtype=np.float64)
+    distinct, inverse = np.unique(v, return_inverse=True)
+    ranks, u = _value_ranks(v)
+    assert ranks.dtype == np.int64 and np.array_equal(ranks, inverse) and u == distinct.size
 
 
 def test_reference_beyond_the_sort_key_budget_rejected():

@@ -93,6 +93,23 @@ class TestSparseTensor:
         with pytest.raises(ValueError):
             u.feats[0, 0] = 0.0
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_the_callers_coordinates_stay_writable(self, dtype):
+        # a C-contiguous int32 array came back from np.ascontiguousarray
+        # uncopied and was frozen in place; the set holds its own copy
+        c = np.array([[0, 0, 0], [1, 2, 3]], dtype)
+        t = SparseTensor(c, np.ones((2, 1)))
+        assert c.flags.writeable and not t.coords.flags.writeable
+        assert not np.shares_memory(c, t.coords)
+        c[0] = [9, 9, 9]
+        assert t.coords.tolist() == [[0, 0, 0], [1, 2, 3]]
+
+    def test_a_view_of_the_callers_rows_stays_writable(self):
+        big = np.array([[0, 0, 0], [1, 2, 3], [4, 5, 6], [7, 8, 9]], np.int32)
+        cset = CoordSet(big[1:3])
+        assert big.flags.writeable and not np.shares_memory(big, cset.coords)
+        assert cset.coords.tolist() == [[1, 2, 3], [4, 5, 6]]
+
     def test_immutable(self):
         t = make([[0, 0, 0]], [[1.0]])
         with pytest.raises(ValueError):
