@@ -41,7 +41,7 @@ from . import motion as mo
 from . import octree as oc
 from .errors import ContractViolation, DecodeError, MissingReference, pack
 from .nn import _conv, adaptive_prune, classify_occupancy, irn_block, prefixed
-from .sparse import (CoordSet, PointCloudFrame, SparseTensor, _distinct, children_coords, lookup,
+from .sparse import (CoordSet, PointCloudFrame, SparseTensor, _distinct, children_keys, lookup,
                      pack_keys)
 
 MAGIC = b"DDPC"
@@ -218,7 +218,8 @@ def reconstruct(y_prime: SparseTensor, n1: int, n0: int, w, precision_bits: int)
     probs_out = []
     x = y_prime
     for prefix, kept, scale in (("rec.up1", n1, 1), ("rec.up2", n0, 0)):
-        x = _block(x, w, prefix, up_to=children_coords(x.coords))
+        # the candidates' set is made from their keys, packed once
+        x = _block(x, w, prefix, up_to=CoordSet.from_keys(children_keys(x.coords)))
         probs = classify_occupancy(x, prefixed(w, f"{prefix}.cls"))
         probs_out.append((probs, x.coords, scale))
         x = adaptive_prune(x, probs, kept)

@@ -142,7 +142,7 @@ def _column_steps(column: np.ndarray, cdf: np.ndarray, offset: int):
     if max(z) >= 1 << 32:
         raise ContractViolation("escape symbol exceeds 32-bit raw range")
     slot[esc] = nsym
-    first = np.arange(slot.size) + 4 * (np.cumsum(esc) - esc)  # each row's first step
+    first = np.arange(slot.size) + 4 * (esc.cumsum() - esc)  # each row's first step
     lo = np.empty(slot.size + 4 * k, dtype=np.int64)
     hi = np.empty_like(lo)
     lo[first], hi[first] = cdf[slot], cdf[slot + 1]

@@ -61,11 +61,11 @@ class GridIndex:
         if level not in self._levels:
             cell = self._rel >> level
             keys = pack_keys(cell + _CELL0)
-            order = np.argsort(keys, kind="stable")
-            keys = np.take(keys, order)
-            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            order = keys.argsort(kind="stable")
+            keys = keys.take(order)
+            starts = np.r_[True, keys[1:] != keys[:-1]].nonzero()[0]
             sizes = np.diff(starts, append=keys.size)
-            self._levels[level] = (np.take(keys, starts), starts, sizes, order, cell.max(axis=0))
+            self._levels[level] = (keys.take(starts), starts, sizes, order, cell.max(axis=0))
         return self._levels[level]
 
     def first_level(self, m: int) -> int:
@@ -82,12 +82,12 @@ def _value_ranks(v: np.ndarray):
     """Each value's rank among the distinct values of v, and their count U:
     the inverse and size ``np.unique(v, return_inverse=True)`` gives, from
     one argsort, a neighbour test and a running count."""
-    by = np.argsort(v)
-    s = np.take(v, by)
+    by = v.argsort()
+    s = v.take(by)
     new = np.empty(s.size, dtype=bool)
     new[:1] = False
     np.not_equal(s[1:], s[:-1], out=new[1:])
-    count = np.cumsum(new)
+    count = new.cumsum()
     ranks = np.empty_like(count)
     ranks[by] = count
     return ranks, int(count[-1]) + 1 if s.size else 0
@@ -107,10 +107,10 @@ def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
     # a reference spans under 2**21 units and cells are at least 2 wide, so
     # top + 1 <= 2**20 and the neighbourhood's high corner, cell + 1 + _CELL0,
     # is at most 3 in key coordinates: only the low corner needs packing
-    cell = np.clip(np.floor((q - index.lo) / side), -1, top + 1).astype(np.int64)
+    cell = np.floor((q - index.lo) / side).clip(-1, top + 1).astype(np.int64)
     low = pack_keys(cell + (_CELL0 - 1))
     pos, hit = lookup(keys, (low[:, None] + _STEPS).reshape(-1))
-    count = np.where(hit, np.take(sizes, pos), 0)
+    count = np.where(hit, sizes.take(pos), 0)
     per_query = count.reshape(-1, 27).sum(axis=1)
     # any point outside the probed cube is at least r away on some axis
     lo_b = index.lo + (cell - 1) * side
@@ -123,30 +123,30 @@ def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
     d2 = np.empty((q.shape[0], m))
     qx, qy, qz = np.ascontiguousarray(q.T)
     x, y, z = index.cols
-    cum = np.cumsum(per_query)
+    cum = per_query.cumsum()
     a = 0
     while a < q.shape[0]:
         # the next queries whose candidates fit in one pair block (at least one)
-        b = max(a + 1, int(np.searchsorted(cum, cum[a] - per_query[a] + PAIR_BLOCK, "right")))
+        b = max(a + 1, int(cum.searchsorted(cum[a] - per_query[a] + PAIR_BLOCK, "right")))
         n, cnt = count[27 * a : 27 * b], per_query[a:b]
-        qid = np.repeat(np.arange(a, b), cnt)
-        first = np.take(starts, pos[27 * a : 27 * b]) - (np.cumsum(n) - n)
-        rid = np.take(order, np.repeat(first, n) + np.arange(qid.size))
+        qid = np.arange(a, b).repeat(cnt)
+        first = starts.take(pos[27 * a : 27 * b]) - (n.cumsum() - n)
+        rid = order.take(first.repeat(n) + np.arange(qid.size))
         # dx^2 + dy^2 + dz^2 in this order: the bytes of ((ref - q) ** 2).sum(axis=1)
-        dist = np.take(x, rid)
-        dist -= np.repeat(qx[a:b], cnt)
+        dist = x.take(rid)
+        dist -= qx[a:b].repeat(cnt)
         dist *= dist
         for col, qcol in ((y, qy), (z, qz)):
-            d = np.take(col, rid)
-            d -= np.repeat(qcol[a:b], cnt)
+            d = col.take(rid)
+            d -= qcol[a:b].repeat(cnt)
             d *= d
             dist += d
         # strict: a point on the cube's far face is r away and may win the tie on index
-        inside = dist < np.repeat(r2[a:b], cnt)
+        inside = dist < r2[a:b].repeat(cnt)
         if covers is not None:
-            inside |= np.repeat(covers[a:b], cnt)
-        sel = np.flatnonzero(inside)
-        qid, rid, dist = np.take(qid, sel), np.take(rid, sel), np.take(dist, sel)
+            inside |= covers[a:b].repeat(cnt)
+        sel = inside.nonzero()[0]
+        qid, rid, dist = qid.take(sel), rid.take(sel), dist.take(sel)
         cnt = np.bincount(qid - a, minlength=b - a)
         # one distinct key per pair orders it by (query, d2, index): the
         # query's place among the block's queries with candidates (< Qc), the
@@ -157,15 +157,15 @@ def _probe(index: GridIndex, q: np.ndarray, level: int, m: int):
         # key < U N <= N**2.  N <= MAX_POINTS = 2**31 keeps both below 2**63.
         rank_d, u = _value_ranks(dist)
         nz = cnt[cnt > 0]
-        qd = np.repeat(np.arange(nz.size) * u, nz) + rank_d
-        ranked = np.argsort(qd * index.n + rid)
+        qd = (np.arange(nz.size) * u).repeat(nz) + rank_d
+        ranked = (qd * index.n + rid).argsort()
         # a query's pairs are a run of the ranked order; its first m are its best
         enough = cnt >= m
-        runs = (np.cumsum(cnt) - cnt)[enough]
-        take = np.take(ranked, (runs[:, None] + np.arange(m)).reshape(-1))
-        rows = a + np.flatnonzero(enough)
-        idx[rows] = np.take(rid, take).reshape(-1, m)
-        d2[rows] = np.take(dist, take).reshape(-1, m)
+        runs = (cnt.cumsum() - cnt)[enough]
+        take = ranked.take((runs[:, None] + np.arange(m)).reshape(-1))
+        rows = a + enough.nonzero()[0]
+        idx[rows] = rid.take(take).reshape(-1, m)
+        d2[rows] = dist.take(take).reshape(-1, m)
         done[rows] = True
         a = b
     return done, idx, d2

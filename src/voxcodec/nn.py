@@ -235,12 +235,12 @@ def _accumulate(plan: _Plan, feats, weight, init):
             # prev < lo: reading only table[:lo] keeps the source apart from
             # acc, and "clip" (the slots are in range by construction) spares
             # numpy a buffered copy of out
-            np.take(table[:lo], prev, axis=0, out=acc, mode="clip")
+            table[:lo].take(prev, 0, out=acc, mode="clip")
             # pairs are increasing in i, so an offset using every input row
             # takes them in order: the operand is feats itself
-            x = feats if rows.size == feats.shape[0] else np.take(feats, rows, axis=0)
+            x = feats if rows.size == feats.shape[0] else feats.take(rows, 0)
             acc += np.matmul(x, weight[o], out=carry[:hi - lo])
-        np.take(table, last, axis=0, out=carry, mode="clip")
+        table.take(last, 0, out=carry, mode="clip")
     return carry
 
 
@@ -331,7 +331,7 @@ def sparse_conv_backward(x: SparseTensor, spec: ConvSpec, weight, kmap: KernelMa
     grad_w = np.zeros_like(weight)
     for o, (i_idx, j_idx) in enumerate(kmap.pairs):
         if i_idx.size:
-            grad_w[o] = np.take(feats, i_idx, axis=0).T @ np.take(grad_out, j_idx, axis=0)
+            grad_w[o] = feats.take(i_idx, 0).T @ grad_out.take(j_idx, 0)
     grad_b = grad_out.sum(axis=0)
     return grad_in, grad_w, grad_b
 
@@ -433,8 +433,8 @@ def adaptive_prune(x: SparseTensor, probs: np.ndarray, keep: int) -> SparseTenso
     if probs.shape != (x.n,):
         raise ContractViolation("probability vector length mismatch")
     m = min(int(keep), x.n)
-    order = np.argsort(-probs, kind="stable")[:m]
+    order = (-probs).argsort(kind="stable")[:m]
     order = np.sort(order)
     # order is increasing, so the kept keys are too
-    kept = CoordSet.from_keys(np.take(x.cset.keys, order))
-    return SparseTensor(kept, np.take(x.feats, order, axis=0), x.scale)
+    kept = CoordSet.from_keys(x.cset.keys.take(order))
+    return SparseTensor(kept, x.feats.take(order, 0), x.scale)

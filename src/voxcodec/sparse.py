@@ -96,7 +96,7 @@ def lookup(table: np.ndarray, keys: np.ndarray):
     Returns ``(pos, hit)``: ``hit[q]`` says whether ``keys[q]`` is present and,
     where it is, ``table[pos[q]] == keys[q]``.
     """
-    pos = np.searchsorted(table, keys)
+    pos = table.searchsorted(keys)
     if table.size == 0:
         return pos, np.zeros(pos.shape, dtype=bool)
     pos = np.minimum(pos, table.size - 1)
@@ -104,7 +104,7 @@ def lookup(table: np.ndarray, keys: np.ndarray):
 
 
 def _increasing(keys: np.ndarray) -> np.ndarray:
-    if np.any(keys[1:] <= keys[:-1]):
+    if (keys[1:] <= keys[:-1]).any():
         raise ContractViolation("coordinates must be strictly increasing lexicographically")
     return keys
 
@@ -199,7 +199,8 @@ class SparseTensor:
             raise ContractViolation("scale must be >= 0")
         self.cset = cset
         self.coords = cset.coords
-        self.feats = feats
+        # a read-only view: an array the caller passed in stays writable
+        self.feats = feats.view()
         self.scale = int(scale)
         self.feats.flags.writeable = False
 
@@ -270,10 +271,15 @@ def stride_down_coords(coords: np.ndarray) -> np.ndarray:
     return unpack_keys(_distinct(pack_keys(as_coords(coords) >> 1)))
 
 
+def children_keys(coords: np.ndarray) -> np.ndarray:
+    """The sorted keys of the eight children 2c + CORNERS of each voxel c."""
+    children = 2 * as_coords(coords)[:, None] + CORNERS
+    return np.sort(pack_keys(children.reshape(-1, 3)))
+
+
 def children_coords(coords: np.ndarray) -> np.ndarray:
     """The eight children 2c + CORNERS of each voxel c, lex-sorted: stride_down_coords' inverse."""
-    children = 2 * as_coords(coords)[:, None] + CORNERS
-    return unpack_keys(np.sort(pack_keys(children.reshape(-1, 3))))
+    return unpack_keys(children_keys(coords))
 
 
 class PointCloudFrame:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     NumpyAdaptiveByteModel,
+    NumpyRangeDecoder,
     NumpyRangeEncoder,
     numpy_decode_bytes_adaptive,
     numpy_encode_bytes_adaptive,
@@ -280,3 +281,128 @@ def test_adaptive_corrupt_and_trailing_streams_raise_decode_error():
         decode_adaptive(coded[:1] + b"\x00" + coded[2:], len(payload))
     with pytest.raises(DecodeError, match="trailing"):
         decode_adaptive(coded + b"\x00", len(payload))
+
+
+# Slot reuse.  Within a run the decoder keeps the previous symbol's slot and
+# bisects only when the target leaves it.  A run of one symbol starts with no
+# slot, so symbol-by-symbol runs bisect every target, as the decoder did
+# before it reused slots.  The two must agree on every symbol, every
+# DecodeError message and every stream position, valid stream or not.
+
+
+def whole_runs(dec, cdf, n, stop):
+    return dec.run(cdf, n, stop)
+
+
+def symbol_by_symbol(dec, cdf, n, stop):
+    out = []
+    while len(out) < n and stop not in out[-1:]:
+        out += dec.run(cdf, 1, stop)
+    return out
+
+
+def outcome(data, cdf, calls, step):
+    """The symbols of each (n, stop) run of ``calls`` as ``step`` reads them,
+    the decoder's state after them and the message of finish()'s DecodeError
+    (None if it accepts the stream); or the message of the first DecodeError
+    a run raised."""
+    try:
+        dec = RangeDecoder(data)
+        out = [step(dec, cdf, n, stop) for n, stop in calls]
+    except DecodeError as e:
+        return str(e)
+    state = dec._low, dec._range, dec._code, dec._pos
+    try:
+        dec.finish()
+    except DecodeError as e:
+        return out, state, str(e)
+    return out, state, None
+
+
+def agree(data, cdf, calls):
+    """The outcome of whole runs, checked against symbol-by-symbol runs."""
+    got = outcome(data, cdf, calls, whole_runs)
+    assert got == outcome(data, cdf, calls, symbol_by_symbol)
+    return got
+
+
+# slots 1, 3, 4 and 6 are zero-width, each beside a slot a run may hold
+RUN_CDF = cumulative([3000, 0, 20000, 0, 0, 40000, 0, 2536])
+RUN_STREAMS = {
+    "one long run": [5] * 3000,
+    "runs beside zero-width slots": [2] * 400 + [0] * 3 + [2] * 250 + [5] * 300 + [7] * 40
+    + [0] + [5] * 500 + [7],
+    "single symbols between runs": [0, 2, 5, 7] * 20 + [5] * 200 + [7, 5, 2, 0] * 20,
+}
+
+
+def oracle_symbols(data, cdf, n):
+    oracle = NumpyRangeDecoder(data)
+    return [oracle.decode_symbol(cdf) for _ in range(n)]
+
+
+@pytest.mark.parametrize("symbols", RUN_STREAMS.values(), ids=RUN_STREAMS.keys())
+def test_runs_decode_as_the_oracle_does(symbols):
+    data = encoded(RUN_CDF, symbols)
+    out, _, end = agree(data, RUN_CDF, [(len(symbols), -1)])
+    assert out == [symbols] and end is None
+    assert oracle_symbols(data, RUN_CDF, len(symbols)) == symbols
+
+
+def test_stop_symbol_right_after_a_run():
+    symbols = [2] * 300 + [7] + [5] * 200 + [7] + [2] * 5
+    calls = [(len(symbols), 7), (len(symbols), 7), (5, 7)]
+    out, _, end = agree(encoded(RUN_CDF, symbols), RUN_CDF, calls)
+    assert out == [[2] * 300 + [7], [5] * 200 + [7], [2] * 5] and end is None
+
+
+@pytest.mark.parametrize("symbols", RUN_STREAMS.values(), ids=RUN_STREAMS.keys())
+def test_truncated_or_corrupt_runs_fail_as_bisection_does(symbols):
+    data = encoded(RUN_CDF, symbols)
+    calls = [(len(symbols), -1)]
+    # a cut stream may still decode to other symbols; most run out of bytes
+    cut = [agree(data[:k], RUN_CDF, calls) for k in range(len(data))]
+    assert cut.count("range-coded stream is truncated") > len(data) // 2
+    for k in range(len(data)):
+        agree(data[:k] + bytes([data[k] ^ 0x5A]) + data[k + 1:], RUN_CDF, calls)
+
+
+def test_target_clamped_into_the_last_slot():
+    # with code 2^32 - 1 against a fresh interval the first target is past
+    # the total; it is clamped into the last slot, which later targets reuse
+    # while the bytes last
+    cdf = (0, 60000, TOTAL)
+    assert (2**32 - 1) // ((2**32 - 1) // TOTAL) >= TOTAL
+    data = b"\xff" * 16
+    out, (_, _, _, pos), end = agree(data, cdf, [(8, -1)])
+    oracle = NumpyRangeDecoder(data)
+    assert out == [[oracle.decode_symbol(cdf) for _ in range(8)]] and pos == oracle._pos
+    assert out[0][0] == 1 and end == "trailing bytes after range-coded stream"
+    assert agree(data, cdf, [(40, -1)]) == "range-coded stream is truncated"
+
+
+@st.composite
+def run_streams(draw):
+    """A cumulative table with zero-width slots allowed, and a stream of its
+    symbols in runs of 1 to 300."""
+    freqs = draw(st.lists(st.integers(0, 3000), min_size=1, max_size=12)
+                 .filter(lambda f: sum(f) > 0))
+    codable = [i for i, f in enumerate(freqs) if f]
+    runs = draw(st.lists(st.tuples(st.sampled_from(codable), st.integers(1, 300)),
+                         min_size=1, max_size=10))
+    return cumulative(freqs), [s for s, n in runs for _ in range(n)]
+
+
+@given(run_streams(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_run_streams_match_bisection_and_oracle(case, seed):
+    cdf, symbols = case
+    data = encoded(cdf, symbols)
+    calls = [(len(symbols), -1)]
+    out, _, end = agree(data, cdf, calls)
+    assert out == [symbols] and end is None
+    assert oracle_symbols(data, cdf, len(symbols)) == symbols
+    rng = np.random.default_rng(seed)
+    agree(data[:rng.integers(len(data))], cdf, calls)
+    k = rng.integers(len(data))
+    agree(data[:k] + bytes([data[k] ^ int(rng.integers(1, 256))]) + data[k + 1:], cdf, calls)

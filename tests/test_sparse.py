@@ -14,6 +14,7 @@ from voxcodec.sparse import (
     add_on_union,
     as_coords,
     children_coords,
+    children_keys,
     concatenate,
     key_steps,
     lex_order,
@@ -104,6 +105,16 @@ class TestSparseTensor:
         c[0] = [9, 9, 9]
         assert t.coords.tolist() == [[0, 0, 0], [1, 2, 3]]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_the_callers_features_stay_writable(self, dtype):
+        # C-contiguous float32 and float64 features came back from
+        # np.ascontiguousarray uncopied and were frozen in place; the tensor
+        # holds a read-only view of them, and a converted copy of the rest
+        f = np.ones((2, 1), dtype)
+        t = SparseTensor(np.array([[0, 0, 0], [1, 2, 3]]), f)
+        assert f.flags.writeable and not t.feats.flags.writeable
+        assert np.shares_memory(f, t.feats) == (dtype != np.int64)
+
     def test_a_view_of_the_callers_rows_stays_writable(self):
         big = np.array([[0, 0, 0], [1, 2, 3], [4, 5, 6], [7, 8, 9]], np.int32)
         cset = CoordSet(big[1:3])
@@ -151,6 +162,7 @@ class TestChildren:
         assert np.array_equal(kids, unpack_keys(np.sort(pack_keys(kids))))
         assert np.array_equal(stride_down_coords(kids), c)
         assert np.array_equal(children_coords(c[::-1]), kids)
+        assert np.array_equal(children_keys(c), pack_keys(kids))
 
     def test_empty(self):
         assert children_coords(np.empty((0, 3), np.int32)).shape == (0, 3)
